@@ -116,9 +116,17 @@ def deg_charge(p: int, gamma, d: int | None = None) -> CentralCharge:
     return CentralCharge(1, b, 0, 0)
 
 
+def check_index(p, message: str, lo: int = 0, hi: int | None = None) -> None:
+    """Raise DomainError unless p is an integer (not a bool) in lo..hi.
+
+    ``message`` is formatted only on failure, with the fields ``p`` and ``hi``.
+    """
+    if isinstance(p, bool) or not isinstance(p, int) or p < lo or (hi is not None and p > hi):
+        raise DomainError(message.format(p=p, hi=hi))
+
+
 def _check_index(p: int, d: int | None) -> None:
-    if isinstance(p, bool) or not isinstance(p, int) or p < 0:
-        raise DomainError(f"heart index must be a nonnegative integer, got {p!r}")
+    check_index(p, "heart index must be a nonnegative integer, got {p!r}")
     if d is not None:
         check_dimension(d)
         if p > d - 1:

@@ -138,6 +138,16 @@ def _label_text(label) -> str:
     return f"std p={label.p}"
 
 
+def _point_text(sigma) -> str:
+    return "\n".join(
+        [
+            f"label: {_label_text(sigma.label)}",
+            f"T: {_matrix_text(sigma.g)}",
+            f"winding: {sigma.g.winding}",
+        ]
+    )
+
+
 # ---------------------------------------------------------------------------
 # handlers: each returns (json payload, text rendering)
 
@@ -147,30 +157,14 @@ def _cmd_classify(args):
     phi = _parse_num("--phi", args.phi)
     psi = _parse_num("--psi", args.psi)
     sigma = classify(Z, phi, psi, args.d)
-    payload = jsonio.encode_point(sigma)
-    text = "\n".join(
-        [
-            f"label: {_label_text(sigma.label)}",
-            f"T: {_matrix_text(sigma.g)}",
-            f"winding: {sigma.g.winding}",
-        ]
-    )
-    return payload, text
+    return jsonio.encode_point(sigma), _point_text(sigma)
 
 
 def _cmd_act(args):
     sigma = jsonio.decode_point(_load_json("--point", args.point))
     G = jsonio.decode_auto(_load_json("--auto", args.auto))
     moved = act(G, sigma)
-    payload = jsonio.encode_point(moved)
-    text = "\n".join(
-        [
-            f"label: {_label_text(moved.label)}",
-            f"T: {_matrix_text(moved.g)}",
-            f"winding: {moved.g.winding}",
-        ]
-    )
-    return payload, text
+    return jsonio.encode_point(moved), _point_text(moved)
 
 
 def _cmd_hn(args):
@@ -189,6 +183,8 @@ def _cmd_hn(args):
 
 
 def _cmd_tilt_chain(args):
+    if args.check_mass < 1:
+        raise UsageError(f"--check-mass: must be at least 1, got {args.check_mass}")
     heart = iterated_heart(args.p, args.d)
     levels = [
         {"level": k, "pair": standard_pair(k, args.d).name} for k in range(args.p)

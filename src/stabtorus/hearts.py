@@ -9,14 +9,26 @@ locally free for p >= 2), plus extensions where the model allows them.
 from the sheaf category, each at the evident torsion pair; agreeing with the
 direct membership predicate on enumerated corpora is one of the package's
 main consistency checks.
+
+Every decomposition follows one rule. At the standard point with heart index
+p, torsion has phase 1 and a shifted locally free sheaf phase 1/2; a shifted
+torsion-free sheaf splits into its hull defect, torsion of phase 1, and its
+locally free hull, of phase 1/2 (``hull_split``); at p = 0 a torsion-free
+sheaf has the phases of its declared filtration steps, in (0, 1/2].
+``split_at_phase`` cuts these HN pieces at one phase. The standard torsion
+pairs are the cut at any phase in (1/2, 1), the wall pairs of
+``walls.phase_cut_pair`` are cuts at their gamma, and
+``stability.hn_filtration`` lists the pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .charges import check_dimension
+from .charges import check_dimension, check_index, phase_in_strip, std_charge
 from .errors import DomainError, InvalidTorsionPair, MissingHNData, NotInHeart
+from .exactnum import HALF
 from .sheaves import (
     FormalObject,
     LocallyFree,
@@ -26,21 +38,41 @@ from .sheaves import (
     ZERO_OBJECT,
     class_of,
     enumerate_objects,
-    hull_defect_length,
+    formal_object,
+    make_torsion_free,
     object_shift,
     object_sum,
     objects_isomorphic,
     positive_rank_part,
     sheaf_at,
+    sheaf_sum,
     torsion_part,
 )
 
-# synthetic point id used for hull-defect torsion produced by cohomology
+# synthetic point id used for hull-defect torsion
 DEFECT_POINT = "~q"
 
+# a phase strictly between 1/2 and 1, the two phases of a standard heart p >= 1
+_STANDARD_CUT = Fraction(3, 4)
 
-def _is_torsion_free_kind(S) -> bool:
-    return isinstance(S, (LocallyFree, TorsionFree))
+
+def _in_heart_shape(E: FormalObject, p: int) -> bool:
+    """Does every atom of E sit where the standard heart p allows?
+
+    That is degree 0 for p = 0; for p >= 1 torsion in degree 0 and, in
+    degree -p, a torsion-free sheaf (p = 1) or a locally free one (p >= 2).
+    The split-flag rule of ``heart_membership`` is not checked.
+    """
+    if p == 0:
+        return all(i == 0 for i, _ in E.graded)
+    free_kind = (LocallyFree, TorsionFree) if p == 1 else LocallyFree
+    for i, S in E.graded:
+        if i == 0:
+            if not isinstance(S, Torsion):
+                return False
+        elif i != -p or not isinstance(S, free_kind):
+            return False
+    return True
 
 
 def heart_membership(E: FormalObject, p: int, d: int) -> bool:
@@ -53,28 +85,10 @@ def heart_membership(E: FormalObject, p: int, d: int) -> bool:
     the relevant extension group vanishes.
     """
     check_dimension(d)
-    if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p <= d - 1:
-        raise DomainError(f"heart index must lie in 0..{d - 1}, got {p!r}")
-    if E.is_zero():
-        return True
-    if p == 0:
-        return E.degrees() == (0,)
-    for i, S in E.graded:
-        if i == 0:
-            if not isinstance(S, Torsion):
-                return False
-        elif i == -p:
-            if p == 1:
-                if not _is_torsion_free_kind(S):
-                    return False
-            else:
-                if not isinstance(S, LocallyFree):
-                    return False
-        else:
-            return False
-    if 2 <= p <= d - 2 and (-p, 0) in E.nonsplit:
+    check_index(p, "heart index must lie in 0..{hi}, got {p!r}", hi=d - 1)
+    if not _in_heart_shape(E, p):
         return False
-    return True
+    return not (2 <= p <= d - 2 and (-p, 0) in E.nonsplit)
 
 
 def canonical_decomposition(E: FormalObject, p: int, d: int | None = None):
@@ -86,24 +100,98 @@ def canonical_decomposition(E: FormalObject, p: int, d: int | None = None):
     the shape test (the full test including the split-flag rule when d is
     given).
     """
-    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-        raise DomainError(f"decomposition needs a heart index p >= 1, got {p!r}")
-    if d is not None:
-        if not heart_membership(E, p, d):
-            raise NotInHeart(f"object is not in the standard heart {p}")
-    else:
-        ok = E.is_zero() or all(
-            (i == 0 and isinstance(S, Torsion))
-            or (i == -p and (_is_torsion_free_kind(S) if p == 1 else isinstance(S, LocallyFree)))
-            for i, S in E.graded
-        )
-        if not ok:
-            raise NotInHeart(f"object is not in the standard heart {p}")
+    check_index(p, "decomposition needs a heart index p >= 1, got {p!r}", lo=1)
+    if not (heart_membership(E, p, d) if d is not None else _in_heart_shape(E, p)):
+        raise NotInHeart(f"object is not in the standard heart {p}")
     upper = E.component(-p)
     lower = E.component(0)
     f_part = sheaf_at(-p, upper) if upper is not None else ZERO_OBJECT
     t_part = sheaf_at(0, lower) if lower is not None else ZERO_OBJECT
     return (f_part, t_part)
+
+
+# ---------------------------------------------------------------------------
+# the phase split
+
+
+def hull_split(F):
+    """(hull defect, hull) of a positive-rank sheaf F without torsion.
+
+    The hull defect is the torsion sheaf of length colength at DEFECT_POINT,
+    None when F is locally free; the hull is the locally free sheaf of F's
+    rank, F itself when F is locally free. F = None gives (None, None).
+    """
+    if isinstance(F, TorsionFree):
+        return (Torsion(((DEFECT_POINT, F.colength),)), LocallyFree(F.rank))
+    return (None, F)
+
+
+def _hn_pieces(E: FormalObject, p: int, steps: bool) -> list:
+    """HN pieces of the heart-p member E at the standard point, top phase first.
+
+    Each piece is (phase, degree, sheaf, step). Torsion, with the hull defect
+    of the shifted piece, sits at phase 1 and the locally free hull at phase
+    1/2. At p = 0 a torsion-free sheaf contributes its declared steps, each
+    with ``step`` = (class, stable flag) and no sheaf of its own; when
+    ``steps`` is false it stays whole at phase 1/2, the top of its phases.
+    Raises NotInHeart when E does not have the heart-p shape and MissingHNData
+    when declared steps are needed but absent.
+    """
+    if not _in_heart_shape(E, p):
+        raise NotInHeart(f"object has no place in heart {p}")
+    pieces = []
+    if p == 0:
+        S = E.component(0)
+        t, F = torsion_part(S), positive_rank_part(S)
+        if t is not None:
+            pieces.append((1, 0, t, None))
+        if steps and isinstance(F, TorsionFree):
+            if F.hn is None:
+                raise MissingHNData("torsion-free piece carries no declared filtration data")
+            Z0 = std_charge(0)
+            pieces += [(phase_in_strip(Z0, step[0], 0), 0, None, step) for step in F.hn]
+        elif F is not None:
+            pieces.append((HALF, 0, F, None))
+        return pieces
+    defect, hull = hull_split(E.component(-p))
+    torsion = sheaf_sum(E.component(0), defect)
+    if torsion is not None:
+        pieces.append((1, 0, torsion, None))
+    if hull is not None:
+        pieces.append((HALF, -p, hull, None))
+    return pieces
+
+
+def split_at_phase(E: FormalObject, p: int, cut):
+    """Cut the heart-p member E at phase ``cut`` into (above, below).
+
+    ``above`` sums the HN pieces of phase greater than cut, ``below`` the
+    rest; a side that receives every piece is E itself and the other side is
+    the zero object. At p = 0 declared steps are read only when cut < 1/2.
+    """
+    pieces = _hn_pieces(E, p, cut < HALF)
+    k = 0
+    while k < len(pieces) and pieces[k][0] > cut:
+        k += 1
+    if k == len(pieces):
+        return (E, ZERO_OBJECT)
+    if k == 0:
+        return (ZERO_OBJECT, E)
+    return (_assemble(pieces[:k]), _assemble(pieces[k:]))
+
+
+def _assemble(pieces) -> FormalObject:
+    """Direct sum of HN pieces; declared steps join into one torsion-free sheaf."""
+    graded: dict = {}
+    steps = tuple(step for *_, step in pieces if step is not None)
+    if steps:
+        colength = -sum(cls.chd for cls, _ in steps)
+        rank = sum(cls.rk for cls, _ in steps)
+        graded[0] = make_torsion_free(rank, colength, steps if colength else None)
+    for _, i, S, step in pieces:
+        if step is None:
+            graded[i] = sheaf_sum(graded.get(i), S)
+    return formal_object(graded)
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +216,10 @@ def _atom_cohomology(S, p: int) -> dict:
         if p == 1:
             _merge_coh(out, 1, sheaf_at(-1, F))
         else:
-            q = hull_defect_length(F)
-            if q:
-                _merge_coh(out, 1, sheaf_at(0, Torsion(((DEFECT_POINT, q),))))
-            _merge_coh(out, p, sheaf_at(-p, LocallyFree(F.rank)))
+            defect, hull = hull_split(F)
+            if defect is not None:
+                _merge_coh(out, 1, sheaf_at(0, defect))
+            _merge_coh(out, p, sheaf_at(-p, hull))
     return out
 
 
@@ -146,8 +234,7 @@ class StandardHeart:
 
     def __init__(self, p: int, d: int):
         check_dimension(d)
-        if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p <= d - 1:
-            raise DomainError(f"heart index must lie in 0..{d - 1}, got {p!r}")
+        check_index(p, "heart index must lie in 0..{hi}, got {p!r}", hi=d - 1)
         self.p = p
         self.d = d
         self.level = p
@@ -372,89 +459,35 @@ def _try_pred(pred, E):
         return None
 
 
-def _zero_or(pred):
-    def wrapped(E: FormalObject) -> bool:
-        return E.is_zero() or pred(E)
-    return wrapped
-
-
 def standard_pair(level: int, d: int) -> TorsionPairSpec:
     """The torsion pair on the standard heart ``level`` whose tilt is the
     standard heart ``level + 1``.
 
-    On the sheaf category the pair is (torsion sheaves, torsion-free
-    sheaves). On heart k >= 1 the torsion class is still the degree-0 torsion
-    part while the free class is the shifted locally free piece; a shifted
-    torsion-free sheaf splits as its hull defect (torsion class) against its
-    hull (free class).
+    It is the cut of the heart at a phase between 1/2 and 1. On the sheaf
+    category the pair is (torsion sheaves, torsion-free sheaves). On heart
+    k >= 1 the torsion class is still the degree-0 torsion part while the
+    free class is the shifted locally free piece; a shifted torsion-free
+    sheaf splits as its hull defect (torsion class) against its hull (free
+    class).
     """
     check_dimension(d)
-    if level == 0:
-        def in_torsion(E):
-            return E.degrees() == (0,) and isinstance(E.component(0), Torsion)
+    free_kind = LocallyFree if level else (LocallyFree, TorsionFree)
 
-        def in_free(E):
-            return E.degrees() == (0,) and _is_torsion_free_kind(E.component(0))
-
-        def decompose(E):
-            if E.is_zero():
-                return (ZERO_OBJECT, ZERO_OBJECT)
-            if E.degrees() != (0,):
-                raise NotInHeart("decompose needs a sheaf-category object")
-            S = E.component(0)
-            t = torsion_part(S)
-            f = positive_rank_part(S)
-            return (
-                sheaf_at(0, t) if t is not None else ZERO_OBJECT,
-                sheaf_at(0, f) if f is not None else ZERO_OBJECT,
-            )
-
-        return TorsionPairSpec(
-            "torsion-against-torsion-free", _zero_or(in_torsion), _zero_or(in_free), decompose
-        )
-
+    # shape tests, not the split: TiltedHeart.contains runs them on every
+    # cohomology piece of every object it checks
     def in_torsion(E):
-        return E.degrees() == (0,) and isinstance(E.component(0), Torsion)
+        return E.is_zero() or (E.degrees() == (0,) and isinstance(E.component(0), Torsion))
 
     def in_free(E):
-        return E.degrees() == (-level,) and isinstance(E.component(-level), LocallyFree)
-
-    def decompose(E):
-        if E.is_zero():
-            return (ZERO_OBJECT, ZERO_OBJECT)
-        t_sheaf = None
-        hull = None
-        defect = 0
-        for i, S in E.graded:
-            if i == 0 and isinstance(S, Torsion):
-                t_sheaf = S
-            elif i == -level and _is_torsion_free_kind(S):
-                if level >= 2 and not isinstance(S, LocallyFree):
-                    raise NotInHeart("shifted piece must be locally free here")
-                defect = hull_defect_length(S)
-                hull = LocallyFree(S.rank)
-            else:
-                raise NotInHeart(f"object has no place in heart {level}")
-        if defect:
-            t_sheaf = _torsion_with_defect(t_sheaf, defect)
-        return (
-            sheaf_at(0, t_sheaf) if t_sheaf is not None else ZERO_OBJECT,
-            sheaf_at(-level, hull) if hull is not None else ZERO_OBJECT,
+        return E.is_zero() or (
+            E.degrees() == (-level,) and isinstance(E.component(-level), free_kind)
         )
 
-    return TorsionPairSpec(
-        f"degree-zero-torsion-at-level-{level}",
-        _zero_or(in_torsion),
-        _zero_or(in_free),
-        decompose,
-    )
+    def decompose(E):
+        return split_at_phase(E, level, _STANDARD_CUT)
 
-
-def _torsion_with_defect(t: Torsion | None, q: int) -> Torsion:
-    extra = (DEFECT_POINT, q)
-    if t is None:
-        return Torsion((extra,))
-    return Torsion(t.points + (extra,))
+    name = f"degree-zero-torsion-at-level-{level}" if level else "torsion-against-torsion-free"
+    return TorsionPairSpec(name, in_torsion, in_free, decompose)
 
 
 _ITERATED_CACHE: dict = {}
@@ -469,8 +502,7 @@ def iterated_heart(p: int, d: int):
     the hearts are immutable apart from an internal memo, so reuse is safe.
     """
     check_dimension(d)
-    if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p <= d - 1:
-        raise DomainError(f"heart index must lie in 0..{d - 1}, got {p!r}")
+    check_index(p, "heart index must lie in 0..{hi}, got {p!r}", hi=d - 1)
     key = (p, d)
     heart = _ITERATED_CACHE.get(key)
     if heart is None:
@@ -494,8 +526,8 @@ def chain_stabilizes(chain, p: int, d: int | None = None) -> int:
         for E in chain:
             if not heart_membership(E, p, d):
                 raise NotInHeart(f"chain entry not in the standard heart {p}")
-    elif isinstance(p, bool) or not isinstance(p, int) or p < 0:
-        raise DomainError(f"heart index must be a nonnegative integer, got {p!r}")
+    else:
+        check_index(p, "heart index must be a nonnegative integer, got {p!r}")
     for n in range(len(chain) - 1):
         if objects_isomorphic(chain[n], chain[n + 1]):
             return n

@@ -170,17 +170,20 @@ def decode_sheaf(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError(f"not a sheaf payload: {obj!r}")
     kind = obj["kind"]
-    if kind == "torsion":
-        return Torsion(tuple((pid, n) for pid, n in obj["points"]))
-    if kind == "locally_free":
-        return LocallyFree(obj["rank"])
-    if kind == "torsion_free":
-        hn = obj.get("hn")
-        if hn is not None:
-            hn = tuple((decode_kclass(cls), stable) for cls, stable in hn)
-        return TorsionFree(obj["rank"], obj["colength"], hn)
-    if kind == "mixed":
-        return Mixed(decode_sheaf(obj["torsion"]), decode_sheaf(obj["free"]))
+    try:
+        if kind == "torsion":
+            return Torsion(tuple((pid, n) for pid, n in obj["points"]))
+        if kind == "locally_free":
+            return LocallyFree(obj["rank"])
+        if kind == "torsion_free":
+            hn = obj.get("hn")
+            if hn is not None:
+                hn = tuple((decode_kclass(cls), stable) for cls, stable in hn)
+            return TorsionFree(obj["rank"], obj["colength"], hn)
+        if kind == "mixed":
+            return Mixed(decode_sheaf(obj["torsion"]), decode_sheaf(obj["free"]))
+    except KeyError as exc:
+        raise DomainError(f"{kind!r} sheaf payload lacks the key {exc}") from exc
     raise DomainError(f"unknown sheaf kind {kind!r}")
 
 

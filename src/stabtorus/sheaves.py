@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .charges import KClass, ZERO_CLASS, check_dimension
+from .charges import KClass, ZERO_CLASS, check_dimension, check_index
 from .errors import DomainError, InconsistentMorphism
 
 
@@ -420,8 +420,7 @@ def torsion_kernel_cokernel(f: TorsionMorphism, p: int):
     (kernel, cokernel) as Torsion sheaves or None for zero. Raises
     InconsistentMorphism when the per-point data violates rank bookkeeping.
     """
-    if isinstance(p, bool) or not isinstance(p, int) or p < 0:
-        raise DomainError(f"heart index must be a nonnegative integer, got {p!r}")
+    check_index(p, "heart index must be a nonnegative integer, got {p!r}")
     src = dict(f.source.points)
     tgt = dict(f.target.points)
     seen = set()

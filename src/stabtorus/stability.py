@@ -24,8 +24,8 @@ from .charges import (
     SKYSCRAPER_CLASS,
     charge_eval,
     check_dimension,
+    check_index,
     deg_charge,
-    phase_in_strip,
     std_charge,
 )
 from .cover import (
@@ -38,25 +38,15 @@ from .cover import (
 )
 from .errors import (
     DomainError,
-    MissingHNData,
     NotInHeart,
     NotInU,
     NotNumericallyConsistent,
     UnsupportedSpectrum,
 )
-from .exactnum import HALF, as_number, direction_angle, gamma_from_cot, is_exact, phase_mod1
-from .hearts import heart_membership
+from .exactnum import HALF, as_number, direction_angle, gamma_from_cot, phase_mod1
+from .hearts import _hn_pieces, heart_membership
 from .linalg import Matrix2
-from .sheaves import (
-    FormalObject,
-    LocallyFree,
-    Torsion,
-    class_of,
-    hull_defect_length,
-    positive_rank_part,
-    sheaf_at,
-    torsion_part,
-)
+from .sheaves import FormalObject, class_of, hull_defect_length, sheaf_at
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +62,7 @@ class StdLabel:
     gamma = None
 
     def __post_init__(self):
-        if isinstance(self.p, bool) or not isinstance(self.p, int) or self.p < 0:
-            raise DomainError(f"heart index must be a nonnegative integer, got {self.p!r}")
+        check_index(self.p, "heart index must be a nonnegative integer, got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +74,7 @@ class DegLabel:
     gamma: object
 
     def __post_init__(self):
-        if isinstance(self.p, bool) or not isinstance(self.p, int) or self.p < 1:
-            raise DomainError(f"boundary index must be an integer >= 1, got {self.p!r}")
+        check_index(self.p, "boundary index must be an integer >= 1, got {p!r}", lo=1)
         g = as_number(self.gamma)
         if not 0 < g < HALF:
             raise DomainError("boundary parameter gamma must lie in (0, 1/2)")
@@ -119,16 +107,14 @@ class StabPoint:
 def make_std(p: int, d: int) -> StabPoint:
     """Base point of the standard orbit with heart index p, 0 <= p <= d-1."""
     check_dimension(d)
-    if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p <= d - 1:
-        raise DomainError(f"heart index must lie in 0..{d - 1}, got {p!r}")
+    check_index(p, "heart index must lie in 0..{hi}, got {p!r}", hi=d - 1)
     return StabPoint(StdLabel(p), identity_auto())
 
 
 def make_deg(p: int, gamma, d: int) -> StabPoint:
     """Base point of the boundary family Deg(p, gamma), 1 <= p <= d-1."""
     check_dimension(d)
-    if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= d - 1:
-        raise DomainError(f"boundary index must lie in 1..{d - 1}, got {p!r}")
+    check_index(p, "boundary index must lie in 1..{hi}, got {p!r}", lo=1, hi=d - 1)
     return StabPoint(DegLabel(p, gamma), identity_auto())
 
 
@@ -177,8 +163,7 @@ class PhaseSeries:
     def value(self, n: int):
         if not self.computable:
             raise UnsupportedSpectrum(f"series {self.kind!r} has no computable members")
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise DomainError("series index must be an integer >= 1")
+        check_index(n, "series index must be an integer >= 1", lo=1)
         if n == 1:
             return Fraction(1, 4)
         return math.atan2(1.0, float(n)) / math.pi
@@ -326,57 +311,13 @@ def hn_filtration(sigma: StabPoint, E: FormalObject, d: int):
         raise DomainError(f"heart index {p} exceeds d-1 = {d - 1}")
     if not heart_membership(E, p, d):
         raise NotInHeart(f"object is not in the standard heart {p}")
-    if E.is_zero():
-        return ()
-
-    if p >= 1:
-        upper = E.component(-p)
-        lower = E.component(0)
-        factors = []
-        t_len = (lower.total_length() if lower is not None else 0) + (
-            hull_defect_length(upper) if upper is not None else 0
-        )
-        if t_len:
-            pieces = lower.points if lower is not None else ()
-            if upper is not None and hull_defect_length(upper):
-                from .hearts import DEFECT_POINT
-
-                pieces = pieces + ((DEFECT_POINT, hull_defect_length(upper)),)
-            factors.append(
-                HNFactor(KClass(0, t_len), tr(1), sheaf_at(0, Torsion(pieces)))
-            )
-        if upper is not None:
-            factors.append(
-                HNFactor(
-                    KClass(((-1) ** p) * upper.rank, 0),
-                    tr(HALF),
-                    sheaf_at(-p, LocallyFree(upper.rank)),
-                )
-            )
-        return tuple(factors)
-
-    # p == 0: sheaves; torsion leads, then the declared filtration
-    S = E.component(0)
     factors = []
-    t = torsion_part(S)
-    if t is not None:
-        factors.append(HNFactor(KClass(0, t.total_length()), tr(1), sheaf_at(0, t)))
-    F = positive_rank_part(S)
-    if F is not None:
-        Z0 = std_charge(0)
-        if isinstance(F, LocallyFree):
-            factors.append(
-                HNFactor(KClass(F.rank, 0), tr(HALF), sheaf_at(0, F))
-            )
+    for phase, i, S, step in _hn_pieces(E, p, steps=True):
+        if step is None:
+            part = sheaf_at(i, S)
+            factors.append(HNFactor(class_of(part), tr(phase), part))
         else:
-            if F.hn is None:
-                raise MissingHNData(
-                    "torsion-free piece carries no declared filtration data"
-                )
-            for cls, stable in F.hn:
-                factors.append(
-                    HNFactor(cls, tr(phase_in_strip(Z0, cls, 0)), None, stable)
-                )
+            factors.append(HNFactor(step[0], tr(phase), None, step[1]))
     return tuple(factors)
 
 
@@ -395,8 +336,7 @@ def subobject_classes(E: FormalObject, p: int, d: int) -> set:
     0 < r' < r with 0 <= m <= q + t, or r' = r with q <= m <= q + t.
     """
     check_dimension(d)
-    if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= d - 1:
-        raise DomainError(f"heart index must lie in 1..{d - 1}, got {p!r}")
+    check_index(p, "heart index must lie in 1..{hi}, got {p!r}", lo=1, hi=d - 1)
     if not heart_membership(E, p, d):
         raise NotInHeart(f"object is not in the standard heart {p}")
     upper = E.component(-p)

@@ -13,30 +13,13 @@ inverts the charge map over it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
-from .charges import CentralCharge, KClass, charge_eval, check_dimension
-from .errors import (
-    DomainError,
-    MissingHNData,
-    NeverEscapes,
-    OnSpectrum,
-    ZeroCharge,
-)
+from .charges import CentralCharge, KClass, charge_eval, check_dimension, check_index
+from .errors import DomainError, NeverEscapes, OnSpectrum, ZeroCharge
 from .exactnum import HALF, TOL, as_number, gamma_from_cot, is_exact, phase_mod1
-from .hearts import StandardHeart, TorsionPairSpec, hrs_tilt
-from .sheaves import (
-    LocallyFree,
-    Torsion,
-    TorsionFree,
-    ZERO_OBJECT,
-    make_mixed,
-    make_torsion_free,
-    positive_rank_part,
-    sheaf_at,
-    torsion_part,
-)
+from .hearts import StandardHeart, TorsionPairSpec, hrs_tilt, split_at_phase, standard_pair
+from .sheaves import ZERO_OBJECT
 from .stability import DegLabel, PhaseSeries, SpectrumDescriptor, StdLabel, spectrum_of
 
 # reasons a deformation direction fails to reach a wall
@@ -161,8 +144,7 @@ def boundary_at(p: int, gamma, d: int) -> WallDecision:
     p = d - 1.
     """
     check_dimension(d)
-    if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p <= d - 1:
-        raise DomainError(f"heart index must lie in 0..{d - 1}, got {p!r}")
+    check_index(p, "heart index must lie in 0..{hi}, got {p!r}", hi=d - 1)
     g = as_number(gamma)
     if not 0 < g < 1:
         raise DomainError("gamma must lie strictly between 0 and 1")
@@ -183,149 +165,30 @@ def boundary_at(p: int, gamma, d: int) -> WallDecision:
 # the tilt carried by a wall
 
 
-def _declared_min_max_phase(F: TorsionFree):
-    if F.hn is None:
-        raise MissingHNData(
-            "phase cut needs declared filtration data for torsion-free pieces"
-        )
-    phases = []
-    for cls, _ in F.hn:
-        re, im = charge_eval(CentralCharge(1, 0, 0, 1), cls)
-        phases.append(phase_mod1(re, im))
-    return (min(phases, key=float), max(phases, key=float))
-
-
 def phase_cut_pair(p: int, gamma, d: int) -> TorsionPairSpec:
     """Torsion pair on the standard heart p cutting its objects at phase gamma:
-    the torsion class keeps the filtration steps above gamma, the free class
-    those below."""
+    the torsion class keeps the HN pieces above gamma, the free class those
+    below.
+
+    Above 1/2 this is the standard pair of heart p. Below 1/2 it is trivial
+    for p >= 1, where every piece has phase 1/2 or 1, and at p = 0 it cuts
+    the declared filtration steps of torsion-free sheaves.
+    """
     check_dimension(d)
     g = as_number(gamma)
-
+    name = f"phase-cut-{p}-at-{gamma}"
+    if g > HALF:
+        return replace(standard_pair(p, d), name=name)
     if p >= 1:
-        # phases present: 1 on the torsion side, 1/2 on the shifted bundles
-        def in_torsion(E):
-            if E.is_zero():
-                return True
-            upper = E.component(-p)
-            if upper is not None and float(g) > 0.5:
-                return False
-            return True
-
-        def in_free(E):
-            if E.is_zero():
-                return True
-            if float(g) < 0.5:
-                return False
-            if E.degrees() != (-p,):
-                return False
-            return hull_defect_free(E.component(-p))
-
-        def decompose(E):
-            if E.is_zero() or float(g) < 0.5:
-                return (E, ZERO_OBJECT)
-            upper = E.component(-p)
-            lower = E.component(0)
-            t_sheaf = lower
-            hull = None
-            if upper is not None:
-                defect = _defect_torsion(upper)
-                if defect is not None:
-                    t_sheaf = (
-                        Torsion(t_sheaf.points + defect.points)
-                        if t_sheaf is not None
-                        else defect
-                    )
-                hull = LocallyFree(upper.rank)
-            return (
-                sheaf_at(0, t_sheaf) if t_sheaf is not None else ZERO_OBJECT,
-                sheaf_at(-p, hull) if hull is not None else ZERO_OBJECT,
-            )
-
-        return TorsionPairSpec(f"phase-cut-{p}-at-{gamma}", in_torsion, in_free, decompose)
-
-    def in_torsion(E):
-        if E.is_zero():
-            return True
-        S = E.component(0)
-        F = positive_rank_part(S)
-        if F is None:
-            return True
-        if float(g) > 0.5:
-            return False
-        if isinstance(F, LocallyFree):
-            return True  # phase 1/2 > gamma
-        lo, _ = _declared_min_max_phase(F)
-        return float(lo) > float(g)
-
-    def in_free(E):
-        if E.is_zero():
-            return True
-        S = E.component(0)
-        if torsion_part(S) is not None:
-            return False
-        F = positive_rank_part(S)
-        if isinstance(F, LocallyFree):
-            return float(g) > 0.5
-        if float(g) > 0.5:
-            return True
-        _, hi = _declared_min_max_phase(F)
-        return float(hi) < float(g)
-
-    def decompose(E):
-        if E.is_zero():
-            return (E, ZERO_OBJECT)
-        S = E.component(0)
-        t = torsion_part(S)
-        F = positive_rank_part(S)
-        if F is None:
-            return (E, ZERO_OBJECT)
-        if float(g) > 0.5:
-            return (
-                sheaf_at(0, t) if t is not None else ZERO_OBJECT,
-                sheaf_at(0, F),
-            )
-        if isinstance(F, LocallyFree):
-            return (E, ZERO_OBJECT)
-        prefix = []
-        suffix = []
-        for cls, stable in F.hn:
-            re, im = charge_eval(CentralCharge(1, 0, 0, 1), cls)
-            if float(phase_mod1(re, im)) > float(g):
-                prefix.append((cls, stable))
-            else:
-                suffix.append((cls, stable))
-        upper_sheaf = _assemble_tf(prefix)
-        lower_sheaf = _assemble_tf(suffix)
-        t_part = make_mixed(t, upper_sheaf) if (t or upper_sheaf) else None
-        return (
-            sheaf_at(0, t_part) if t_part is not None else ZERO_OBJECT,
-            sheaf_at(0, lower_sheaf) if lower_sheaf is not None else ZERO_OBJECT,
+        return TorsionPairSpec(
+            name, lambda E: True, lambda E: E.is_zero(), lambda E: (E, ZERO_OBJECT)
         )
-
-    return TorsionPairSpec(f"phase-cut-0-at-{gamma}", in_torsion, in_free, decompose)
-
-
-def hull_defect_free(F) -> bool:
-    return isinstance(F, LocallyFree)
-
-
-def _defect_torsion(F):
-    if isinstance(F, TorsionFree):
-        from .hearts import DEFECT_POINT
-
-        return Torsion(((DEFECT_POINT, F.colength),))
-    return None
-
-
-def _assemble_tf(steps):
-    if not steps:
-        return None
-    rank = sum(cls.rk for cls, _ in steps)
-    colength = -sum(cls.chd for cls, _ in steps)
-    if colength == 0:
-        return LocallyFree(rank)
-    return make_torsion_free(rank, colength, hn=tuple(steps))
+    return TorsionPairSpec(
+        name,
+        lambda E: split_at_phase(E, p, g)[1].is_zero(),
+        lambda E: split_at_phase(E, p, g)[0].is_zero(),
+        lambda E: split_at_phase(E, p, g),
+    )
 
 
 def boundary_heart(p: int, gamma, d: int):

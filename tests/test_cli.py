@@ -139,11 +139,18 @@ def test_hn_two_step(capsys):
     assert [f["phase"] for f in factors] == [1, "1/2"]
 
 
-def test_hn_malformed_object_exit_2(capsys):
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"graded": {"zero": {"kind": "torsion", "points": []}}}',
+        '{"graded": {"0": {"kind": "torsion"}}}',
+    ],
+    ids=["bad-degree", "torsion-without-points"],
+)
+def test_hn_malformed_object_exit_2(capsys, payload):
     code, _, err = run(
         capsys,
-        ["hn", "--d", "4", "--point", IDENTITY_POINT,
-         "--object", '{"graded": {"zero": {"kind": "torsion", "points": []}}}'],
+        ["hn", "--d", "4", "--point", IDENTITY_POINT, "--object", payload],
     )
     assert code == 2
     assert json.loads(err)["error"]["name"] == "DomainError"
@@ -356,6 +363,8 @@ def test_helix_svg_low_dimension_exit_2(capsys):
         ["boundary", "--d", "4", "--p", "1", "--gamma", "abc"],
         ["act", "--d", "4", "--point", "{not json", "--auto", "{}"],
         ["spectrum", "--d", "4", "--label", "weird:1"],
+        ["tilt-chain", "--d", "4", "--p", "2", "--check-mass", "-2"],
+        ["tilt-chain", "--d", "4", "--p", "2", "--check-mass", "0"],
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):

@@ -1,5 +1,7 @@
 """Heart membership, decomposition, tilting, and finite-length behavior."""
 
+from fractions import Fraction
+
 import pytest
 
 from stabtorus.charges import KClass
@@ -14,9 +16,11 @@ from stabtorus.hearts import (
     hearts_agree_on,
     hrs_tilt,
     iterated_heart,
+    split_at_phase,
     standard_pair,
 )
 from stabtorus.sheaves import (
+    Mixed,
     class_of,
     enumerate_objects,
     formal_object,
@@ -109,6 +113,30 @@ def test_decomposition_classes_add_on_corpus():
                 continue
             F_part, T_part = canonical_decomposition(E, p, d)
             assert class_of(F_part) + class_of(T_part) == class_of(E)
+
+
+def test_split_at_phase_hands_whole_objects_back():
+    E = formal_object([(0, skyscraper()), (-1, make_torsion_free(1, 2))])
+    assert split_at_phase(E, 1, Fraction(3, 10))[0] is E
+    assert split_at_phase(E, 1, 1)[1] is E
+    above, below = split_at_phase(E, 1, Fraction(3, 4))
+    assert above == sheaf_at(0, make_torsion([("y", 1), ("~q", 2)]))
+    assert below == sheaf_at(-1, make_locally_free(1))
+    # the standard cut at level 0 reads no declared steps
+    F = sheaf_at(0, Mixed(skyscraper(), make_torsion_free(1, 1)))
+    assert split_at_phase(F, 0, Fraction(3, 4)) == (
+        sheaf_at(0, skyscraper()), sheaf_at(0, make_torsion_free(1, 1))
+    )
+
+
+def test_split_at_phase_cuts_declared_steps():
+    steps = [(KClass(1, 0), True), (KClass(1, -3), False)]
+    E = sheaf_at(0, Mixed(skyscraper(), make_torsion_free(2, 3, hn=steps)))
+    above, below = split_at_phase(E, 0, Fraction(3, 10))
+    # phases 1 (torsion), 1/2 and arctan(1/3)/pi < 3/10
+    assert above == sheaf_at(0, Mixed(skyscraper(), make_locally_free(1)))
+    assert below == sheaf_at(0, make_torsion_free(1, 3, hn=steps[1:]))
+    assert class_of(above) + class_of(below) == class_of(E)
 
 
 def test_tilt_of_sheaves_is_the_first_heart():

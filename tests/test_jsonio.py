@@ -180,3 +180,5 @@ def test_sheaf_decode_rejects_unknown_kind():
         decode_sheaf({"kind": "perverse", "rank": 1})
     with pytest.raises(DomainError):
         decode_object({"graded": {"zero": {"kind": "torsion", "points": []}}, "flags": []})
+    with pytest.raises(DomainError):
+        decode_sheaf({"kind": "torsion"})

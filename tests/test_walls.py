@@ -8,11 +8,19 @@ import pytest
 from stabtorus.charges import CentralCharge, KClass, std_charge
 from stabtorus.errors import (
     DomainError,
+    MissingHNData,
     NeverEscapes,
+    NotInHeart,
     OnSpectrum,
     ZeroCharge,
 )
-from stabtorus.sheaves import enumerate_objects
+from stabtorus.sheaves import (
+    enumerate_objects,
+    formal_object,
+    make_locally_free,
+    make_torsion_free,
+    sheaf_at,
+)
 from stabtorus.hearts import hearts_agree_on, iterated_heart
 from stabtorus.stability import DegLabel, StdLabel, spectrum_of
 from stabtorus.walls import (
@@ -25,6 +33,7 @@ from stabtorus.walls import (
     gamma_pm,
     on_spectrum,
     orbit_complex,
+    phase_cut_pair,
     remove_node,
     twist_escape,
     wall_only_complex,
@@ -151,6 +160,19 @@ def test_boundary_heart_level_zero_moves_low_phases():
     assert iterated_heart(0, d).contains(F)
     assert not h.contains(F)
     assert h.contains(object_shift(F, 1))
+
+
+def test_level_zero_cut_needs_declared_steps():
+    h = boundary_heart(0, Fraction(3, 10), 4)
+    with pytest.raises(MissingHNData):
+        h.cohomology(sheaf_at(0, make_torsion_free(1, 1)))
+
+
+def test_phase_cut_above_half_rejects_foreign_objects():
+    pair = phase_cut_pair(1, Fraction(7, 10), 4)
+    E = formal_object([(-1, make_locally_free(1)), (-2, make_locally_free(1))])
+    with pytest.raises(NotInHeart):
+        pair.decompose(E)
 
 
 # --------------------------------------------------------------- twist escape
