@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -78,9 +79,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_num(flag: str, s: str):
     try:
-        return parse_number(s)
+        x = parse_number(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"{flag}: cannot parse number {s!r}") from exc
+    if isinstance(x, float) and not math.isfinite(x):
+        raise UsageError(f"{flag}: expected a finite number, got {s!r}")
+    return x
 
 
 def _parse_charge(flag: str, s: str) -> CentralCharge:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charges import CentralCharge
-from .errors import DomainError
+from .errors import DomainError, NotNumericallyConsistent
 from .exactnum import HALF, as_number, direction_angle, is_exact
 from .linalg import Matrix2
 
@@ -119,7 +119,8 @@ def gl_compose(g1: LiftedAuto, g2: LiftedAuto) -> LiftedAuto:
     chi = canonical_base_value(T)
     half_gap = (f0 - float(chi)) / 2
     w = round(half_gap)
-    assert abs(half_gap - w) < 0.25, "winding drifted away from an integer"
+    if not abs(half_gap - w) < 0.25:
+        raise NotNumericallyConsistent("winding drifted away from an integer")
     return LiftedAuto(T, w)
 
 
@@ -136,7 +137,8 @@ def gl_inverse(g: LiftedAuto) -> LiftedAuto:
     val = _canonical_value_at_exact_dir(g.T, u, psi0)
     val = val + 2 * g.winding
     num = as_number(val)
-    assert is_exact(num) and num % 2 == 0, "inverse winding must be an even integer"
+    if not (is_exact(num) and num % 2 == 0):
+        raise NotNumericallyConsistent("inverse winding must be an even integer")
     return LiftedAuto(Ti, -int(num // 2))
 
 

@@ -259,10 +259,21 @@ class StandardHeart:
         return out
 
     def sample_members(self, max_mass: int):
-        degrees = {0} if self.p == 0 else {-self.p, 0}
-        for E in enumerate_objects(max_mass, sorted(degrees), self.d):
-            if self.contains(E):
-                yield E
+        """Iterator over the members of mass up to max_mass, enumerated once
+        per (p, d, max_mass) and shared by every heart with that key."""
+        key = (self.p, self.d, max_mass)
+        members = _MEMBERS_CACHE.get(key)
+        if members is None:
+            degrees = (0,) if self.p == 0 else (-self.p, 0)
+            members = tuple(
+                E for E in enumerate_objects(max_mass, degrees, self.d) if self.contains(E)
+            )
+            _MEMBERS_CACHE[key] = members
+        return iter(members)
+
+
+# StandardHeart.sample_members per (p, d, max_mass); members are frozen
+_MEMBERS_CACHE: dict = {}
 
 
 @dataclass
@@ -471,6 +482,7 @@ def standard_pair(level: int, d: int) -> TorsionPairSpec:
     class).
     """
     check_dimension(d)
+    check_index(level, "heart index must lie in 0..{hi}, got {p!r}", hi=d - 1)
     free_kind = LocallyFree if level else (LocallyFree, TorsionFree)
 
     # shape tests, not the split: TiltedHeart.contains runs them on every

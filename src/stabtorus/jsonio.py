@@ -124,10 +124,13 @@ def encode_label(label) -> dict:
 def decode_label(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError(f"not a label payload: {obj!r}")
-    if obj["kind"] == "std":
-        return StdLabel(obj["p"])
-    if obj["kind"] == "deg":
-        return DegLabel(obj["p"], decode_number(obj["gamma"]))
+    try:
+        if obj["kind"] == "std":
+            return StdLabel(obj["p"])
+        if obj["kind"] == "deg":
+            return DegLabel(obj["p"], decode_number(obj["gamma"]))
+    except KeyError as exc:
+        raise DomainError(f"{obj['kind']!r} label payload lacks the key {exc}") from exc
     raise DomainError(f"unknown label kind {obj['kind']!r}")
 
 

@@ -175,6 +175,7 @@ def phase_cut_pair(p: int, gamma, d: int) -> TorsionPairSpec:
     the declared filtration steps of torsion-free sheaves.
     """
     check_dimension(d)
+    check_index(p, "heart index must lie in 0..{hi}, got {p!r}", hi=d - 1)
     g = as_number(gamma)
     name = f"phase-cut-{p}-at-{gamma}"
     if g > HALF:
@@ -210,12 +211,25 @@ def twist_escape(ideal_class: KClass, twist_class: KClass, gamma_minus, Z: Centr
 
     Models the escape move: twisting by a degree-zero line bundle changes
     the class by multiples of twist_class, and since the twist's own phase
-    sits above gamma_minus the iterates eventually cross. Raises
-    NeverEscapes when the twist phase itself is not above gamma_minus,
-    ZeroCharge when Z kills the starting class. Iterates with zero charge
-    (at most one) are skipped.
+    sits above gamma_minus the iterates eventually cross. Iterates with zero
+    charge (at most one) are skipped.
+
+    The search takes O(log n) phase evaluations. The iterates v_n = zi + n*ze
+    turn one way only, since cross(v_n, v_{n+1}) = cross(zi, ze), and im(v_n)
+    changes sign at most once, at n0 = -im(zi)/im(ze). So the folded phase is
+    monotone on either side of n0: where it falls only the first iterate of a
+    side can cross, and where it rises doubling and bisection find the first
+    crossing.
+
+    Raises NeverEscapes only with a proof: the twist phase is not above
+    gamma_minus, or the twist charge is real and the iterates approach it
+    from the side where the folded phase falls to 0. Raises ZeroCharge when
+    Z kills either class, and DomainError on non-finite input or when the
+    phase test cannot settle the crossing in floats.
     """
     gm = as_number(gamma_minus)
+    if any(isinstance(x, float) and not math.isfinite(x) for x in (gm, Z.a, Z.b, Z.c, Z.e)):
+        raise DomainError("twist escape needs a finite record phase and charge")
     zi = charge_eval(Z, ideal_class)
     if zi[0] == 0 and zi[1] == 0:
         raise ZeroCharge("the charge kills the starting class")
@@ -227,17 +241,70 @@ def twist_escape(ideal_class: KClass, twist_class: KClass, gamma_minus, Z: Centr
             "the twisting class sits at or below the record phase; iterates "
             "cannot cross it"
         )
-    n = 1
-    while n <= 10 ** 6:
+
+    def crosses(n):
         re = zi[0] + n * ze[0]
         im = zi[1] + n * ze[1]
-        if re == 0 and im == 0:
-            n += 1
+        return (re != 0 or im != 0) and float(phase_mod1(re, im)) > float(gm)
+
+    rising = zi[0] * ze[1] - zi[1] * ze[0] > 0
+    # v_t = zi + t*ze meets the real axis only at t = n0, unless every
+    # iterate is real; then n0 is where v_t passes through 0
+    n0 = None
+    if ze[1] != 0:
+        n0 = -zi[1] / ze[1]
+    elif zi[1] == 0:
+        n0 = -zi[0] / ze[0]
+    # runs of n >= 1 split at n0, as (first, last or None)
+    runs = [(1, None)]
+    if n0 is not None and n0 >= 1:
+        k = math.floor(n0)
+        runs = [(1, k - 1), (k, k), (k + 1, None)] if k == n0 else [(1, k), (k + 1, None)]
+    try:
+        n = _first_crossing(crosses, runs, rising)
+    except OverflowError:
+        raise DomainError("the iterates leave the float range of the phase test") from None
+    if n is not None:
+        return n
+    if ze[1] == 0 and zi[1] * ze[0] > 0:
+        raise NeverEscapes(
+            "the iterates approach the real twist charge from the side where "
+            "the phase falls to 0; they never cross the record phase"
+        )
+    raise DomainError("the phase comparison lost the crossing to float rounding")
+
+
+def _first_crossing(crosses, runs, rising: bool):
+    """First n in the runs, taken in order, with crosses(n), else None.
+
+    On each run the phase is monotone: where it falls only the first n can
+    cross; where it rises crosses is monotone, so doubling and bisection
+    find the first true n. An unbounded rising run tends to the twist phase,
+    which is above the record, so it crosses.
+    """
+    for lo, hi in runs:
+        if hi is not None and lo > hi:
             continue
-        if float(phase_mod1(re, im)) > float(gm):
-            return n
-        n += 1
-    raise NeverEscapes("no crossing found within the iteration guard")
+        if crosses(lo):
+            return lo
+        if not rising:
+            continue
+        if hi is None:
+            step = 1
+            while not crosses(lo + step):
+                lo += step
+                step *= 2
+            hi = lo + step
+        elif not crosses(hi):
+            continue
+        while hi - lo > 1:  # crosses(hi) and not crosses(lo)
+            mid = (lo + hi) // 2
+            if crosses(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -139,18 +139,24 @@ def test_hn_two_step(capsys):
     assert [f["phase"] for f in factors] == [1, "1/2"]
 
 
+STD_POINT_WITHOUT_P = IDENTITY_POINT.replace(', "p": 1', "")
+DEG_POINT_WITHOUT_GAMMA = IDENTITY_POINT.replace('"std"', '"deg"')
+
+
 @pytest.mark.parametrize(
-    "payload",
+    "point, payload",
     [
-        '{"graded": {"zero": {"kind": "torsion", "points": []}}}',
-        '{"graded": {"0": {"kind": "torsion"}}}',
+        (IDENTITY_POINT, '{"graded": {"zero": {"kind": "torsion", "points": []}}}'),
+        (IDENTITY_POINT, '{"graded": {"0": {"kind": "torsion"}}}'),
+        (STD_POINT_WITHOUT_P, '{"graded": {}}'),
+        (DEG_POINT_WITHOUT_GAMMA, '{"graded": {}}'),
     ],
-    ids=["bad-degree", "torsion-without-points"],
+    ids=["bad-degree", "torsion-without-points", "std-label-without-p", "deg-label-without-gamma"],
 )
-def test_hn_malformed_object_exit_2(capsys, payload):
+def test_hn_malformed_object_exit_2(capsys, point, payload):
     code, _, err = run(
         capsys,
-        ["hn", "--d", "4", "--point", IDENTITY_POINT, "--object", payload],
+        ["hn", "--d", "4", "--point", point, "--object", payload],
     )
     assert code == 2
     assert json.loads(err)["error"]["name"] == "DomainError"
@@ -365,6 +371,12 @@ def test_helix_svg_low_dimension_exit_2(capsys):
         ["spectrum", "--d", "4", "--label", "weird:1"],
         ["tilt-chain", "--d", "4", "--p", "2", "--check-mass", "-2"],
         ["tilt-chain", "--d", "4", "--p", "2", "--check-mass", "0"],
+        ["twist-escape", "--d", "4", "--ideal", "1,-1", "--twist", "1,0",
+         "--gamma-minus", "nan", "--charge", "1,0,0,1"],
+        ["twist-escape", "--d", "4", "--ideal", "1,-1", "--twist", "1,0",
+         "--gamma-minus", "inf", "--charge", "1,0,0,1"],
+        ["twist-escape", "--d", "4", "--ideal", "1,-1", "--twist", "1,0",
+         "--gamma-minus", "2/5", "--charge", "1,0,-inf,1"],
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):

@@ -184,6 +184,38 @@ def test_invalid_pair_is_rejected_with_witness():
     assert err.value.witness is not None
 
 
+def test_sample_members_cache_matches_a_fresh_enumeration():
+    d = 4
+    for p in range(d):
+        heart = StandardHeart(p, d)
+        list(heart.sample_members(3))  # warm the cache
+        cached = list(StandardHeart(p, d).sample_members(3))
+        degrees = (0,) if p == 0 else (-p, 0)
+        fresh = [E for E in enumerate_objects(3, degrees, d) if heart_membership(E, p, d)]
+        assert cached == fresh
+
+
+def test_hrs_tilt_checks_the_pair_on_every_call():
+    d = 3
+    std = standard_pair(0, d)
+    hrs_tilt(StandardHeart(0, d), std, max_check_mass=2)  # warms the member cache
+    broken = TorsionPairSpec(
+        name="broken",
+        in_torsion=std.in_torsion,
+        in_free=std.in_free,
+        decompose=lambda E: (E, formal_object([])),
+    )
+    with pytest.raises(InvalidTorsionPair) as err:
+        hrs_tilt(StandardHeart(0, d), broken, max_check_mass=2)
+    assert err.value.witness[2] == "decomposition"
+
+
+@pytest.mark.parametrize("level", [-1, 4, 9])
+def test_standard_pair_rejects_levels_outside_the_hearts(level):
+    with pytest.raises(DomainError):
+        standard_pair(level, 4)
+
+
 def test_iterated_heart_level_zero():
     h = iterated_heart(0, 4)
     assert h.level == 0

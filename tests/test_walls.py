@@ -1,11 +1,13 @@
 """Boundary analysis: gamma bounds, wall decisions, boundary hearts,
 twist escape, the orbit complex, and charge fibers."""
 
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from stabtorus.charges import CentralCharge, KClass, std_charge
+from stabtorus.charges import CentralCharge, KClass, charge_eval, std_charge
 from stabtorus.errors import (
     DomainError,
     MissingHNData,
@@ -14,6 +16,7 @@ from stabtorus.errors import (
     OnSpectrum,
     ZeroCharge,
 )
+from stabtorus.exactnum import phase_mod1
 from stabtorus.sheaves import (
     enumerate_objects,
     formal_object,
@@ -198,9 +201,6 @@ def test_twist_escape_errors():
 
 
 def test_twist_escape_minimality():
-    from stabtorus.charges import charge_eval
-    from stabtorus.exactnum import phase_mod1
-
     Z = std_charge(0)
     I, E, gm = KClass(1, -1), KClass(1, 0), Fraction(2, 5)
     n = twist_escape(I, E, gm, Z)
@@ -209,6 +209,102 @@ def test_twist_escape_minimality():
         assert float(phase_mod1(re, im)) <= float(gm)
     re, im = charge_eval(Z, I + E.scaled(n))
     assert float(phase_mod1(re, im)) > float(gm)
+
+
+def _iterate_phase(ideal, twist, n, Z):
+    re, im = charge_eval(Z, ideal + twist.scaled(n))
+    return None if (re, im) == (0, 0) else float(phase_mod1(re, im))
+
+
+def _scan(ideal, twist, gm, Z, limit):
+    """Linear-scan oracle: the first n <= limit whose nonzero iterate has
+    phase above gm, else None."""
+    for n in range(1, limit + 1):
+        phase = _iterate_phase(ideal, twist, n, Z)
+        if phase is not None and phase > float(gm):
+            return n
+    return None
+
+
+SCAN_LIMIT = 2000
+classes = st.builds(KClass, st.integers(-6, 6), st.integers(-6, 6))
+entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+charges = st.builds(CentralCharge, entries, entries, entries, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(classes, classes, charges, st.integers(-50, 1050), st.integers(0, 3))
+def test_twist_escape_matches_the_linear_scan(ideal, twist, Z, g, near):
+    zi, ze = charge_eval(Z, ideal), charge_eval(Z, twist)
+    assume(zi != (0, 0) and ze != (0, 0))
+    limit = float(phase_mod1(*ze))
+    # near > 0 puts the record just below the twist phase, so crossings come late
+    gm = Fraction(g, 1000) if near == 0 else Fraction(limit - 10.0 ** -near)
+    if not limit > float(gm):
+        with pytest.raises(NeverEscapes):
+            twist_escape(ideal, twist, gm, Z)
+        return
+    want = _scan(ideal, twist, gm, Z, SCAN_LIMIT)
+    try:
+        got = twist_escape(ideal, twist, gm, Z)
+    except NeverEscapes:
+        # proven only for a real twist charge approached from the side
+        # where the folded phase falls to 0
+        assert want is None and ze[1] == 0 and zi[1] * ze[0] > 0
+        return
+    if want is not None:
+        assert got == want
+    else:
+        assert got > SCAN_LIMIT
+        assert _iterate_phase(ideal, twist, got, Z) > float(gm)
+        assert _iterate_phase(ideal, twist, got - 1, Z) <= float(gm)
+
+
+@pytest.mark.parametrize(
+    "ideal, twist, Z",
+    [
+        (KClass(-1, 1), KClass(1, -1), std_charge(0)),
+        (KClass(0, 1), KClass(0, -1), CentralCharge(1, 0, 0, 0)),  # every iterate real
+    ],
+)
+def test_twist_escape_skips_the_zero_iterate(ideal, twist, Z):
+    assert twist_escape(ideal, twist, Fraction(1, 5), Z) == 2
+
+
+def test_twist_escape_far_crossing_is_found_fast():
+    ideal, twist, gm, Z = KClass(1, -1), KClass(1, 0), Fraction(4999999, 10 ** 7), std_charge(0)
+    start = time.perf_counter()
+    n = twist_escape(ideal, twist, gm, Z)
+    assert time.perf_counter() - start < 1
+    assert n == 3183098
+    assert _iterate_phase(ideal, twist, n - 1, Z) <= float(gm) < _iterate_phase(ideal, twist, n, Z)
+
+
+def test_twist_escape_proves_the_wrong_side():
+    # the twist charge is the positive real 1; the iterates (n, 1) have
+    # phases atan(1/n)/pi falling to 0, all below 3/10
+    with pytest.raises(NeverEscapes):
+        twist_escape(KClass(1, 0), KClass(0, -1), Fraction(3, 10), std_charge(0))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_twist_escape_rejects_non_finite_input(bad):
+    with pytest.raises(DomainError):
+        twist_escape(KClass(1, -1), KClass(1, 0), bad, std_charge(0))
+    with pytest.raises(DomainError):
+        twist_escape(KClass(1, -1), KClass(1, 0), Fraction(2, 5), CentralCharge(1, 0, bad, 1))
+
+
+def test_twist_escape_beyond_the_float_range_is_a_domain_error():
+    # the first iterate has charge (1, 10**400 + 1), beyond any float
+    with pytest.raises(DomainError):
+        twist_escape(KClass(10 ** 400, -1), KClass(1, 0), Fraction(1, 4), std_charge(0))
+
+
+@pytest.mark.parametrize("p", [-1, 4, 9])
+def test_phase_cut_pair_rejects_indices_outside_the_hearts(p):
+    with pytest.raises(DomainError):
+        phase_cut_pair(p, Fraction(7, 10), 4)
 
 
 # --------------------------------------------------------------- the complex
