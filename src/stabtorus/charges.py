@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, NoPhaseInWindow, UnsupportedSpectrum, ZeroCharge
-from .exactnum import HALF, as_number, cot_pi, direction_angle, is_exact
+from .exactnum import HALF, as_number, cot_pi, direction_angle, is_exact, lift_near, num_eq
 from .linalg import Matrix2
 
 
@@ -84,7 +83,7 @@ class CentralCharge:
         if self.is_exact():
             return det == 0
         scale = max(1.0, max(abs(float(getattr(self, f))) for f in ("a", "b", "c", "e")) ** 2)
-        return abs(float(det)) <= 1e-12 * scale
+        return num_eq(det, 0, scale=scale)
 
 
 def charge_eval(Z: CentralCharge, v: KClass):
@@ -157,10 +156,7 @@ def is_stability_function(Z: CentralCharge, p: int, d: int | None = None):
         # torsion classes (0, t): need c == 0 and then Re = -a*t < 0
         if c != 0:
             # rank-one class with chd large of the right sign gives Im < 0
-            if c > 0:
-                m = math.floor(Fraction(e) / c if is_exact(e) and is_exact(c) else e / c) + 1
-            else:
-                m = math.ceil(Fraction(e) / c if is_exact(e) and is_exact(c) else e / c) - 1
+            m = math.floor(e / c) + 1 if c > 0 else math.ceil(e / c) - 1
             return (False, KClass(1, int(m)))
         if e < 0:
             return (False, KClass(1, 0))
@@ -169,29 +165,18 @@ def is_stability_function(Z: CentralCharge, p: int, d: int | None = None):
             if b >= 0:
                 return (False, KClass(1, 0))
             if a > 0:
-                return (False, KClass(1, math.floor(Fraction(b) / a if is_exact(a) and is_exact(b) else b / a)))
+                return (False, KClass(1, math.floor(b / a)))
             if a < 0:
-                return (False, KClass(1, math.ceil(Fraction(b) / a if is_exact(a) and is_exact(b) else b / a)))
+                return (False, KClass(1, math.ceil(b / a)))
             return (False, KClass(0, 1))
         if a <= 0:
             return (False, KClass(0, 1))
         return (True, None)
     eps = (-1) ** p
-    if c > 0:
+    if c > 0 or (c == 0 and a <= 0):
         return (False, KClass(0, 1))
-    if c == 0 and a <= 0:
-        return (False, KClass(0, 1))
-    if c < 0:
-        # torsion fine; check the shifted-bundle ray (eps, 0)
-        if e * eps < 0:
-            return (False, KClass(eps, 0))
-        if e * eps == 0 and b * eps >= 0:
-            return (False, KClass(eps, 0))
-        return (True, None)
-    # c == 0, a > 0: torsion classes are fine, bundles decide
-    if e * eps < 0:
-        return (False, KClass(eps, 0))
-    if e * eps == 0 and b * eps >= 0:
+    # torsion classes are fine; the shifted-bundle ray (eps, 0) decides
+    if e * eps < 0 or (e * eps == 0 and b * eps >= 0):
         return (False, KClass(eps, 0))
     return (True, None)
 
@@ -234,20 +219,7 @@ def phase_in_strip(Z: CentralCharge, v: KClass, anchor):
         raise ZeroCharge(f"charge vanishes on {v}")
     theta = direction_angle(re, im)
     anchor = as_number(anchor)
-    # smallest theta + 2k exceeding the anchor
-    if is_exact(theta) and is_exact(anchor):
-        k = math.ceil((anchor - theta) / 2)
-        if anchor - theta == 2 * k:
-            k += 1
-        cand = theta + 2 * k
-        if cand <= anchor + 1:
-            return cand
-        raise NoPhaseInWindow(f"no lift of direction {theta} in ({anchor}, {anchor}+1]")
-    t = float(theta)
-    af = float(anchor)
-    k = math.ceil((af - t) / 2)
-    if t + 2 * k <= af:
-        k += 1
-    if t + 2 * k <= af + 1:
-        return theta + 2 * k
+    cand = lift_near(theta, anchor + HALF)
+    if anchor < cand <= anchor + 1:
+        return cand
     raise NoPhaseInWindow(f"no lift of direction {theta} in ({anchor}, {anchor}+1]")

@@ -14,12 +14,11 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .charges import CentralCharge, KClass
 from .errors import StabTorusError
-from .exactnum import format_number, is_exact, parse_number
+from .exactnum import format_number, parse_number
 from .hearts import (
     StandardHeart,
     hearts_agree_on,
@@ -124,11 +123,7 @@ def _load_json(flag: str, s: str):
 
 
 def _num_text(x) -> str:
-    if x is None:
-        return "-"
-    if is_exact(x):
-        return format_number(Fraction(x))
-    return repr(float(x))
+    return "-" if x is None else format_number(x)
 
 
 def _matrix_text(G) -> str:

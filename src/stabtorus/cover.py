@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .charges import CentralCharge
 from .errors import DomainError, NotNumericallyConsistent
-from .exactnum import HALF, as_number, direction_angle, is_exact
+from .exactnum import HALF, as_number, direction_angle, is_exact, lift_near
 from .linalg import Matrix2
 
 
@@ -69,39 +69,28 @@ def lift_eval(G: LiftedAuto, phi):
     phi = as_number(phi)
     n = math.floor(phi)
     r = phi - n
-    base = canonical_base_value(G.T)
-    offset = n + 2 * G.winding
-    if r == 0:
-        return base + offset
     if is_exact(r) and r == HALF:
-        vx, vy = Fraction(0), Fraction(1)
+        v = (Fraction(0), Fraction(1))
     else:
         rf = float(r)
-        vx, vy = math.cos(math.pi * rf), math.sin(math.pi * rf)
-    theta = direction_angle(*G.T.apply(vx, vy))
-    # f(r) lies in (base, base + 1); pick the representative theta + 2k there.
-    # The gap to the nearest wrong choice is 1, the float error is ~1e-15.
-    k = round((float(base) + 0.5 - float(theta)) / 2)
-    return theta + 2 * k + offset
+        v = (math.cos(math.pi * rf), math.sin(math.pi * rf))
+    return _canonical_value(G.T, *v) + (n + 2 * G.winding)
 
 
-def _canonical_value_at_exact_dir(T: Matrix2, u, psi):
-    """Canonical-lift value f_T(psi) for an exact direction psi of the exact
-    vector u, evaluated through T without touching float phases at the ends."""
+def _canonical_value(T: Matrix2, x, y):
+    """f_T at the direction of the vector (x, y) != 0, T's canonical lift.
+
+    The half-plane of (x, y) picks the branch, so no float angle of (x, y)
+    is taken: on the axis f_T(0) = base or f_T(1) = base + 1; above it f_T
+    lies in (base, base + 1), 1 away from any wrong lift; below it
+    f_T(psi) = f_T(psi + 1) - 1.
+    """
     base = canonical_base_value(T)
-    if psi == 0:
-        return base
-    if psi == 1:
-        return base + 1
-    if psi > 0:
-        w = u
-        tail = 0
-    else:
-        w = (-u[0], -u[1])
-        tail = -1
-    theta = direction_angle(*T.apply(*w))
-    k = round((float(base) + 0.5 - float(theta)) / 2)
-    return theta + 2 * k + tail
+    if y == 0:
+        return base if x > 0 else base + 1
+    if y > 0:
+        return lift_near(direction_angle(*T.apply(x, y)), base + HALF)
+    return lift_near(direction_angle(*T.apply(-x, -y)), base + HALF) - 1
 
 
 def gl_compose(g1: LiftedAuto, g2: LiftedAuto) -> LiftedAuto:
@@ -112,9 +101,7 @@ def gl_compose(g1: LiftedAuto, g2: LiftedAuto) -> LiftedAuto:
     exact image vector g2.T(1,0) rather than its float angle.
     """
     T = g1.T @ g2.T
-    u = g2.T.column0()
-    psi = direction_angle(*u)
-    f1_at = _canonical_value_at_exact_dir(g1.T, u, psi)
+    f1_at = _canonical_value(g1.T, *g2.T.column0())
     f0 = float(f1_at) + 2 * g1.winding + 2 * g2.winding
     chi = canonical_base_value(T)
     half_gap = (f0 - float(chi)) / 2
@@ -132,14 +119,10 @@ def gl_inverse(g: LiftedAuto) -> LiftedAuto:
     minus half of it.
     """
     Ti = g.T.inverse()
-    u = Ti.column0()
-    psi0 = direction_angle(*u)
-    val = _canonical_value_at_exact_dir(g.T, u, psi0)
-    val = val + 2 * g.winding
-    num = as_number(val)
-    if not (is_exact(num) and num % 2 == 0):
+    val = _canonical_value(g.T, *Ti.column0()) + 2 * g.winding
+    if not (is_exact(val) and val % 2 == 0):
         raise NotNumericallyConsistent("inverse winding must be an even integer")
-    return LiftedAuto(Ti, -int(num // 2))
+    return LiftedAuto(Ti, -int(val // 2))
 
 
 def gl_equal(g1: LiftedAuto, g2: LiftedAuto) -> bool:

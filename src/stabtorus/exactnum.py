@@ -5,6 +5,13 @@ Policy: values constructed from integers or rational strings stay exact
 arctangent phases) are floats compared at ``TOL``. Every branch decision that
 matters lands on a phase in (1/2)Z, where the helpers below return exact
 values, so float noise never flips a branch.
+
+This module alone picks lifts and decides phase equality. Lift rule:
+``lift_near(theta, target)`` is the representative theta + 2k nearest target,
+exact when both are exact. Equality rule: ``phase_eq`` meets an exact gamma
+only exactly, and a float gamma within ``TOL``; by Niven's theorem tan(pi*q)
+is rational for rational q only at 0 and +-1, so the float (arctangent)
+phases are irrational and never equal a rational gamma.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ from .errors import ZeroCharge
 
 # comparison tolerance for float phases; documented part of the contract
 TOL = 1e-12
+# slack of a lifted phase read back from point data (integer windings, windows)
+PHASE_TOL = 1e-9
 
 HALF = Fraction(1, 2)
 
@@ -52,11 +61,32 @@ def format_number(x) -> str:
     return str(x)
 
 
-def num_eq(x, y, tol: float = TOL) -> bool:
-    """Equality that is exact on exact inputs and tolerant across floats."""
+def num_eq(x, y, tol: float = TOL, scale: float = 1.0) -> bool:
+    """Equality: exact on exact inputs, within tol * scale across floats."""
     if is_exact(x) and is_exact(y):
         return x == y
-    return abs(float(x) - float(y)) <= tol
+    return abs(float(x) - float(y)) <= tol * scale
+
+
+def phase_eq(phase, gamma) -> bool:
+    """Phase equality against a parameter: exact for exact gamma, TOL for a
+    float gamma."""
+    if is_exact(gamma):
+        return is_exact(phase) and phase == gamma
+    return abs(float(phase) - float(gamma)) <= TOL
+
+
+def lift_near(theta, target):
+    """The representative theta + 2k nearest target; exact when both are.
+    A tie (distance 1) rounds to even k; no caller's answer depends on one."""
+    if is_exact(theta) and is_exact(target):
+        return theta + 2 * round((target - theta) / 2)
+    return theta + 2 * round((float(target) - float(theta)) / 2)
+
+
+def floor_near(x: float) -> int:
+    """floor of a float that may sit a rounding error below an integer."""
+    return math.floor(x + TOL)
 
 
 def direction_angle(x, y):

@@ -421,30 +421,17 @@ def hrs_tilt(heart, pair: TorsionPairSpec, max_check_mass: int = 3) -> TiltedHea
     for E in members:
         try:
             if pair.in_torsion(E) and pair.in_free(E) and not E.is_zero():
-                err = InvalidTorsionPair(
-                    f"pair {pair.name!r}: object in both classes: {E}"
-                )
-                err.witness = (E, E, "identity morphism")
-                raise err
+                _reject(pair, f"object in both classes: {E}", (E, E, "identity morphism"))
             t_part, f_part = pair.decompose(E)
             if not pair.in_torsion(t_part):
-                err = InvalidTorsionPair(
-                    f"pair {pair.name!r}: torsion part of {E} is not in the torsion class"
-                )
-                err.witness = (E, t_part, "decomposition")
-                raise err
+                _reject(pair, f"torsion part of {E} is not in the torsion class",
+                        (E, t_part, "decomposition"))
             if not pair.in_free(f_part):
-                err = InvalidTorsionPair(
-                    f"pair {pair.name!r}: free part of {E} is not in the free class"
-                )
-                err.witness = (E, f_part, "decomposition")
-                raise err
+                _reject(pair, f"free part of {E} is not in the free class",
+                        (E, f_part, "decomposition"))
             if class_of(t_part) + class_of(f_part) != class_of(E):
-                err = InvalidTorsionPair(
-                    f"pair {pair.name!r}: decomposition of {E} does not add up in K"
-                )
-                err.witness = (E, (t_part, f_part), "class bookkeeping")
-                raise err
+                _reject(pair, f"decomposition of {E} does not add up in K",
+                        (E, (t_part, f_part), "class bookkeeping"))
         except MissingHNData:
             continue
     for A in atoms:
@@ -454,13 +441,16 @@ def hrs_tilt(heart, pair: TorsionPairSpec, max_check_mass: int = 3) -> TiltedHea
             if _try_pred(pair.in_free, B) is not True:
                 continue
             if _atom_hom_nonzero(A, B, heart.d):
-                err = InvalidTorsionPair(
-                    f"pair {pair.name!r}: nonzero morphism from torsion class "
-                    f"to free class ({A} to {B})"
-                )
-                err.witness = (A, B, "nonzero morphism")
-                raise err
+                _reject(pair, f"nonzero morphism from torsion class to free class ({A} to {B})",
+                        (A, B, "nonzero morphism"))
     return TiltedHeart(heart, pair)
+
+
+def _reject(pair: TorsionPairSpec, message: str, witness):
+    """Raise InvalidTorsionPair for ``pair`` with the witness attached."""
+    err = InvalidTorsionPair(f"pair {pair.name!r}: {message}")
+    err.witness = witness
+    raise err
 
 
 def _try_pred(pred, E):

@@ -9,6 +9,7 @@ emitted with sorted keys, making output byte-stable for fixed input.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .charges import CentralCharge, KClass
@@ -53,12 +54,17 @@ def decode_number(v):
     if isinstance(v, str):
         try:
             return Fraction(v)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"not a rational literal: {v!r}") from exc
     if isinstance(v, dict) and set(v) == {"approx"}:
-        return float(v["approx"])
+        try:
+            v = float(v["approx"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"not a float literal: {v['approx']!r}") from exc
     if isinstance(v, float):
-        # tolerated on input for convenience; emitted only in wrapped form
+        # tolerated bare on input for convenience; emitted only in wrapped form
+        if not math.isfinite(v):
+            raise DomainError(f"non-finite number {v!r}")
         return v
     raise DomainError(f"cannot decode {v!r} as a number")
 
@@ -198,7 +204,7 @@ def encode_object(E: FormalObject) -> dict:
 
 
 def decode_object(obj) -> FormalObject:
-    if not isinstance(obj, dict) or "graded" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("graded"), dict):
         raise DomainError(f"not an object payload: {obj!r}")
     try:
         graded = {int(i): decode_sheaf(S) for i, S in obj["graded"].items()}

@@ -259,16 +259,10 @@ class FormalObject:
         adj = set(zip(degrees, degrees[1:]))
         flags = set()
         for entry in self.nonsplit:
-            if len(entry) == 3:
-                i, j, kind = entry
-                if kind not in ("split", "nonsplit"):
-                    raise DomainError(f"unknown extension flag {kind!r}")
-                if kind == "split":
-                    if (int(i), int(j)) not in adj:
-                        raise DomainError(f"flag on non-adjacent degrees ({i}, {j})")
-                    continue
-            else:
+            try:
                 i, j = entry
+            except (TypeError, ValueError):
+                raise DomainError(f"a flag is a pair of degrees, got {entry!r}") from None
             i, j = int(i), int(j)
             if (i, j) not in adj:
                 raise DomainError(f"flag on non-adjacent degrees ({i}, {j})")

@@ -43,7 +43,16 @@ from .errors import (
     NotNumericallyConsistent,
     UnsupportedSpectrum,
 )
-from .exactnum import HALF, as_number, direction_angle, gamma_from_cot, phase_mod1
+from .exactnum import (
+    HALF,
+    PHASE_TOL,
+    as_number,
+    cot_pi,
+    direction_angle,
+    floor_near,
+    gamma_from_cot,
+    phase_mod1,
+)
 from .hearts import _hn_pieces, heart_membership
 from .linalg import Matrix2
 from .sheaves import FormalObject, class_of, hull_defect_length, sheaf_at
@@ -167,6 +176,30 @@ class PhaseSeries:
         if n == 1:
             return Fraction(1, 4)
         return math.atan2(1.0, float(n)) / math.pi
+
+    def bracket(self, gamma):
+        """Members (below, above) with below < gamma <= above, gamma in
+        (0, 1); above is None past the top member 1/4, and equals gamma only
+        when gamma is 1/4 or the float value of a member.
+
+        Member n lies below gamma exactly when n > cot(pi*gamma); one step
+        either way absorbs the float error of the cotangent. Raises
+        DomainError past n = 2**53, where the members stop being distinct.
+        """
+        top = self.value(1)
+        if gamma > top:
+            return (top, None)
+        cot = cot_pi(gamma) if float(gamma) > 0 else math.inf
+        if cot < 2**53:
+            n = math.floor(cot) + 1
+            if not self.value(n) < gamma:
+                n += 1
+            elif self.value(n - 1) < gamma:
+                n -= 1
+            below, above = self.value(n), self.value(n - 1)
+            if below < gamma <= above:
+                return (below, above)
+        raise DomainError(f"gamma lies below the float range of the series {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -409,23 +442,21 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
     theta = direction_angle(re, im)
     # phi must lift the actual direction of Z(skyscraper)
     gap = (float(phi) - float(theta)) / 2
-    if abs(gap - round(gap)) > 1e-9:
+    if abs(gap - round(gap)) > PHASE_TOL:
         raise NotNumericallyConsistent(
             f"phi_sky = {phi} is not a lift of the skyscraper direction {theta}"
         )
-    # nudge protects the floor against float fuzz on exact half-integer gaps
-    p_hat = math.floor(float(phi) - float(psi) + 1e-12)
+    p_hat = floor_near(float(phi) - float(psi))
     window = float(psi) + p_hat - float(phi)
     if Z.is_degenerate():
-        if not (abs(window) <= 1e-9 or abs(window + 1) <= 1e-9):
-            # interior data cannot carry a degenerate charge
-            raise NotInU("degenerate charge with interior phase data")
-        if abs(window + 1) <= 1e-9:
+        if abs(window + 1) <= PHASE_TOL:
             p_hat += 1
+        elif abs(window) > PHASE_TOL:  # interior data cannot carry a degenerate charge
+            raise NotInU("degenerate charge with interior phase data")
         if not 1 <= p_hat <= d - 1:
             raise NotInU(f"boundary index {p_hat} outside 1..{d - 1}")
         return _classify_degenerate(Z, phi, p_hat, d)
-    if abs(window) <= 1e-9:
+    if abs(window) <= PHASE_TOL:
         raise NotNumericallyConsistent(
             "nondegenerate charge with boundary phase data"
         )
@@ -436,13 +467,9 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
         raise NotNumericallyConsistent(
             "charge orientation contradicts the inferred heart index"
         )
-    w_val = (1 - float(lift_eval(LiftedAuto(M, 0), phi))) / 2
-    w = round(w_val)
-    if abs(w_val - w) > 1e-9:
-        raise NotNumericallyConsistent("phi_sky is not a valid lift for this charge")
-    G = LiftedAuto(M, w)
+    G = LiftedAuto(M, _winding(M, phi))
     check = lift_eval(G, psi)
-    if abs(float(check) - (0.5 - p_hat)) > 1e-9:
+    if abs(float(check) - (0.5 - p_hat)) > PHASE_TOL:
         raise NotNumericallyConsistent(
             f"psi_line = {psi} disagrees with the rank-ray phase {check}"
         )
@@ -466,8 +493,14 @@ def _classify_degenerate(Z: CentralCharge, phi, p_hat: int, d: int) -> StabPoint
     norm = alpha * alpha + beta * beta
     # T0 sends (alpha, beta) to (1, 0) exactly and has determinant one
     T0 = Matrix2(alpha / norm, beta / norm, -beta, alpha)
-    w_val = (1 - float(lift_eval(LiftedAuto(T0, 0), phi))) / 2
+    return StabPoint(DegLabel(p_hat, gamma), LiftedAuto(T0, _winding(T0, phi)))
+
+
+def _winding(M: Matrix2, phi_sky) -> int:
+    """The winding w that makes (M, w) carry phi_sky to the base skyscraper
+    phase 1."""
+    w_val = (1 - float(lift_eval(LiftedAuto(M, 0), phi_sky))) / 2
     w = round(w_val)
-    if abs(w_val - w) > 1e-9:
+    if abs(w_val - w) > PHASE_TOL:
         raise NotNumericallyConsistent("phi_sky is not a valid lift for this charge")
-    return StabPoint(DegLabel(p_hat, gamma), LiftedAuto(T0, w))
+    return w

@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 
 from .charges import CentralCharge, KClass, charge_eval, check_dimension, check_index
 from .errors import DomainError, NeverEscapes, OnSpectrum, ZeroCharge
-from .exactnum import HALF, TOL, as_number, gamma_from_cot, is_exact, phase_mod1
+from .exactnum import HALF, as_number, gamma_from_cot, num_eq, phase_eq, phase_mod1
 from .hearts import StandardHeart, TorsionPairSpec, hrs_tilt, split_at_phase, standard_pair
 from .sheaves import ZERO_OBJECT
-from .stability import DegLabel, PhaseSeries, SpectrumDescriptor, StdLabel, spectrum_of
+from .stability import DegLabel, SpectrumDescriptor, StdLabel, spectrum_of
 
 # reasons a deformation direction fails to reach a wall
 GAMMA_PLUS_VACUOUS = "gamma-plus-vacuous"
@@ -32,36 +32,6 @@ TWIST_ESCAPE = "twist-escape"
 # neighbouring phases in a spectrum
 
 
-def _series_bracket(series: PhaseSeries, gamma: float):
-    """(largest member < gamma, smallest member > gamma, hit) for the
-    computable series; (None, None, False) otherwise."""
-    if not series.computable:
-        return (None, None, False)
-    # members are atan(1/n)/pi for n >= 1, decreasing from 1/4 to 0
-    g = float(gamma)
-    if g <= 0:
-        return (None, None, False)
-    top = float(series.value(1))
-    if g > top:
-        return (series.value(1), None, False)
-    cot = 1.0 / math.tan(math.pi * g)  # g <= 1/4 here, so tan > 0
-    n_low = math.floor(cot) + 1  # smallest n with value(n) < gamma
-    hit = False
-    for n in range(max(1, n_low - 2), n_low + 3):
-        if n >= 1 and abs(float(series.value(n)) - g) <= TOL:
-            hit = True
-            n_low = n + 1
-    below = series.value(n_low)
-    while float(below) >= g - TOL:
-        n_low += 1
-        below = series.value(n_low)
-    above = series.value(n_low - 1) if n_low >= 2 else None
-    if above is not None and abs(float(above) - g) <= TOL:
-        hit = True
-        above = series.value(n_low - 2) if n_low >= 3 else None
-    return (below, above, hit)
-
-
 def gamma_pm(spectrum: SpectrumDescriptor, gamma):
     """Nearest spectrum phases around gamma, with certainty flags.
 
@@ -69,31 +39,21 @@ def gamma_pm(spectrum: SpectrumDescriptor, gamma):
     whether the corresponding gap is certified free of further stable
     phases (no uncertain interval of the spectrum meets it, modulo integer
     shift). Raises OnSpectrum when gamma is a known stable phase and
-    DomainError when gamma leaves (0, 1).
+    DomainError when gamma leaves (0, 1) or falls below the float range of
+    a computable series.
     """
     g = as_number(gamma)
     if not 0 < g < 1:
         raise DomainError("gamma must lie strictly between 0 and 1")
-    candidates = []
-    for q in spectrum.points:
-        for k in (-1, 0, 1):
-            candidates.append(q + k)
+    candidates = [q + k for q in spectrum.points for k in (-1, 0, 1)]
     for series in spectrum.series:
-        below, above, hit = _series_bracket(series, float(g))
-        if hit:
-            raise OnSpectrum(f"gamma = {gamma} is a stable phase")
-        if below is not None:
-            candidates.append(below)
-        if above is not None:
-            candidates.append(above)
-    for c in candidates:
-        if is_exact(c) and is_exact(g):
-            if c == g:
-                raise OnSpectrum(f"gamma = {gamma} is a stable phase")
-        elif abs(float(c) - float(g)) <= TOL:
-            raise OnSpectrum(f"gamma = {gamma} is a stable phase")
-    below = max((c for c in candidates if float(c) < float(g)), key=float)
-    above = min((c for c in candidates if float(c) > float(g)), key=float)
+        if series.computable:
+            candidates += [c for c in series.bracket(g) if c is not None]
+    if any(phase_eq(c, g) for c in candidates):
+        raise OnSpectrum(f"gamma = {gamma} is a stable phase")
+    below = max(c for c in candidates if c < g)
+    # >= keeps a float member equal in value to an exact gamma, as bracket does
+    above = min(c for c in candidates if c >= g)
 
     def certain(lo, hi):
         for a, b in spectrum.uncertain:
@@ -148,11 +108,11 @@ def boundary_at(p: int, gamma, d: int) -> WallDecision:
     g = as_number(gamma)
     if not 0 < g < 1:
         raise DomainError("gamma must lie strictly between 0 and 1")
-    if g == HALF or (not is_exact(g) and abs(float(g) - 0.5) <= TOL):
+    if num_eq(g, HALF):
         raise DomainError("gamma = 1/2 sits on the shifted-bundle phase")
     if on_spectrum(StdLabel(p), g, d):
         raise DomainError(f"gamma = {gamma} is a stable phase of Std({p})")
-    if float(g) < 0.5:
+    if g < HALF:
         if p == 0:
             return WallDecision(None, TWIST_ESCAPE)
         return WallDecision(DegLabel(p, g))

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabtorus.charges import (
     SKYSCRAPER_CLASS,
@@ -24,6 +25,7 @@ from stabtorus.errors import (
     UnsupportedSpectrum,
     ZeroCharge,
 )
+from stabtorus.exactnum import direction_angle
 from stabtorus.stability import StdLabel, DegLabel
 
 
@@ -85,6 +87,48 @@ def test_phase_in_strip_examples():
 def test_phase_in_strip_zero_charge():
     with pytest.raises(ZeroCharge):
         phase_in_strip(std_charge(0), ZERO_CLASS, 0)
+
+
+def strip_scan(theta, anchor):
+    """Every representative theta + 2k in (anchor, anchor + 1], by scanning k."""
+    k0 = math.floor((float(anchor) - float(theta)) / 2)
+    return [
+        theta + 2 * k
+        for k in range(k0 - 3, k0 + 4)
+        if anchor < theta + 2 * k <= anchor + 1
+    ]
+
+
+exact_entries = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+float_entries = st.floats(min_value=-6, max_value=6, allow_nan=False, allow_infinity=False)
+entries = st.one_of(exact_entries, float_entries)
+anchors = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=4),
+    st.floats(min_value=-20, max_value=20, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.tuples(entries, entries, entries, entries),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    anchors,
+)
+def test_phase_in_strip_matches_a_scan_of_lifts(frame, cls, anchor):
+    Z, v = CentralCharge(*frame), KClass(*cls)
+    re, im = charge_eval(Z, v)
+    if re == 0 and im == 0:
+        with pytest.raises(ZeroCharge):
+            phase_in_strip(Z, v, anchor)
+        return
+    hits = strip_scan(direction_angle(re, im), anchor)
+    assert len(hits) <= 1
+    if not hits:
+        with pytest.raises(NoPhaseInWindow):
+            phase_in_strip(Z, v, anchor)
+        return
+    got = phase_in_strip(Z, v, anchor)
+    assert got == hits[0] and type(got) is type(hits[0])
 
 
 def test_phase_equivariance_under_negation():

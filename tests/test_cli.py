@@ -150,8 +150,13 @@ DEG_POINT_WITHOUT_GAMMA = IDENTITY_POINT.replace('"std"', '"deg"')
         (IDENTITY_POINT, '{"graded": {"0": {"kind": "torsion"}}}'),
         (STD_POINT_WITHOUT_P, '{"graded": {}}'),
         (DEG_POINT_WITHOUT_GAMMA, '{"graded": {}}'),
+        (IDENTITY_POINT, '{"graded": []}'),
+        (IDENTITY_POINT, '{"graded": "0"}'),
     ],
-    ids=["bad-degree", "torsion-without-points", "std-label-without-p", "deg-label-without-gamma"],
+    ids=[
+        "bad-degree", "torsion-without-points", "std-label-without-p",
+        "deg-label-without-gamma", "graded-list", "graded-string",
+    ],
 )
 def test_hn_malformed_object_exit_2(capsys, point, payload):
     code, _, err = run(
@@ -159,6 +164,26 @@ def test_hn_malformed_object_exit_2(capsys, point, payload):
         ["hn", "--d", "4", "--point", point, "--object", payload],
     )
     assert code == 2
+    assert json.loads(err)["error"]["name"] == "DomainError"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        '{"approx": "nan"}',
+        '{"approx": "inf"}',
+        '{"approx": 1e400}',
+        "NaN",
+        "-Infinity",
+        '"1/0"',
+        '{"approx": "abc"}',
+        '{"approx": [1]}',
+    ],
+)
+def test_act_malformed_number_exit_2(capsys, entry):
+    auto = '{"T": [[%s, 0], [0, 1]], "winding": 0}' % entry
+    code, out, err = run(capsys, ["act", "--d", "4", "--point", IDENTITY_POINT, "--auto", auto])
+    assert code == 2 and out == ""
     assert json.loads(err)["error"]["name"] == "DomainError"
 
 
@@ -243,6 +268,32 @@ def test_boundary_wall_and_escape(capsys):
         ["boundary", "--d", "4", "--p", "0", "--gamma", "3/10", "--format", "text"],
     )
     assert out == "no boundary: twist-escape\n"
+
+
+@pytest.mark.parametrize("gamma", ["1e-6", "1e-11", "1e-12", "1e-15"])
+def test_tiny_gamma_escapes_at_level_zero(capsys, gamma):
+    code, out, _ = run(capsys, ["boundary", "--d", "4", "--p", "0", "--gamma", gamma])
+    assert code == 0
+    assert out == '{"reason": "twist-escape", "schema": "stabtorus/1", "wall": null}\n'
+    code, out, _ = run(capsys, ["gamma-bounds", "--d", "4", "--label", "std:0", "--gamma", gamma])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["below"]["approx"] < float(gamma) < payload["above"]["approx"]
+
+
+@pytest.mark.parametrize(
+    "gamma, bounds_error",
+    [("1/4", "OnSpectrum"), ("0.25", "OnSpectrum"),
+     ("1e-320", "DomainError"), ("1e-400", "DomainError")],
+)
+def test_gamma_on_or_below_the_series_exit_2(capsys, gamma, bounds_error):
+    for argv, name in (
+        (["boundary", "--d", "4", "--p", "0", "--gamma", gamma], "DomainError"),
+        (["gamma-bounds", "--d", "4", "--label", "std:0", "--gamma", gamma], bounds_error),
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["name"] == name
 
 
 def test_boundary_on_spectrum_exit_2(capsys):

@@ -210,6 +210,45 @@ def test_hrs_tilt_checks_the_pair_on_every_call():
     assert err.value.witness[2] == "decomposition"
 
 
+ZERO = formal_object([])
+STD0 = standard_pair(0, 3)
+
+
+@pytest.mark.parametrize(
+    "in_torsion, in_free, decompose, message, kind",
+    [
+        (lambda E: True, lambda E: True, STD0.decompose,
+         "object in both classes", "identity morphism"),
+        (STD0.in_torsion, STD0.in_free, lambda E: (E, ZERO),
+         "torsion part of", "decomposition"),
+        (STD0.in_torsion, STD0.in_free, lambda E: (ZERO, E),
+         "free part of", "decomposition"),
+        (lambda E: True, lambda E: E.is_zero(), lambda E: (ZERO, ZERO),
+         "does not add up in K", "class bookkeeping"),
+        (STD0.in_free, STD0.in_torsion, lambda E: tuple(reversed(STD0.decompose(E))),
+         "nonzero morphism from torsion class to free class", "nonzero morphism"),
+    ],
+    ids=["both-classes", "torsion-part", "free-part", "k-class", "morphism"],
+)
+def test_broken_pair_witness(in_torsion, in_free, decompose, message, kind):
+    pair = TorsionPairSpec("broken", in_torsion, in_free, decompose)
+    with pytest.raises(InvalidTorsionPair) as err:
+        hrs_tilt(StandardHeart(0, 3), pair, max_check_mass=2)
+    text = str(err.value)
+    assert text.startswith("pair 'broken': ") and message in text
+    first, second, what = err.value.witness
+    assert what == kind
+    assert str(first) in text
+    if kind == "identity morphism":
+        assert second == first
+    elif kind == "decomposition":
+        assert second == first  # the part that landed in the wrong class
+    elif kind == "class bookkeeping":
+        assert second == (ZERO, ZERO) and not first.is_zero()
+    else:
+        assert str(second) in text
+
+
 @pytest.mark.parametrize("level", [-1, 4, 9])
 def test_standard_pair_rejects_levels_outside_the_hearts(level):
     with pytest.raises(DomainError):

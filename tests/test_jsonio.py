@@ -61,6 +61,25 @@ def test_number_codec():
         decode_number("not-a-number")
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        float("nan"),
+        float("inf"),
+        {"approx": "nan"},
+        {"approx": float("-inf")},
+        {"approx": 10**400},
+        {"approx": "abc"},
+        {"approx": [1]},
+        "1/0",
+    ],
+    ids=repr,
+)
+def test_decode_number_rejects_malformed_numbers(payload):
+    with pytest.raises(DomainError):
+        decode_number(payload)
+
+
 def test_kclass_codec():
     v = KClass(-2, 5)
     assert encode_kclass(v) == {"rk": -2, "chd": 5}
@@ -182,3 +201,5 @@ def test_sheaf_decode_rejects_unknown_kind():
         decode_object({"graded": {"zero": {"kind": "torsion", "points": []}}, "flags": []})
     with pytest.raises(DomainError):
         decode_sheaf({"kind": "torsion"})
+    with pytest.raises(DomainError):
+        decode_object({"graded": []})

@@ -143,6 +143,11 @@ def test_flags_must_join_adjacent_occupied_degrees():
     assert ok.flag(-1, 0) == "nonsplit"
     with pytest.raises(DomainError):
         formal_object([(0, skyscraper())], nonsplit=[(-1, 0)])
+    # a flag is a pair of degrees: no kind tag, no other length
+    atoms = [(0, skyscraper()), (-1, make_locally_free(1))]
+    for entry in [(-1, 0, "nonsplit"), (-1, 0, "split"), (-1,), 5]:
+        with pytest.raises(DomainError):
+            formal_object(atoms, nonsplit=[entry])
 
 
 def test_legality_of_nonsplit_extensions():

@@ -1,6 +1,7 @@
 """Boundary analysis: gamma bounds, wall decisions, boundary hearts,
 twist escape, the orbit complex, and charge fibers."""
 
+import math
 import time
 from fractions import Fraction
 
@@ -84,10 +85,53 @@ def test_gamma_pm_rejects_stable_phases_and_bad_domains():
         gamma_pm(descriptor, Fraction(1, 2))
     with pytest.raises(OnSpectrum):
         gamma_pm(spectrum_of(StdLabel(0), 5), Fraction(1, 4))
+    with pytest.raises(OnSpectrum):
+        gamma_pm(spectrum_of(StdLabel(0), 5), 0.25)
     with pytest.raises(DomainError):
         gamma_pm(descriptor, 1)
     with pytest.raises(DomainError):
         gamma_pm(descriptor, 0)
+
+
+@pytest.mark.parametrize("k", range(1, 16))
+def test_gamma_pm_brackets_tiny_exact_gamma_by_series_members(k):
+    gamma = Fraction(1, 10**k)
+    descriptor = spectrum_of(StdLabel(0), 4)
+    (series,) = descriptor.series
+    start = time.perf_counter()
+    lo, hi, _, _ = gamma_pm(descriptor, gamma)
+    assert time.perf_counter() - start < 0.05
+    assert lo < gamma < hi
+    # consecutive members: the n-th below gamma, the (n-1)-th above it
+    n = round(1 / math.tan(math.pi * lo))
+    assert (series.value(n), series.value(n - 1)) == (lo, hi)
+
+
+def test_gamma_pm_exact_gamma_never_meets_an_irrational_member():
+    descriptor = spectrum_of(StdLabel(0), 4)
+    (series,) = descriptor.series
+    member = series.value(5)
+    # within TOL of member 5, but a rational gamma is not a stable phase
+    near = Fraction(member) + Fraction(1, 10**14)
+    assert gamma_pm(descriptor, near)[0] == member
+    # equal in value to the float of member 5: bracketed with it above
+    lo, hi, _, _ = gamma_pm(descriptor, Fraction(member))
+    assert (lo, hi) == (series.value(6), member)
+    with pytest.raises(OnSpectrum):
+        gamma_pm(descriptor, float(Fraction(member) + Fraction(1, 10**14)))
+
+
+@pytest.mark.parametrize(
+    "gamma", [Fraction(1, 10**17), 1e-17, Fraction(1, 10**320), 1e-320, Fraction(1, 10**400)]
+)
+def test_gamma_pm_below_the_float_range_of_the_series(gamma):
+    with pytest.raises(DomainError):
+        gamma_pm(spectrum_of(StdLabel(0), 4), gamma)
+    with pytest.raises(DomainError):
+        boundary_at(0, gamma, 4)
+    if isinstance(gamma, Fraction):
+        # Std(1) has no computable series, so there is nothing to bracket
+        assert gamma_pm(spectrum_of(StdLabel(1), 4), gamma)[:2] == (0, Fraction(1, 2))
 
 
 def test_on_spectrum_depends_on_the_label():
@@ -120,11 +164,21 @@ def test_boundary_table(d):
     assert top_lo.target == DegLabel(d - 1, g_lo)
 
 
+@pytest.mark.parametrize("k", range(1, 16))
+def test_boundary_tiny_exact_gamma_at_level_zero_escapes(k):
+    start = time.perf_counter()
+    decision = boundary_at(0, Fraction(1, 10**k), 4)
+    assert time.perf_counter() - start < 0.05
+    assert not decision.is_wall and decision.reason == TWIST_ESCAPE
+
+
 def test_boundary_rejects_gamma_on_the_spectrum():
     with pytest.raises(DomainError):
         boundary_at(1, Fraction(1, 2), 5)
     with pytest.raises((DomainError, OnSpectrum)):
         boundary_at(0, Fraction(1, 4), 5)
+    with pytest.raises(DomainError):
+        boundary_at(0, 0.25, 5)
     # the same parameter is fine one level up, where 1/4 is not a stable phase
     assert boundary_at(1, Fraction(1, 4), 5).is_wall
 
