@@ -18,7 +18,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NoPhaseInWindow, UnsupportedSpectrum, ZeroCharge
-from .exactnum import HALF, as_number, cot_pi, direction_angle, is_exact, lift_near, num_eq
+from .exactnum import (
+    HALF,
+    as_number,
+    cot_pi,
+    direction_angle,
+    is_exact,
+    lift_near,
+    num_eq,
+    to_float,
+)
 from .linalg import Matrix2
 
 
@@ -82,7 +91,7 @@ class CentralCharge:
         det = self.det()
         if self.is_exact():
             return det == 0
-        scale = max(1.0, max(abs(float(getattr(self, f))) for f in ("a", "b", "c", "e")) ** 2)
+        scale = max(1.0, max(abs(to_float(getattr(self, f))) for f in ("a", "b", "c", "e")) ** 2)
         return num_eq(det, 0, scale=scale)
 
 
@@ -111,8 +120,10 @@ def deg_charge(p: int, gamma, d: int | None = None) -> CentralCharge:
     g = as_number(gamma)
     if not 0 < g < HALF:
         raise DomainError("gamma must lie strictly between 0 and 1/2")
-    b = -((-1) ** p) * cot_pi(g)
-    return CentralCharge(1, b, 0, 0)
+    cot = cot_pi(g)
+    if not math.isfinite(cot):
+        raise DomainError("gamma is so small that cot(pi*gamma) leaves the float range")
+    return CentralCharge(1, -((-1) ** p) * cot, 0, 0)
 
 
 def check_index(p, message: str, lo: int = 0, hi: int | None = None) -> None:

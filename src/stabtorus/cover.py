@@ -9,18 +9,18 @@ circle map induced by T on directions measured in units of pi, pinned down by
 With exact matrices every winding computation below reduces to evaluating
 atan2 on a pair of exactly known rational vectors and rounding a quantity
 that sits within about 1e-15 of an integer, so windings are exact even
-though intermediate angles are floats.
+though intermediate angles are floats. Exact vectors stay integer numerators
+over one denominator, as in ``Matrix2``, until that atan2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .charges import CentralCharge
 from .errors import DomainError, NotNumericallyConsistent
-from .exactnum import HALF, as_number, direction_angle, is_exact, lift_near
+from .exactnum import HALF, as_number, direction_angle, is_exact, lift_near, to_float
 from .linalg import Matrix2
 
 
@@ -35,8 +35,16 @@ class LiftedAuto:
             object.__setattr__(self, "T", Matrix2(rows[0][0], rows[0][1], rows[1][0], rows[1][1]))
         if isinstance(self.winding, bool) or not isinstance(self.winding, int):
             raise DomainError("winding must be an integer")
-        if self.T.det() <= 0:
+        if self.T.det_sign() <= 0:
             raise DomainError("lifted elements need det T > 0")
+
+
+def _lifted(T: Matrix2, winding: int) -> LiftedAuto:
+    """LiftedAuto(T, winding) for a T already known to have det T > 0."""
+    g = object.__new__(LiftedAuto)
+    object.__setattr__(g, "T", T)
+    object.__setattr__(g, "winding", winding)
+    return g
 
 
 def identity_auto() -> LiftedAuto:
@@ -57,28 +65,35 @@ SHIFT_ONE = shift_auto(1)
 
 def canonical_base_value(T: Matrix2):
     """f(0) of the canonical (winding zero) lift of T, in (-1, 1]."""
-    return direction_angle(*T.column0())
+    a, _, c, _ = T.num
+    return direction_angle(a, c, T.den)
 
 
 def lift_eval(G: LiftedAuto, phi):
     """Evaluate the lift f_G at the phase phi.
 
     Exact at integer phi and wherever the image direction hits an axis;
-    float (atan2 quality) elsewhere.
+    float (atan2 quality) elsewhere, including an exact phi whose offset
+    from the integer below underflows the float range.
     """
     phi = as_number(phi)
     n = math.floor(phi)
     r = phi - n
     if is_exact(r) and r == HALF:
-        v = (Fraction(0), Fraction(1))
+        value = _canonical_value(G.T, 0, 1)
     else:
-        rf = float(r)
-        v = (math.cos(math.pi * rf), math.sin(math.pi * rf))
-    return _canonical_value(G.T, *v) + (n + 2 * G.winding)
+        rf = to_float(r)
+        value = _canonical_value(G.T, math.cos(math.pi * rf), math.sin(math.pi * rf))
+        if r and not rf:  # just above the axis: base plus a float-invisible offset
+            value = to_float(value)
+    shift = n + 2 * G.winding
+    return value + shift if is_exact(value) else value + to_float(shift)
 
 
-def _canonical_value(T: Matrix2, x, y):
-    """f_T at the direction of the vector (x, y) != 0, T's canonical lift.
+def _canonical_value(T: Matrix2, x, y, den: int = 1):
+    """f_T at the direction of the vector (x, y) / den != 0, T's canonical
+    lift; (x, y) is an integer vector over the positive int den, or a float
+    vector with den 1.
 
     The half-plane of (x, y) picks the branch, so no float angle of (x, y)
     is taken: on the axis f_T(0) = base or f_T(1) = base + 1; above it f_T
@@ -88,9 +103,18 @@ def _canonical_value(T: Matrix2, x, y):
     base = canonical_base_value(T)
     if y == 0:
         return base if x > 0 else base + 1
-    if y > 0:
-        return lift_near(direction_angle(*T.apply(x, y)), base + HALF)
-    return lift_near(direction_angle(*T.apply(-x, -y)), base + HALF) - 1
+    below = y < 0
+    if below:
+        x, y = -x, -y
+    if isinstance(x, int):
+        a, b, c, d = T.num
+        theta = direction_angle(a * x + b * y, c * x + d * y, T.den * den)
+    else:
+        a, b, c, d = (to_float(n, T.den) for n in T.num)
+        theta = direction_angle(a * x + b * y, c * x + d * y)
+    # a float base takes the float 0.5: the same sum, without Fraction dispatch
+    value = lift_near(theta, base + HALF if is_exact(base) else base + 0.5)
+    return value - 1 if below else value
 
 
 def gl_compose(g1: LiftedAuto, g2: LiftedAuto) -> LiftedAuto:
@@ -101,14 +125,14 @@ def gl_compose(g1: LiftedAuto, g2: LiftedAuto) -> LiftedAuto:
     exact image vector g2.T(1,0) rather than its float angle.
     """
     T = g1.T @ g2.T
-    f1_at = _canonical_value(g1.T, *g2.T.column0())
-    f0 = float(f1_at) + 2 * g1.winding + 2 * g2.winding
-    chi = canonical_base_value(T)
-    half_gap = (f0 - float(chi)) / 2
+    u = g2.T.num
+    f1_at = _canonical_value(g1.T, u[0], u[2], g2.T.den)
+    # the windings are integers and add exactly; only the canonical gap is a float
+    half_gap = (to_float(f1_at) - to_float(canonical_base_value(T))) / 2
     w = round(half_gap)
     if not abs(half_gap - w) < 0.25:
         raise NotNumericallyConsistent("winding drifted away from an integer")
-    return LiftedAuto(T, w)
+    return _lifted(T, w + g1.winding + g2.winding)
 
 
 def gl_inverse(g: LiftedAuto) -> LiftedAuto:
@@ -119,10 +143,11 @@ def gl_inverse(g: LiftedAuto) -> LiftedAuto:
     minus half of it.
     """
     Ti = g.T.inverse()
-    val = _canonical_value(g.T, *Ti.column0()) + 2 * g.winding
+    u = Ti.num
+    val = _canonical_value(g.T, u[0], u[2], Ti.den) + 2 * g.winding
     if not (is_exact(val) and val % 2 == 0):
         raise NotNumericallyConsistent("inverse winding must be an even integer")
-    return LiftedAuto(Ti, -int(val // 2))
+    return _lifted(Ti, -int(val // 2))
 
 
 def gl_equal(g1: LiftedAuto, g2: LiftedAuto) -> bool:
@@ -136,8 +161,18 @@ def act_on_charge(G: LiftedAuto, Z: CentralCharge) -> CentralCharge:
     to its gl_inverse.
     """
     Ti = G.T.inverse()
-    a = Ti.a * Z.a + Ti.b * Z.c
-    b = Ti.a * Z.b + Ti.b * Z.e
-    c = Ti.c * Z.a + Ti.d * Z.c
-    e = Ti.c * Z.b + Ti.d * Z.e
-    return CentralCharge(a, b, c, e)
+    if Z.is_exact():
+        (a, b), (c, e) = (Ti @ Z.frame()).rows()
+        return CentralCharge(a, b, c, e)
+    (s, t), (u, v) = Ti.rows()
+    return CentralCharge(
+        _dot(s, Z.a, t, Z.c), _dot(s, Z.b, t, Z.e), _dot(u, Z.a, v, Z.c), _dot(u, Z.b, v, Z.e)
+    )
+
+
+def _dot(s, x, t, y):
+    """s*x + t*y for exact s and t, with the float semantics of Fraction
+    arithmetic: exact when x and y are, else a float."""
+    sx = s * x if is_exact(x) else to_float(s) * x
+    ty = t * y if is_exact(y) else to_float(t) * y
+    return sx + ty if is_exact(sx) and is_exact(ty) else to_float(sx) + to_float(ty)

@@ -12,6 +12,9 @@ exact when both are exact. Equality rule: ``phase_eq`` meets an exact gamma
 only exactly, and a float gamma within ``TOL``; by Niven's theorem tan(pi*q)
 is rational for rational q only at 0 and +-1, so the float (arctangent)
 phases are irrational and never equal a rational gamma.
+
+Exact values become floats only through ``to_float``: correctly rounded, and
+a DomainError instead of an OverflowError past the float range.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ZeroCharge
+from .errors import DomainError, ZeroCharge
 
 # comparison tolerance for float phases; documented part of the contract
 TOL = 1e-12
@@ -61,11 +64,29 @@ def format_number(x) -> str:
     return str(x)
 
 
+def to_float(x, den: int = 1) -> float:
+    """x / den as a float, for an int or Fraction x and a positive int den
+    (a float x, with den 1, comes back as it is).
+
+    int / int true division is correctly rounded, so this equals
+    float(Fraction(x, den)) bit for bit. Raises DomainError when the value
+    lies beyond the float range.
+    """
+    if isinstance(x, float):
+        return x
+    if not isinstance(x, int):  # a Fraction
+        x, den = x.numerator, x.denominator * den
+    try:
+        return x / den
+    except OverflowError:
+        raise DomainError("an exact value lies beyond the float range") from None
+
+
 def num_eq(x, y, tol: float = TOL, scale: float = 1.0) -> bool:
     """Equality: exact on exact inputs, within tol * scale across floats."""
     if is_exact(x) and is_exact(y):
         return x == y
-    return abs(float(x) - float(y)) <= tol * scale
+    return abs(to_float(x) - to_float(y)) <= tol * scale
 
 
 def phase_eq(phase, gamma) -> bool:
@@ -73,7 +94,7 @@ def phase_eq(phase, gamma) -> bool:
     float gamma."""
     if is_exact(gamma):
         return is_exact(phase) and phase == gamma
-    return abs(float(phase) - float(gamma)) <= TOL
+    return abs(to_float(phase) - to_float(gamma)) <= TOL
 
 
 def lift_near(theta, target):
@@ -81,7 +102,7 @@ def lift_near(theta, target):
     A tie (distance 1) rounds to even k; no caller's answer depends on one."""
     if is_exact(theta) and is_exact(target):
         return theta + 2 * round((target - theta) / 2)
-    return theta + 2 * round((float(target) - float(theta)) / 2)
+    return theta + 2 * round((to_float(target) - to_float(theta)) / 2)
 
 
 def floor_near(x: float) -> int:
@@ -89,11 +110,13 @@ def floor_near(x: float) -> int:
     return math.floor(x + TOL)
 
 
-def direction_angle(x, y):
-    """Angle of the nonzero vector (x, y) in units of pi, in (-1, 1].
+def direction_angle(x, y, den: int = 1):
+    """Angle of the nonzero vector (x, y) / den in units of pi, in (-1, 1].
 
-    Axis directions come back exact (0, 1, 1/2, -1/2); everything else is a
-    float from atan2. Raises ZeroCharge on the zero vector.
+    den is a positive int scaling an integer vector, 1 otherwise. Axis
+    directions come back exact (0, 1, 1/2, -1/2); everything else is a float
+    from atan2 of the correctly rounded coordinates. Raises ZeroCharge on the
+    zero vector.
     """
     if x == 0 and y == 0:
         raise ZeroCharge("direction of the zero vector is undefined")
@@ -101,11 +124,12 @@ def direction_angle(x, y):
         return Fraction(1) if x < 0 else Fraction(0)
     if x == 0:
         return HALF if y > 0 else -HALF
-    return math.atan2(float(y), float(x)) / math.pi
+    return math.atan2(to_float(y, den), to_float(x, den)) / math.pi
 
 
 def cot_pi(gamma):
-    """cot(pi*gamma) for gamma in (0, 1), exact at the rational points."""
+    """cot(pi*gamma) for gamma in (0, 1), exact at the rational points;
+    inf where pi*gamma underflows to 0."""
     g = as_number(gamma)
     if not 0 < g < 1:
         raise ValueError("cot_pi needs an argument in (0, 1)")
@@ -116,8 +140,9 @@ def cot_pi(gamma):
             return Fraction(1)
         if g == Fraction(3, 4):
             return Fraction(-1)
-    gf = float(g)
-    return math.cos(math.pi * gf) / math.sin(math.pi * gf)
+    gf = to_float(g)
+    s = math.sin(math.pi * gf)
+    return math.cos(math.pi * gf) / s if s else math.inf
 
 
 def gamma_from_cot(c):
@@ -129,7 +154,7 @@ def gamma_from_cot(c):
             return HALF
         if c == -1:
             return Fraction(3, 4)
-    return math.atan2(1.0, float(c)) / math.pi
+    return math.atan2(1.0, to_float(c)) / math.pi
 
 
 def phase_mod1(re, im):

@@ -1,13 +1,17 @@
-"""Exact 2x2 rational matrices.
+"""Exact 2x2 rational matrices as integer numerators over one denominator.
 
-Entries are coerced through Fraction, so even float input becomes an exact
-dyadic rational and every product, inverse and determinant downstream is
-computed without rounding.
+A matrix ((a, b), (c, d)) is stored as the integers ``num = (na, nb, nc, nd)``
+and ``den > 0`` with a = na/den and so on, in lowest terms:
+gcd(na, nb, nc, nd, den) = 1, so equal matrices have equal storage. Products,
+inverses and determinant signs are plain integer arithmetic. Entries are
+converted exactly on the way in (a float becomes its dyadic rational) and
+come back out as Fractions, so nothing downstream rounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 
@@ -17,18 +21,44 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
+def _entry(i: int) -> property:
+    return property(lambda self: Fraction(self.num[i], self.den))
+
+
 class Matrix2:
     """Row-major exact 2x2 matrix ((a, b), (c, d))."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        for f in ("a", "b", "c", "d"):
-            object.__setattr__(self, f, _frac(getattr(self, f)))
+    def __new__(cls, a, b, c, d):
+        if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
+            return _reduced(a, b, c, d, 1)
+        fs = [x if type(x) is int or type(x) is Fraction else _frac(x) for x in (a, b, c, d)]
+        den = math.lcm(*[f.denominator for f in fs])
+        # over the lcm of reduced denominators the numerators share no factor with it
+        return _reduced(*[f.numerator * (den // f.denominator) for f in fs], den)
+
+    a, b, c, d = map(_entry, range(4))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Matrix2:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self):
+        return f"Matrix2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
+
+    def __reduce__(self):
+        return (Matrix2, (self.a, self.b, self.c, self.d))
 
     @staticmethod
     def identity() -> "Matrix2":
@@ -39,26 +69,35 @@ class Matrix2:
         return Matrix2(s, 0, 0, s)
 
     def det(self) -> Fraction:
-        return self.a * self.d - self.b * self.c
+        a, b, c, d = self.num
+        return Fraction(a * d - b * c, self.den * self.den)
+
+    def det_sign(self) -> int:
+        """Sign (-1, 0 or 1) of the determinant, from the numerators alone."""
+        a, b, c, d = self.num
+        det = a * d - b * c
+        return (det > 0) - (det < 0)
 
     def mul(self, other: "Matrix2") -> "Matrix2":
-        return Matrix2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self.num
+        e, f, g, h = other.num
+        return _reduced(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h,
+                        self.den * other.den)
 
     __matmul__ = mul
 
     def inverse(self) -> "Matrix2":
-        det = self.det()
+        # (N/k)^-1 = k * adj(N) / det(N)
+        a, b, c, d = self.num
+        det = a * d - b * c
         if det == 0:
             raise ZeroDivisionError("matrix is singular")
-        return Matrix2(self.d / det, -self.b / det, -self.c / det, self.a / det)
+        k = self.den
+        return _reduced(k * d, -k * b, -k * c, k * a, det)
 
     def neg(self) -> "Matrix2":
-        return Matrix2(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self.num
+        return _reduced(-a, -b, -c, -d, self.den)
 
     def apply(self, x, y):
         """Matrix times column vector; mixed exact/float input allowed."""
@@ -69,3 +108,16 @@ class Matrix2:
 
     def rows(self):
         return ((self.a, self.b), (self.c, self.d))
+
+
+def _reduced(a: int, b: int, c: int, d: int, den: int) -> Matrix2:
+    """The matrix (a, b, c, d) / den, den != 0, in lowest terms."""
+    g = math.gcd(a, b, c, d, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+    m = object.__new__(Matrix2)
+    object.__setattr__(m, "num", (a, b, c, d))
+    object.__setattr__(m, "den", den)
+    return m

@@ -52,6 +52,7 @@ from .exactnum import (
     floor_near,
     gamma_from_cot,
     phase_mod1,
+    to_float,
 )
 from .hearts import _hn_pieces, heart_membership
 from .linalg import Matrix2
@@ -440,14 +441,15 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
     if re == 0 and im == 0:
         raise NotInU("the skyscraper class has zero charge")
     theta = direction_angle(re, im)
+    phi_f, psi_f = to_float(phi), to_float(psi)
     # phi must lift the actual direction of Z(skyscraper)
-    gap = (float(phi) - float(theta)) / 2
+    gap = (phi_f - to_float(theta)) / 2
     if abs(gap - round(gap)) > PHASE_TOL:
         raise NotNumericallyConsistent(
             f"phi_sky = {phi} is not a lift of the skyscraper direction {theta}"
         )
-    p_hat = floor_near(float(phi) - float(psi))
-    window = float(psi) + p_hat - float(phi)
+    p_hat = floor_near(phi_f - psi_f)
+    window = psi_f + p_hat - phi_f
     if Z.is_degenerate():
         if abs(window + 1) <= PHASE_TOL:
             p_hat += 1
@@ -463,13 +465,13 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
     if not 0 <= p_hat <= d - 1:
         raise NotInU(f"heart index {p_hat} outside 0..{d - 1}")
     M = Matrix2(1, 0, 0, (-1) ** p_hat) @ Z.frame().inverse()
-    if M.det() <= 0:
+    if M.det_sign() <= 0:
         raise NotNumericallyConsistent(
             "charge orientation contradicts the inferred heart index"
         )
     G = LiftedAuto(M, _winding(M, phi))
     check = lift_eval(G, psi)
-    if abs(float(check) - (0.5 - p_hat)) > PHASE_TOL:
+    if abs(to_float(check) - (0.5 - p_hat)) > PHASE_TOL:
         raise NotNumericallyConsistent(
             f"psi_line = {psi} disagrees with the rank-ray phase {check}"
         )
@@ -499,7 +501,7 @@ def _classify_degenerate(Z: CentralCharge, phi, p_hat: int, d: int) -> StabPoint
 def _winding(M: Matrix2, phi_sky) -> int:
     """The winding w that makes (M, w) carry phi_sky to the base skyscraper
     phase 1."""
-    w_val = (1 - float(lift_eval(LiftedAuto(M, 0), phi_sky))) / 2
+    w_val = (1 - to_float(lift_eval(LiftedAuto(M, 0), phi_sky))) / 2
     w = round(w_val)
     if abs(w_val - w) > PHASE_TOL:
         raise NotNumericallyConsistent("phi_sky is not a valid lift for this charge")

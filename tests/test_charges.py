@@ -237,3 +237,19 @@ def test_charge_index_validation():
         deg_charge(1, Fraction(1, 2))
     with pytest.raises(DomainError):
         deg_charge(1, 0)
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [Fraction(1, 10**400), Fraction(1, 10**320), 1e-320],
+    ids=["exact-1e-400", "exact-1e-320", "float-1e-320"],
+)
+def test_deg_charge_rejects_gamma_whose_cotangent_leaves_the_float_range(gamma):
+    from stabtorus.stability import make_deg
+
+    with pytest.raises(DomainError):
+        deg_charge(1, gamma)
+    with pytest.raises(DomainError):
+        make_deg(1, gamma, 4).charge()
+    # the smallest gamma with a finite cotangent still gives a charge
+    assert math.isfinite(deg_charge(2, Fraction(1, 10**300)).b)

@@ -187,6 +187,26 @@ def test_act_malformed_number_exit_2(capsys, entry):
     assert json.loads(err)["error"]["name"] == "DomainError"
 
 
+BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["act", "--d", "4", "--point", IDENTITY_POINT,
+         "--auto", '{"T": [[%s, 1], [1, 1]], "winding": 0}' % BIG],
+        ["classify", "--d", "4", "--charge", f"{BIG},1,1,1", "--phi", "1", "--psi", "-0.5"],
+        ["classify", "--d", "4", "--charge", "1,0,0,-1", "--phi", BIG, "--psi", "-0.5"],
+        ["fiber", "--d", "5", "--charge", f"1,{BIG},0,0"],
+    ],
+    ids=["act-auto", "classify-charge", "classify-phi", "fiber-charge"],
+)
+def test_entries_beyond_the_float_range_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["name"] == "DomainError"
+
+
 def test_tilt_chain(capsys):
     code, out, _ = run(
         capsys,

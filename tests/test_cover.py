@@ -163,3 +163,34 @@ def test_orientation_reversing_matrix_is_rejected():
         LiftedAuto(Matrix2(1, 0, 0, -1), 0)
     with pytest.raises(DomainError):
         LiftedAuto(Matrix2(1, 1, 1, 1), 0)
+
+
+def test_lift_just_above_an_integer_is_a_float():
+    # the offset 10^-400 underflows to 0.0, but the phase is not on the axis
+    tiny = Fraction(1, 10**400)
+    assert lift_eval(identity_auto(), tiny) == 0.0
+    assert isinstance(lift_eval(identity_auto(), tiny), float)
+    rot = LiftedAuto(Matrix2(0, 1, -1, 0), 1)
+    assert repr(lift_eval(rot, 3 + tiny)) == "4.5"
+    assert lift_eval(rot, 3) == Fraction(9, 2)
+
+
+def test_windings_beyond_the_float_range_compose_exactly():
+    big = 10**400
+    g = gl_compose(LiftedAuto(Matrix2(1, 1, 0, 1), big), LiftedAuto(Matrix2(2, 0, 0, 1), -big))
+    assert g.T == Matrix2(2, 1, 0, 1) and g.winding == 0
+    assert gl_inverse(LiftedAuto(Matrix2(1, 1, 0, 1), big)).winding == -big
+    with pytest.raises(DomainError):
+        lift_eval(LiftedAuto(Matrix2(1, 1, 0, 1), big), Fraction(1, 3))
+
+
+def test_entries_beyond_the_float_range_raise_domain_error():
+    huge = LiftedAuto(Matrix2(10**400, 1, 1, 1), 0)
+    with pytest.raises(DomainError):
+        gl_compose(identity_auto(), huge)
+    with pytest.raises(DomainError):
+        lift_eval(huge, Fraction(1, 3))
+    shrink = LiftedAuto(Matrix2(1, 0, 0, Fraction(1, 10**400)), 0)
+    with pytest.raises(DomainError):
+        act_on_charge(shrink, CentralCharge(1, 0, 0, 0.5))
+    assert act_on_charge(shrink, CentralCharge(1, 0, 0, 1)).e == 10**400

@@ -1,6 +1,7 @@
 """Source-level guards over the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stabtorus"
@@ -42,3 +43,32 @@ def test_tolerances_live_in_exactnum():
             ):
                 found.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert found == []
+
+
+def test_traced_names_resolve():
+    # the benchmark tracer wraps these by name: a method through its class
+    # __dict__, a bare class through its __post_init__
+    tracer = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"), filename=str(tracer))
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    )
+    missing = []
+    for layer, entries in traced.items():
+        module = importlib.import_module(f"stabtorus.{layer}")
+        for entry in entries:
+            name = entry.rstrip("*")
+            if "." in name:
+                cls_name, meth = name.split(".")
+                ok = meth in getattr(getattr(module, cls_name, None), "__dict__", {})
+            else:
+                obj = getattr(module, name, None)
+                if isinstance(obj, type):
+                    obj = getattr(obj, "__post_init__", None)
+                ok = callable(obj)
+            if not ok:
+                missing.append(f"{layer}.{entry}")
+    assert traced and missing == []
