@@ -66,7 +66,8 @@ SKYSCRAPER_CLASS = KClass(0, 1)
 
 @dataclass(frozen=True)
 class CentralCharge:
-    """Frame (a, b; c, e) on the column (-chd, rk); entries exact or float."""
+    """Frame (a, b; c, e) on the column (-chd, rk); entries exact or finite
+    floats."""
 
     a: object
     b: object
@@ -75,7 +76,10 @@ class CentralCharge:
 
     def __post_init__(self):
         for f in ("a", "b", "c", "e"):
-            object.__setattr__(self, f, as_number(getattr(self, f)))
+            v = as_number(getattr(self, f))
+            if isinstance(v, float) and not math.isfinite(v):
+                raise DomainError(f"CentralCharge.{f} must be finite, got {v!r}")
+            object.__setattr__(self, f, v)
 
     def is_exact(self) -> bool:
         return all(is_exact(getattr(self, f)) for f in ("a", "b", "c", "e"))
@@ -201,7 +205,10 @@ def charge_norm(U: CentralCharge, label, d: int) -> float:
     UnsupportedSpectrum. There the semistable classes fill the skyscraper ray
     and the shifted-bundle ray and the supremum is
 
-        max( sqrt(a^2 + c^2), sqrt(b^2 + e^2) ).
+        max( sqrt(a^2 + c^2), sqrt(b^2 + e^2) ),
+
+    taken with math.hypot on the entries as floats, so the squares never
+    leave the float range; entries beyond it raise DomainError.
     """
     check_dimension(d)
     p = getattr(label, "p", None)
@@ -213,9 +220,8 @@ def charge_norm(U: CentralCharge, label, d: int) -> float:
         raise UnsupportedSpectrum(
             f"spectrum of the standard point p={p} is not completely known for d={d}"
         )
-    sky = U.a * U.a + U.c * U.c
-    ray = U.b * U.b + U.e * U.e
-    return math.sqrt(float(max(sky, ray)))
+    a, b, c, e = (to_float(x) for x in (U.a, U.b, U.c, U.e))
+    return max(math.hypot(a, c), math.hypot(b, e))
 
 
 def phase_in_strip(Z: CentralCharge, v: KClass, anchor):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .charges import CentralCharge
 from .errors import DomainError, NotNumericallyConsistent
 from .exactnum import HALF, as_number, direction_angle, is_exact, lift_near, to_float
-from .linalg import Matrix2
+from .linalg import Matrix2, mixed_dot
 
 
 @dataclass(frozen=True)
@@ -166,13 +166,6 @@ def act_on_charge(G: LiftedAuto, Z: CentralCharge) -> CentralCharge:
         return CentralCharge(a, b, c, e)
     (s, t), (u, v) = Ti.rows()
     return CentralCharge(
-        _dot(s, Z.a, t, Z.c), _dot(s, Z.b, t, Z.e), _dot(u, Z.a, v, Z.c), _dot(u, Z.b, v, Z.e)
+        mixed_dot(s, Z.a, t, Z.c), mixed_dot(s, Z.b, t, Z.e),
+        mixed_dot(u, Z.a, v, Z.c), mixed_dot(u, Z.b, v, Z.e),
     )
-
-
-def _dot(s, x, t, y):
-    """s*x + t*y for exact s and t, with the float semantics of Fraction
-    arithmetic: exact when x and y are, else a float."""
-    sx = s * x if is_exact(x) else to_float(s) * x
-    ty = t * y if is_exact(y) else to_float(t) * y
-    return sx + ty if is_exact(sx) and is_exact(ty) else to_float(sx) + to_float(ty)

@@ -20,6 +20,7 @@ a DomainError instead of an OverflowError past the float range.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .errors import DomainError, ZeroCharge
@@ -115,8 +116,11 @@ def direction_angle(x, y, den: int = 1):
 
     den is a positive int scaling an integer vector, 1 otherwise. Axis
     directions come back exact (0, 1, 1/2, -1/2); everything else is a float
-    from atan2 of the correctly rounded coordinates. Raises ZeroCharge on the
-    zero vector.
+    from atan2 of the correctly rounded coordinates. An exact vector with a
+    coordinate that rounds below the smallest normal float is first scaled
+    by a power of two that brings the larger one near 1, so a rounded-off or
+    subnormal coordinate does not bend the direction; with both coordinates
+    normal the result is unchanged. Raises ZeroCharge on the zero vector.
     """
     if x == 0 and y == 0:
         raise ZeroCharge("direction of the zero vector is undefined")
@@ -124,7 +128,22 @@ def direction_angle(x, y, den: int = 1):
         return Fraction(1) if x < 0 else Fraction(0)
     if x == 0:
         return HALF if y > 0 else -HALF
-    return math.atan2(to_float(y, den), to_float(x, den)) / math.pi
+    fy, fx = to_float(y, den), to_float(x, den)
+    if (abs(fy) < _MIN_NORMAL or abs(fx) < _MIN_NORMAL) and is_exact(x) and is_exact(y):
+        fy, fx = _rescaled(Fraction(y, den), Fraction(x, den))
+    return math.atan2(fy, fx) / math.pi
+
+
+_MIN_NORMAL = sys.float_info.min
+
+
+def _rescaled(y: Fraction, x: Fraction):
+    """The floats of y * 2**k and x * 2**k, for the k that puts the larger
+    magnitude in [1/2, 2)."""
+    m = max(abs(y), abs(x))
+    k = m.denominator.bit_length() - m.numerator.bit_length()
+    s = Fraction(2) ** k
+    return to_float(y * s), to_float(x * s)
 
 
 def cot_pi(gamma):

@@ -5,7 +5,8 @@ and ``den > 0`` with a = na/den and so on, in lowest terms:
 gcd(na, nb, nc, nd, den) = 1, so equal matrices have equal storage. Products,
 inverses and determinant signs are plain integer arithmetic. Entries are
 converted exactly on the way in (a float becomes its dyadic rational) and
-come back out as Fractions, so nothing downstream rounds.
+come back out as Fractions, so nothing downstream rounds. Where a float
+meets an exact value it does so through ``exactnum.to_float``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+
+from .exactnum import is_exact, to_float
 
 
 def _frac(x) -> Fraction:
@@ -101,13 +104,23 @@ class Matrix2:
 
     def apply(self, x, y):
         """Matrix times column vector; mixed exact/float input allowed."""
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
+        return (mixed_dot(self.a, x, self.b, y), mixed_dot(self.c, x, self.d, y))
 
     def column0(self):
         return (self.a, self.c)
 
     def rows(self):
         return ((self.a, self.b), (self.c, self.d))
+
+
+def mixed_dot(s, x, t, y):
+    """s*x + t*y for exact s and t, with the float semantics of Fraction
+    arithmetic: exact when x and y are, else a float. Exact values reach the
+    float side through to_float, so one beyond the float range is a
+    DomainError."""
+    sx = s * x if is_exact(x) else to_float(s) * x
+    ty = t * y if is_exact(y) else to_float(t) * y
+    return sx + ty if is_exact(sx) and is_exact(ty) else to_float(sx) + to_float(ty)
 
 
 def _reduced(a: int, b: int, c: int, d: int, den: int) -> Matrix2:

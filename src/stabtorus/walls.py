@@ -18,7 +18,14 @@ from dataclasses import dataclass, replace
 from .charges import CentralCharge, KClass, charge_eval, check_dimension, check_index
 from .errors import DomainError, NeverEscapes, OnSpectrum, ZeroCharge
 from .exactnum import HALF, as_number, gamma_from_cot, num_eq, phase_eq, phase_mod1
-from .hearts import StandardHeart, TorsionPairSpec, hrs_tilt, split_at_phase, standard_pair
+from .hearts import (
+    StandardHeart,
+    TiltedHeart,
+    TorsionPairSpec,
+    hrs_tilt,
+    split_at_phase,
+    standard_pair,
+)
 from .sheaves import ZERO_OBJECT
 from .stability import DegLabel, SpectrumDescriptor, StdLabel, spectrum_of
 
@@ -156,9 +163,32 @@ def boundary_heart(p: int, gamma, d: int):
     """The heart carried by the boundary behind the gap at gamma: the tilt of
     the standard heart p at the phase-cut pair. Below 1/2 the cut is trivial
     and the heart is unchanged; above 1/2 it reproduces the next standard
-    heart."""
+    heart.
+
+    hrs_tilt checks each pair once per process. A pair that passed is
+    remembered by (p, d, "standard") for gamma > 1/2 and (p, d, "trivial")
+    for gamma < 1/2 at p >= 1: there the predicates are those of
+    standard_pair(p, d) or the constant trivial ones, and the members checked
+    are those of StandardHeart(p, d), so the check cannot depend on gamma.
+    A repeat call tilts at its own pair, named for its own gamma, without the
+    check. A failed check is never stored, nor is the p = 0 cut below 1/2,
+    which splits at gamma itself.
+    """
     boundary_at(p, gamma, d)  # validates p, gamma and the spectrum condition
-    return hrs_tilt(StandardHeart(p, d), phase_cut_pair(p, gamma, d))
+    pair = phase_cut_pair(p, gamma, d)
+    base = StandardHeart(p, d)
+    above = as_number(gamma) > HALF
+    key = (p, d, "standard" if above else "trivial")
+    if key in _CHECKED_CUTS:
+        return TiltedHeart(base, pair)
+    heart = hrs_tilt(base, pair)
+    if above or p >= 1:
+        _CHECKED_CUTS.add(key)
+    return heart
+
+
+# boundary_heart's phase cuts that passed hrs_tilt: at most 2d keys per d
+_CHECKED_CUTS: set = set()
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +218,8 @@ def twist_escape(ideal_class: KClass, twist_class: KClass, gamma_minus, Z: Centr
     phase test cannot settle the crossing in floats.
     """
     gm = as_number(gamma_minus)
-    if any(isinstance(x, float) and not math.isfinite(x) for x in (gm, Z.a, Z.b, Z.c, Z.e)):
-        raise DomainError("twist escape needs a finite record phase and charge")
+    if isinstance(gm, float) and not math.isfinite(gm):
+        raise DomainError("twist escape needs a finite record phase")
     zi = charge_eval(Z, ideal_class)
     if zi[0] == 0 and zi[1] == 0:
         raise ZeroCharge("the charge kills the starting class")

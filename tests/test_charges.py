@@ -201,6 +201,15 @@ def test_charge_norm_values():
     assert charge_norm(CentralCharge(3, 0, 4, 0), StdLabel(1), d) == 5.0
 
 
+def test_charge_norm_at_extreme_magnitudes():
+    with pytest.raises(DomainError):
+        charge_norm(CentralCharge(10**400, 0, 0, 1), StdLabel(1), 4)
+    # the squares leave the float range, the norm does not
+    assert charge_norm(CentralCharge(10**200, 0, 0, 1), StdLabel(1), 4) == 1e200
+    assert charge_norm(CentralCharge(0, Fraction(3, 10**200), 0, Fraction(4, 10**200)),
+                       StdLabel(1), 4) == 5e-200
+
+
 def test_charge_norm_rejects_unknown_spectra():
     with pytest.raises(UnsupportedSpectrum):
         charge_norm(std_charge(0), StdLabel(0), 4)
@@ -224,6 +233,22 @@ def test_determinant_sign_is_orbit_invariant():
                 break
         moved = act_on_charge(LiftedAuto(m, 0), Z)
         assert (moved.det() > 0) == base_sign
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("field", range(4))
+def test_central_charge_rejects_non_finite_entries(bad, field):
+    entries = [1, 0, 0, 1]
+    entries[field] = bad
+    with pytest.raises(DomainError):
+        CentralCharge(*entries)
+
+
+def test_classify_never_answers_from_an_infinite_charge():
+    from stabtorus.stability import classify
+
+    with pytest.raises(DomainError):
+        classify(CentralCharge(float("inf"), 0, 0, 1), 1, Fraction(1, 2), 4)
 
 
 def test_charge_index_validation():

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabtorus.exactnum import (
     TOL,
@@ -82,6 +83,13 @@ def test_matrix_basics():
     assert Matrix2.scalar(3).apply(1, 1) == (3, 3)
 
 
+def test_matrix_apply_beyond_the_float_range_is_a_domain_error():
+    m = Matrix2(10**400, 0, 0, 1)
+    with pytest.raises(DomainError):
+        m.apply(0.5, 0)
+    assert m.apply(1, 0) == (10**400, 0)  # exact input stays exact
+
+
 def test_matrix_inverse_is_exact():
     m = Matrix2(2, 1, 1, 1)
     inv = m.inverse()
@@ -99,3 +107,35 @@ def test_matrix_entries_coerced_to_fractions():
     m = Matrix2("1/2", 0, 0, 2)
     assert m.a == Fraction(1, 2)
     assert m.det() == 1
+
+
+def test_tiny_exact_vectors_keep_their_direction():
+    tiny = Fraction(1, 10**400)
+    assert direction_angle(tiny, tiny) == 0.25
+    assert direction_angle(-tiny, tiny) == 0.75
+    assert direction_angle(tiny, -tiny, 3) == -0.25
+    # in-range and float input take the plain atan2
+    assert direction_angle(5e-324, 5e-324) == 0.25
+    assert direction_angle(1, 3) == math.atan2(3, 1) / math.pi
+
+
+def r_direction_normalized(x: Fraction, y: Fraction) -> float:
+    m = max(abs(x), abs(y))
+    return math.atan2(float(y / m), float(x / m)) / math.pi
+
+
+tiny_coordinates = st.builds(
+    lambda sign, mantissa, k: sign * Fraction(mantissa, 10**k),
+    st.sampled_from([1, -1]),
+    st.integers(1, 10**6),
+    st.integers(300, 406),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_coordinates, tiny_coordinates)
+def test_tiny_exact_directions_match_the_normalized_reference(x, y):
+    # magnitudes 1e-400..1e-300: a coordinate may round to zero or to a
+    # subnormal, which atan2 alone would turn into the wrong direction
+    got = direction_angle(x, y)
+    assert math.isclose(got, r_direction_normalized(x, y), rel_tol=1e-14, abs_tol=1e-300)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stabtorus"
@@ -15,6 +16,26 @@ def test_no_assert_statements():
     for path in sources:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_src_imports_only_the_stdlib():
+    # the package has no runtime dependencies; relative imports stay inside it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
     assert found == []
 
 

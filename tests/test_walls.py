@@ -25,7 +25,8 @@ from stabtorus.sheaves import (
     make_torsion_free,
     sheaf_at,
 )
-from stabtorus.hearts import hearts_agree_on, iterated_heart
+from stabtorus import walls
+from stabtorus.hearts import hearts_agree_on, heart_membership, hrs_tilt, iterated_heart
 from stabtorus.stability import DegLabel, StdLabel, spectrum_of
 from stabtorus.walls import (
     GAMMA_MINUS_VACUOUS,
@@ -223,6 +224,76 @@ def test_level_zero_cut_needs_declared_steps():
     h = boundary_heart(0, Fraction(3, 10), 4)
     with pytest.raises(MissingHNData):
         h.cohomology(sheaf_at(0, make_torsion_free(1, 1)))
+
+
+# boundary_heart checks each (p, d, cut kind) once; these tests start cold
+
+
+@pytest.fixture
+def cold_cuts():
+    walls._CHECKED_CUTS.clear()
+    return walls._CHECKED_CUTS
+
+
+def test_boundary_heart_agrees_with_its_target_cold_and_warm(cold_cuts):
+    d = 4
+    corpus = list(enumerate_objects(2, range(-(d - 1), 1), d))
+    sides = {
+        "trivial": [Fraction(1, 5), Fraction(3, 10), Fraction(2, 5), Fraction(9, 20)],
+        "standard": [Fraction(11, 20), Fraction(3, 5), Fraction(7, 10), Fraction(4, 5)],
+    }
+    checked = 0
+    for p in range(d):
+        for kind, gammas in sides.items():
+            gammas = [g for g in gammas if boundary_at(p, g, d).is_wall]
+            if not gammas:
+                continue
+            assert (p, d, kind) not in cold_cuts
+            for gamma in gammas[:2]:  # the cold call, then a warm one
+                q = boundary_at(p, gamma, d).target.p
+                h = boundary_heart(p, gamma, d)
+                seen = [h.contains(E) for E in corpus]
+                assert seen == [heart_membership(E, q, d) for E in corpus], (p, gamma)
+                assert (p, d, kind) in cold_cuts
+                checked += 1
+    assert checked == 2 * (2 * d - 2)
+
+
+def test_warm_boundary_heart_names_its_own_gamma(cold_cuts, monkeypatch):
+    calls = []
+
+    def counted(heart, pair):
+        calls.append(pair.name)
+        return hrs_tilt(heart, pair)
+
+    monkeypatch.setattr(walls, "hrs_tilt", counted)
+    names = [boundary_heart(1, g, 4).pair.name for g in ("7/10", "4/5", "0.65")]
+    assert names == ["phase-cut-1-at-7/10", "phase-cut-1-at-4/5", "phase-cut-1-at-0.65"]
+    assert calls == ["phase-cut-1-at-7/10"]
+    assert cold_cuts == {(1, 4, "standard")}
+
+
+def test_level_zero_low_cut_is_never_stored(cold_cuts):
+    boundary_heart(0, Fraction(3, 10), 4)
+    boundary_heart(0, Fraction(2, 5), 4)
+    assert cold_cuts == set()
+
+
+def test_warm_memo_still_rejects_bad_gammas(cold_cuts):
+    d = 4
+    for p in range(d):
+        boundary_heart(p, Fraction(7, 10), d)
+        if p:
+            boundary_heart(p, Fraction(3, 10), d)
+    warm = set(cold_cuts)
+    assert len(warm) == 2 * d - 1
+    # 1/4 and its float are stable phases of Std(0); the rest leave (0, 1),
+    # sit on 1/2 or name no heart
+    for p, gamma in [(0, Fraction(1, 4)), (0, 0.25), (1, 1), (2, Fraction(3, 2)),
+                     (1, Fraction(1, 2)), (3, 0), (4, Fraction(7, 10))]:
+        with pytest.raises(DomainError):
+            boundary_heart(p, gamma, d)
+    assert cold_cuts == warm
 
 
 def test_phase_cut_above_half_rejects_foreign_objects():
