@@ -10,12 +10,19 @@ is a real 2x2 frame acting on the column (-chd, rk):
 so the skyscraper class (0, 1) goes to -a - i*c. The standard charges are
 ``std_charge`` (one per heart index, period two) and the degenerate boundary
 charges ``deg_charge`` whose image is a ray plus its negative.
+
+An exact charge is stored as one ``linalg.Matrix2``: four integer numerators
+over one positive denominator. Values, determinant signs, the stability test
+and the cover action are integer arithmetic on it, and Fractions appear only
+when a, b, c or e is read. A charge with a float entry keeps its four values
+and the float semantics of Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from fractions import Fraction
 
 from .errors import DomainError, NoPhaseInWindow, UnsupportedSpectrum, ZeroCharge
 from .exactnum import (
@@ -23,7 +30,6 @@ from .exactnum import (
     as_number,
     cot_pi,
     direction_angle,
-    is_exact,
     lift_near,
     num_eq,
     to_float,
@@ -63,53 +69,139 @@ class KClass:
 ZERO_CLASS = KClass(0, 0)
 SKYSCRAPER_CLASS = KClass(0, 1)
 
+_EXACT = (int, Fraction)
 
-@dataclass(frozen=True)
+
+def _entry_value(name: str, x):
+    """A charge entry as a Fraction or a finite float."""
+    try:
+        v = as_number(x)
+    except TypeError:
+        raise DomainError(f"CentralCharge.{name} must be a number, got {x!r}") from None
+    if isinstance(v, float) and not math.isfinite(v):
+        raise DomainError(f"CentralCharge.{name} must be finite, got {v!r}")
+    return v
+
+
+def _charge_entry(i: int) -> property:
+    def get(self):
+        F = self._frame
+        return self._values[i] if F is None else Fraction(F.num[i], F.den)
+
+    return property(get)
+
+
+def _charge(frame, values) -> CentralCharge:
+    Z = object.__new__(CentralCharge)
+    object.__setattr__(Z, "_frame", frame)
+    object.__setattr__(Z, "_values", values)
+    return Z
+
+
 class CentralCharge:
     """Frame (a, b; c, e) on the column (-chd, rk); entries exact or finite
-    floats."""
+    floats.
 
-    a: object
-    b: object
-    c: object
-    e: object
+    An exact frame is one ``Matrix2`` ((a, b), (c, e)): integer numerators
+    over one positive denominator in lowest terms. ``frame()`` returns it as
+    it is, and a, b, c, e come out as Fractions on read. A frame with a float
+    entry keeps its four values, exact ones as Fractions, and computes with
+    them in floats as Fraction arithmetic would. Equality, hashing and the
+    repr are those of a frozen dataclass with the fields a, b, c, e, so an
+    exact charge equals and hashes like its equal-valued float twin.
+    """
 
-    def __post_init__(self):
-        for f in ("a", "b", "c", "e"):
-            v = as_number(getattr(self, f))
-            if isinstance(v, float) and not math.isfinite(v):
-                raise DomainError(f"CentralCharge.{f} must be finite, got {v!r}")
-            object.__setattr__(self, f, v)
+    __slots__ = ("_frame", "_values")  # Matrix2 of an exact frame, else the four values
+    __match_args__ = ("a", "b", "c", "e")
+
+    def __new__(cls, a, b, c, e):
+        entries = (a, b, c, e)
+        if not (type(a) in _EXACT and type(b) in _EXACT and type(c) in _EXACT
+                and type(e) in _EXACT):
+            entries = tuple(map(_entry_value, "abce", entries))
+            if float in map(type, entries):
+                return _charge(None, entries)
+        return _charge(Matrix2(*entries), None)
+
+    a, b, c, e = map(_charge_entry, range(4))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _entries(self) -> tuple:
+        F = self._frame
+        return self._values if F is None else tuple(Fraction(n, F.den) for n in F.num)
+
+    def __eq__(self, other):
+        if other.__class__ is not CentralCharge:
+            return NotImplemented
+        if self._frame is not None and other._frame is not None:
+            return self._frame == other._frame
+        return self._entries() == other._entries()
+
+    def __hash__(self):
+        return hash(self._entries())
+
+    def __repr__(self):
+        return "CentralCharge(a={!r}, b={!r}, c={!r}, e={!r})".format(*self._entries())
+
+    def __reduce__(self):
+        return (CentralCharge, self._entries())
 
     def is_exact(self) -> bool:
-        return all(is_exact(getattr(self, f)) for f in ("a", "b", "c", "e"))
+        return self._frame is not None
 
     def frame(self) -> Matrix2:
         """Exact matrix form; float entries are converted exactly."""
-        return Matrix2(self.a, self.b, self.c, self.e)
+        return self._frame if self._frame is not None else Matrix2(*self._values)
 
     def det(self):
-        return self.a * self.e - self.b * self.c
+        if self._frame is not None:
+            return self._frame.det()
+        a, b, c, e = self._values
+        return a * e - b * c
 
     def is_degenerate(self) -> bool:
+        if self._frame is not None:
+            return self._frame.det_sign() == 0
         det = self.det()
-        if self.is_exact():
-            return det == 0
-        scale = max(1.0, max(abs(to_float(getattr(self, f))) for f in ("a", "b", "c", "e")) ** 2)
+        scale = max(1.0, max(abs(to_float(v)) for v in self._values) ** 2)
         return num_eq(det, 0, scale=scale)
+
+
+_STD_CHARGES = (CentralCharge(1, 0, 0, 1), CentralCharge(1, 0, 0, -1))
 
 
 def charge_eval(Z: CentralCharge, v: KClass):
     """Value of Z on v as the pair (re, im); exact when Z is exact."""
+    re, im, den = _charge_num(Z, v)
+    return (re, im) if Z._frame is None else (Fraction(re, den), Fraction(im, den))
+
+
+def _charge_num(Z: CentralCharge, v: KClass):
+    """Z(v) as (re, im, den) meaning (re, im) / den: integer numerators over
+    the denominator of an exact Z, charge_eval's pair over 1 otherwise. Either
+    form goes to ``direction_angle`` as it is."""
     x = -v.chd
     y = v.rk
-    return (Z.a * x + Z.b * y, Z.c * x + Z.e * y)
+    F = Z._frame
+    if F is None:
+        a, b, c, e = Z._values
+        return (a * x + b * y, c * x + e * y, 1)
+    a, b, c, e = F.num
+    return (a * x + b * y, c * x + e * y, F.den)
 
 
 def std_charge(p: int, d: int | None = None) -> CentralCharge:
     """Charge of the standard point with heart index p: -chd + (-1)^p * i * rk."""
-    _check_index(p, d)
-    return CentralCharge(1, 0, 0, (-1) ** p)
+    check_index(p, "heart index must be a nonnegative integer, got {p!r}")
+    if d is not None:
+        check_dimension(d)
+        check_index(p, "heart index {p} exceeds d-1 = {hi}", hi=d - 1)
+    return _STD_CHARGES[p % 2]
 
 
 def deg_charge(p: int, gamma, d: int | None = None) -> CentralCharge:
@@ -118,7 +210,10 @@ def deg_charge(p: int, gamma, d: int | None = None) -> CentralCharge:
     Z(v) = -chd - (-1)^p * cot(pi*gamma) * rk, purely real, with gamma in
     (0, 1/2). Requires p >= 1.
     """
-    _check_index(p, d)
+    check_index(p, "heart index must be a nonnegative integer, got {p!r}")
+    if d is not None:
+        check_dimension(d)
+        check_index(p, "heart index {p} exceeds d-1 = {hi}", hi=d - 1)
     if p < 1:
         raise DomainError("degenerate charges need heart index p >= 1")
     g = as_number(gamma)
@@ -139,14 +234,6 @@ def check_index(p, message: str, lo: int = 0, hi: int | None = None) -> None:
         raise DomainError(message.format(p=p, hi=hi))
 
 
-def _check_index(p: int, d: int | None) -> None:
-    check_index(p, "heart index must be a nonnegative integer, got {p!r}")
-    if d is not None:
-        check_dimension(d)
-        if p > d - 1:
-            raise DomainError(f"heart index {p} exceeds d-1 = {d - 1}")
-
-
 def check_dimension(d: int) -> None:
     if isinstance(d, bool) or not isinstance(d, int) or d < 3:
         raise DomainError(f"torus dimension must be an integer >= 3, got {d!r}")
@@ -164,14 +251,20 @@ def is_stability_function(Z: CentralCharge, p: int, d: int | None = None):
     degree) together with (0, t), t >= 1 (torsion). For p >= 1 they are
     (0, t), t >= 1, and (eps*r, m) with eps = (-1)^p, r >= 1, m >= 0
     (shifted bundles plus torsion summands).
+
+    An exact Z is decided on its integer numerators: a common positive
+    denominator changes none of the signs tested, nor floor(e/c).
     """
-    _check_index(p, d)
-    a, b, c, e = Z.a, Z.b, Z.c, Z.e
+    check_index(p, "heart index must be a nonnegative integer, got {p!r}")
+    if d is not None:
+        check_dimension(d)
+        check_index(p, "heart index {p} exceeds d-1 = {hi}", hi=d - 1)
+    a, b, c, e = Z._values if Z._frame is None else Z._frame.num
     if p == 0:
         # torsion classes (0, t): need c == 0 and then Re = -a*t < 0
         if c != 0:
             # rank-one class with chd large of the right sign gives Im < 0
-            m = math.floor(e / c) + 1 if c > 0 else math.ceil(e / c) - 1
+            m = _floor_ratio(e, c) + 1 if c > 0 else -_floor_ratio(-e, c) - 1
             return (False, KClass(1, int(m)))
         if e < 0:
             return (False, KClass(1, 0))
@@ -180,9 +273,9 @@ def is_stability_function(Z: CentralCharge, p: int, d: int | None = None):
             if b >= 0:
                 return (False, KClass(1, 0))
             if a > 0:
-                return (False, KClass(1, math.floor(b / a)))
+                return (False, KClass(1, _floor_ratio(b, a)))
             if a < 0:
-                return (False, KClass(1, math.ceil(b / a)))
+                return (False, KClass(1, -_floor_ratio(-b, a)))
             return (False, KClass(0, 1))
         if a <= 0:
             return (False, KClass(0, 1))
@@ -194,6 +287,12 @@ def is_stability_function(Z: CentralCharge, p: int, d: int | None = None):
     if e * eps < 0 or (e * eps == 0 and b * eps >= 0):
         return (False, KClass(eps, 0))
     return (True, None)
+
+
+def _floor_ratio(x, y) -> int:
+    """floor(x / y), by integer division when both are integers; the ceiling
+    is -_floor_ratio(-x, y)."""
+    return x // y if type(x) is int and type(y) is int else math.floor(x / y)
 
 
 def charge_norm(U: CentralCharge, label, d: int) -> float:
@@ -231,10 +330,10 @@ def phase_in_strip(Z: CentralCharge, v: KClass, anchor):
     when Z(v) = 0 and NoPhaseInWindow when no representative mod 2 fits,
     which happens for half of the possible directions.
     """
-    re, im = charge_eval(Z, v)
+    re, im, den = _charge_num(Z, v)
     if re == 0 and im == 0:
         raise ZeroCharge(f"charge vanishes on {v}")
-    theta = direction_angle(re, im)
+    theta = direction_angle(re, im, den)
     anchor = as_number(anchor)
     cand = lift_near(theta, anchor + HALF)
     if anchor < cand <= anchor + 1:

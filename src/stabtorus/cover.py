@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .charges import CentralCharge
+from .charges import CentralCharge, _charge
 from .errors import DomainError, NotNumericallyConsistent
 from .exactnum import HALF, as_number, direction_angle, is_exact, lift_near, to_float
 from .linalg import Matrix2, mixed_dot
@@ -160,10 +160,14 @@ def act_on_charge(G: LiftedAuto, Z: CentralCharge) -> CentralCharge:
     The left action of a cover element on a charge is act_on_charge applied
     to its gl_inverse.
     """
-    Ti = G.T.inverse()
+    return _pull_back(G.T.inverse(), Z)
+
+
+def _pull_back(Ti: Matrix2, Z: CentralCharge) -> CentralCharge:
+    """The charge with frame Ti * frame(Z): integer products for an exact Z,
+    the float semantics of Fraction arithmetic otherwise."""
     if Z.is_exact():
-        (a, b), (c, e) = (Ti @ Z.frame()).rows()
-        return CentralCharge(a, b, c, e)
+        return _charge(Ti @ Z.frame(), None)
     (s, t), (u, v) = Ti.rows()
     return CentralCharge(
         mixed_dot(s, Z.a, t, Z.c), mixed_dot(s, Z.b, t, Z.e),

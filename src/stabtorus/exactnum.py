@@ -176,7 +176,8 @@ def gamma_from_cot(c):
     return math.atan2(1.0, to_float(c)) / math.pi
 
 
-def phase_mod1(re, im):
-    """Phase of the nonzero value re + i*im folded into (0, 1]."""
-    theta = direction_angle(re, im)
+def phase_mod1(re, im, den: int = 1):
+    """Phase of the nonzero value (re + i*im) / den folded into (0, 1]; den
+    as in ``direction_angle``."""
+    theta = direction_angle(re, im, den)
     return theta if theta > 0 else theta + 1

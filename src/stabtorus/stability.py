@@ -22,7 +22,7 @@ from .charges import (
     CentralCharge,
     KClass,
     SKYSCRAPER_CLASS,
-    charge_eval,
+    _charge_num,
     check_dimension,
     check_index,
     deg_charge,
@@ -30,7 +30,7 @@ from .charges import (
 )
 from .cover import (
     LiftedAuto,
-    act_on_charge,
+    _pull_back,
     gl_compose,
     gl_inverse,
     identity_auto,
@@ -101,17 +101,27 @@ class StabPoint:
             return std_charge(self.label.p)
         return deg_charge(self.label.p, self.label.gamma)
 
+    def _g_inverse(self) -> LiftedAuto:
+        """gl_inverse(g), computed once per point. It is kept in the instance
+        dict, not in a field, so ==, hash and repr ignore it."""
+        gi = self.__dict__.get("_gi")
+        if gi is None:
+            gi = gl_inverse(self.g)
+            object.__setattr__(self, "_gi", gi)
+        return gi
+
     def charge(self) -> CentralCharge:
-        return act_on_charge(self.g, self.base_charge())
+        """act_on_charge(g, base charge), through the shared inverse."""
+        return _pull_back(self._g_inverse().T, self.base_charge())
 
     def phi_sky(self):
         """Lifted skyscraper phase at this point."""
-        return lift_eval(gl_inverse(self.g), 1)
+        return lift_eval(self._g_inverse(), 1)
 
     def psi_line(self):
         """Lifted phase of the positive rank ray at this point."""
         base = HALF - self.label.p if isinstance(self.label, StdLabel) else 1 - self.label.p
-        return lift_eval(gl_inverse(self.g), base)
+        return lift_eval(self._g_inverse(), base)
 
 
 def make_std(p: int, d: int) -> StabPoint:
@@ -404,8 +414,7 @@ def subobject_classes(E: FormalObject, p: int, d: int) -> set:
 
 def heart_phase(v: KClass, p: int):
     """Phase in (0, 1] of a nonzero class under the index-p standard charge."""
-    re, im = charge_eval(std_charge(p), v)
-    return phase_mod1(re, im)
+    return phase_mod1(*_charge_num(std_charge(p), v))
 
 
 def is_stable_in_model(E: FormalObject, p: int, d: int) -> bool:
@@ -437,10 +446,10 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
     check_dimension(d)
     phi = as_number(phi_sky)
     psi = as_number(psi_line)
-    re, im = charge_eval(Z, SKYSCRAPER_CLASS)
+    re, im, den = _charge_num(Z, SKYSCRAPER_CLASS)
     if re == 0 and im == 0:
         raise NotInU("the skyscraper class has zero charge")
-    theta = direction_angle(re, im)
+    theta = direction_angle(re, im, den)
     phi_f, psi_f = to_float(phi), to_float(psi)
     # phi must lift the actual direction of Z(skyscraper)
     gap = (phi_f - to_float(theta)) / 2

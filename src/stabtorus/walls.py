@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
-from .charges import CentralCharge, KClass, charge_eval, check_dimension, check_index
+from .charges import CentralCharge, KClass, _charge_num, check_dimension, check_index
 from .errors import DomainError, NeverEscapes, OnSpectrum, ZeroCharge
 from .exactnum import HALF, as_number, gamma_from_cot, num_eq, phase_eq, phase_mod1
 from .hearts import (
@@ -220,31 +221,34 @@ def twist_escape(ideal_class: KClass, twist_class: KClass, gamma_minus, Z: Centr
     gm = as_number(gamma_minus)
     if isinstance(gm, float) and not math.isfinite(gm):
         raise DomainError("twist escape needs a finite record phase")
-    zi = charge_eval(Z, ideal_class)
-    if zi[0] == 0 and zi[1] == 0:
+    # iterates zi + n*ze over one denominator: integers for an exact Z
+    zi0, zi1, den = _charge_num(Z, ideal_class)
+    if zi0 == 0 and zi1 == 0:
         raise ZeroCharge("the charge kills the starting class")
-    ze = charge_eval(Z, twist_class)
-    if ze[0] == 0 and ze[1] == 0:
+    ze0, ze1, _ = _charge_num(Z, twist_class)
+    if ze0 == 0 and ze1 == 0:
         raise ZeroCharge("the charge kills the twisting class")
-    if not float(phase_mod1(*ze)) > float(gm):
+    top = float(phase_mod1(ze0, ze1, den))
+    record = float(gm)
+    if not top > record:
         raise NeverEscapes(
             "the twisting class sits at or below the record phase; iterates "
             "cannot cross it"
         )
 
     def crosses(n):
-        re = zi[0] + n * ze[0]
-        im = zi[1] + n * ze[1]
-        return (re != 0 or im != 0) and float(phase_mod1(re, im)) > float(gm)
+        re = zi0 + n * ze0
+        im = zi1 + n * ze1
+        return (re != 0 or im != 0) and float(phase_mod1(re, im, den)) > record
 
-    rising = zi[0] * ze[1] - zi[1] * ze[0] > 0
+    rising = zi0 * ze1 - zi1 * ze0 > 0
     # v_t = zi + t*ze meets the real axis only at t = n0, unless every
     # iterate is real; then n0 is where v_t passes through 0
     n0 = None
-    if ze[1] != 0:
-        n0 = -zi[1] / ze[1]
-    elif zi[1] == 0:
-        n0 = -zi[0] / ze[0]
+    if ze1 != 0:
+        n0 = _quotient(-zi1, ze1)
+    elif zi1 == 0:
+        n0 = _quotient(-zi0, ze0)
     # runs of n >= 1 split at n0, as (first, last or None)
     runs = [(1, None)]
     if n0 is not None and n0 >= 1:
@@ -256,12 +260,18 @@ def twist_escape(ideal_class: KClass, twist_class: KClass, gamma_minus, Z: Centr
         raise DomainError("the iterates leave the float range of the phase test") from None
     if n is not None:
         return n
-    if ze[1] == 0 and zi[1] * ze[0] > 0:
+    if ze1 == 0 and zi1 * ze0 > 0:
         raise NeverEscapes(
             "the iterates approach the real twist charge from the side where "
             "the phase falls to 0; they never cross the record phase"
         )
     raise DomainError("the phase comparison lost the crossing to float rounding")
+
+
+def _quotient(x, y):
+    """x / y, a Fraction for integers: a float quotient could land a
+    non-integer n0 on an integer."""
+    return Fraction(x, y) if type(x) is int and type(y) is int else x / y
 
 
 def _first_crossing(crosses, runs, rising: bool):

@@ -235,7 +235,8 @@ def test_determinant_sign_is_orbit_invariant():
         assert (moved.det() > 0) == base_sign
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+# booleans and non-numbers raise DomainError, as in KClass, not a bare TypeError
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), True, None, [1]])
 @pytest.mark.parametrize("field", range(4))
 def test_central_charge_rejects_non_finite_entries(bad, field):
     entries = [1, 0, 0, 1]

@@ -1,21 +1,25 @@
 """The integer kernel against a Fraction reference kept in this file.
 
 The reference is the arithmetic the kernel replaced: a matrix is a 4-tuple of
-Fractions, and a lift is evaluated through the Fraction-based canonical
-value, which applies Fraction entries to the vector and takes atan2 of the
-float coordinates. Answers must match the reference to the repr, errors to
-the name and message.
+Fractions, a lift is evaluated through the Fraction-based canonical value,
+which applies Fraction entries to the vector and takes atan2 of the float
+coordinates, and a central charge is a frozen dataclass of four Fractions or
+floats. Answers must match the reference to the repr, errors to the name and
+message.
 """
 
 import math
+import pickle
+from dataclasses import FrozenInstanceError, astuple, dataclass
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from stabtorus.charges import CentralCharge
+from stabtorus.charges import CentralCharge, KClass, charge_eval
 from stabtorus.cover import LiftedAuto, act_on_charge, gl_compose, gl_inverse, lift_eval
 from stabtorus.errors import NotInU, NotNumericallyConsistent
-from stabtorus.exactnum import HALF, PHASE_TOL, floor_near
+from stabtorus.exactnum import HALF, PHASE_TOL, TOL, floor_near
 from stabtorus.linalg import Matrix2
 from stabtorus.stability import act, classify, make_std
 
@@ -135,6 +139,53 @@ def r_classify(Z, phi, psi, d):
             f"psi_line = {psi} disagrees with the rank-ray phase {check}"
         )
     return f"StabPoint(label=StdLabel(p={p_hat}), g={auto_repr(M, w)})"
+
+
+@dataclass(frozen=True)
+class RefCharge:
+    """The dataclass CentralCharge: entries coerced to Fractions, floats kept."""
+
+    a: object
+    b: object
+    c: object
+    e: object
+
+    def __post_init__(self):
+        for f in ("a", "b", "c", "e"):
+            object.__setattr__(self, f, r_number(getattr(self, f)))
+
+
+def r_number(x):
+    if isinstance(x, str):
+        try:
+            return Fraction(x.strip())
+        except (ValueError, ZeroDivisionError):
+            return float(x)
+    return x if isinstance(x, float) else Fraction(x)
+
+
+def charge_repr(R):
+    return repr(R).replace("RefCharge", "CentralCharge", 1)
+
+
+def r_degenerate(R):
+    det = R.a * R.e - R.b * R.c
+    if all(is_exact(x) for x in astuple(R)):
+        return det == 0
+    scale = max(1.0, max(abs(float(x)) for x in astuple(R)) ** 2)
+    return abs(float(det)) <= TOL * scale
+
+
+def r_charge_eval(R, v):
+    x, y = -v.chd, v.rk
+    return (R.a * x + R.b * y, R.c * x + R.e * y)
+
+
+def r_act_on_ref(T, R):
+    a, b, c, d = r_inv(T)
+    return charge_repr(
+        RefCharge(a * R.a + b * R.c, a * R.b + b * R.e, c * R.a + d * R.c, c * R.b + d * R.e)
+    )
 
 
 def matrix_repr(m):
@@ -269,3 +320,51 @@ def test_classify_matches_the_fraction_reference(g, p, nudge, as_float):
         phi, psi = float(phi), float(psi)
     assume(not Z.is_degenerate())
     assert outcome(classify, Z, phi, psi, 5) == ref_outcome(r_classify, Z, phi, psi, 5)
+
+
+# ---------------------------------------------------------------------------
+# central charges: integer numerators over one denominator when exact
+
+kclasses = st.builds(KClass, st.integers(-9, 9), st.integers(-9, 9))
+dyadic = st.builds(lambda m, j: Fraction(m, 2 ** j), st.integers(-999, 999), st.integers(0, 30))
+
+
+@settings(max_examples=400, deadline=None)
+@given(quads, kclasses, autos)
+def test_central_charge_matches_the_fraction_reference(quad, v, g):
+    # int, Fraction, scaled, str and float entries, exact and mixed frames
+    Z, R = CentralCharge(*quad), RefCharge(*quad)
+    ref = astuple(R)
+    assert repr(Z) == charge_repr(R)
+    assert repr((Z.a, Z.b, Z.c, Z.e)) == repr(ref)
+    assert [type(x) for x in (Z.a, Z.b, Z.c, Z.e)] == [type(x) for x in ref]
+    assert Z.is_exact() == all(is_exact(x) for x in ref)
+    assert Z == CentralCharge(*ref) and hash(Z) == hash(R) == hash(ref)
+    assert repr(Z.frame()) == matrix_repr(as_ref(ref))
+    assert repr(Z.det()) == repr(R.a * R.e - R.b * R.c)
+    assert Z.is_degenerate() == r_degenerate(R)
+    assert repr(charge_eval(Z, v)) == repr(r_charge_eval(R, v))
+    T, w = g
+    assert outcome(act_on_charge, LiftedAuto(Matrix2(*T), w), Z) == ref_outcome(r_act_on_ref, T, R)
+    copy = pickle.loads(pickle.dumps(Z))
+    assert copy == Z and repr(copy) == repr(Z) and copy.is_exact() == Z.is_exact()
+    for name in ("a", "b", "c", "e", "_frame"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(Z, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(Z, name)
+    assert repr(Z) == charge_repr(R)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(dyadic, dyadic, dyadic, dyadic), st.lists(st.booleans(), min_size=4, max_size=4))
+def test_exact_charges_equal_and_hash_like_their_float_twins(quad, as_float):
+    # dyadic entries convert to floats exactly, so the twins are equal-valued
+    exact = CentralCharge(*quad)
+    twin = CentralCharge(*(float(x) if f else x for x, f in zip(quad, as_float)))
+    assert exact == twin and twin == exact and hash(exact) == hash(twin)
+    assert twin.is_exact() == (not any(as_float))
+    assert exact.frame() == twin.frame()
+    other = CentralCharge(quad[0] + Fraction(1, 3), *quad[1:])
+    assert exact != other and twin != other
+    assert (exact == quad) is False and exact != RefCharge(*quad)

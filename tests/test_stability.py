@@ -1,5 +1,7 @@
 """Stability points, spectra, HN filtrations, and the classification map."""
 
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from stabtorus.cover import (
     LiftedAuto,
     act_on_charge,
     gl_equal,
+    gl_inverse,
     identity_auto,
     lift_eval,
     shift_auto,
@@ -103,6 +106,19 @@ def test_act_composes_group_parts():
     assert not gl_equal(moved.g, s.g)
     # the deck transformation shifts the skyscraper phase down by two
     assert moved.phi_sky() == s.phi_sky() - 2
+
+
+def test_point_keeps_its_shared_inverse_out_of_the_fields():
+    # charge, phi_sky and psi_line share one gl_inverse, stored beside the fields
+    g = LiftedAuto(Matrix2(2, 1, 1, 1), 1)
+    used, fresh = act(g, make_std(1, 5)), act(g, make_std(1, 5))
+    assert (used.charge(), used.phi_sky(), used.psi_line()) == (
+        act_on_charge(g, std_charge(1)), lift_eval(gl_inverse(g), 1),
+        lift_eval(gl_inverse(g), Fraction(-1, 2)),
+    )
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(used)] == ["label", "g"]
+    assert pickle.loads(pickle.dumps(used)) == fresh
 
 
 def test_spectrum_shapes():

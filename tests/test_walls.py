@@ -354,7 +354,14 @@ def _scan(ideal, twist, gm, Z, limit):
 SCAN_LIMIT = 2000
 classes = st.builds(KClass, st.integers(-6, 6), st.integers(-6, 6))
 entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-charges = st.builds(CentralCharge, entries, entries, entries, entries)
+# frames whose integer numerators share a denominator greater than 1
+over_a_denominator = st.builds(
+    lambda nums, den: CentralCharge(*(Fraction(n, den) for n in nums)),
+    st.tuples(*[st.integers(-60, 60)] * 4),
+    st.integers(2, 36),
+).filter(lambda Z: Z.frame().den > 1)
+charges = st.one_of(st.builds(CentralCharge, entries, entries, entries, entries),
+                    over_a_denominator)
 
 
 @settings(max_examples=300, deadline=None)
@@ -394,6 +401,23 @@ def test_twist_escape_matches_the_linear_scan(ideal, twist, Z, g, near):
 )
 def test_twist_escape_skips_the_zero_iterate(ideal, twist, Z):
     assert twist_escape(ideal, twist, Fraction(1, 5), Z) == 2
+
+
+@pytest.mark.parametrize("k", [5, 10 ** 17 + 3])
+@pytest.mark.parametrize("side", [1, -1])
+def test_twist_escape_splits_at_an_exact_near_integer_n0(k, side):
+    # n0 = -im(zi)/im(ze) = k + side/10**31 is not an integer. The iterates
+    # (-1 - n, n - n0) lie below the real axis, at folded phases under 1/2,
+    # until n passes n0, and then just above it, at phases near 1: the answer
+    # is the first integer above n0. A float n0 rounds onto an integer, and at
+    # 10**17 + 3 onto 10**17, which splits the runs in the wrong place.
+    n0 = k + Fraction(side, 10 ** 31)
+    Z = CentralCharge(0, -1, -(n0 + 1), 1)
+    assert Z.frame().den == 10 ** 31
+    n = twist_escape(KClass(1, -1), KClass(1, 0), Fraction(3, 5), Z)
+    assert n == (k + 1 if side > 0 else k)
+    assert _iterate_phase(KClass(1, -1), KClass(1, 0), n - 1, Z) < 0.5
+    assert _iterate_phase(KClass(1, -1), KClass(1, 0), n, Z) > 0.6
 
 
 def test_twist_escape_far_crossing_is_found_fast():
