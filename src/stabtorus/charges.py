@@ -30,11 +30,12 @@ from .exactnum import (
     as_number,
     cot_pi,
     direction_angle,
+    is_exact,
     lift_near,
     num_eq,
     to_float,
 )
-from .linalg import Matrix2
+from .linalg import Matrix2, mixed_dot
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,10 @@ class CentralCharge:
         if self._frame is not None:
             return self._frame.det()
         a, b, c, e = self._values
-        return a * e - b * c
+        # a*e - b*c as Fraction arithmetic computes it, floats through to_float
+        ae, bc = (x * y if is_exact(x) and is_exact(y) else to_float(x) * to_float(y)
+                  for x, y in ((a, e), (b, c)))
+        return ae - bc if is_exact(ae) and is_exact(bc) else to_float(ae) - to_float(bc)
 
     def is_degenerate(self) -> bool:
         if self._frame is not None:
@@ -190,7 +194,7 @@ def _charge_num(Z: CentralCharge, v: KClass):
     F = Z._frame
     if F is None:
         a, b, c, e = Z._values
-        return (a * x + b * y, c * x + e * y, 1)
+        return (mixed_dot(x, a, y, b), mixed_dot(x, c, y, e), 1)
     a, b, c, e = F.num
     return (a * x + b * y, c * x + e * y, F.den)
 
@@ -199,8 +203,7 @@ def std_charge(p: int, d: int | None = None) -> CentralCharge:
     """Charge of the standard point with heart index p: -chd + (-1)^p * i * rk."""
     check_index(p, "heart index must be a nonnegative integer, got {p!r}")
     if d is not None:
-        check_dimension(d)
-        check_index(p, "heart index {p} exceeds d-1 = {hi}", hi=d - 1)
+        _check_range(p, d)
     return _STD_CHARGES[p % 2]
 
 
@@ -212,8 +215,7 @@ def deg_charge(p: int, gamma, d: int | None = None) -> CentralCharge:
     """
     check_index(p, "heart index must be a nonnegative integer, got {p!r}")
     if d is not None:
-        check_dimension(d)
-        check_index(p, "heart index {p} exceeds d-1 = {hi}", hi=d - 1)
+        _check_range(p, d)
     if p < 1:
         raise DomainError("degenerate charges need heart index p >= 1")
     g = as_number(gamma)
@@ -239,6 +241,13 @@ def check_dimension(d: int) -> None:
         raise DomainError(f"torus dimension must be an integer >= 3, got {d!r}")
 
 
+def _check_range(p, d: int, lo: int = 0, kind: str = "heart") -> None:
+    """Raise DomainError unless d is a torus dimension and p an integer in lo..d-1."""
+    check_dimension(d)
+    if isinstance(p, bool) or not isinstance(p, int) or not lo <= p < d:
+        raise DomainError(f"{kind} index must lie in {lo}..{d - 1}, got {p!r}")
+
+
 def is_stability_function(Z: CentralCharge, p: int, d: int | None = None):
     """Decide whether Z is a stability function on the standard heart p.
 
@@ -257,8 +266,7 @@ def is_stability_function(Z: CentralCharge, p: int, d: int | None = None):
     """
     check_index(p, "heart index must be a nonnegative integer, got {p!r}")
     if d is not None:
-        check_dimension(d)
-        check_index(p, "heart index {p} exceeds d-1 = {hi}", hi=d - 1)
+        _check_range(p, d)
     a, b, c, e = Z._values if Z._frame is None else Z._frame.num
     if p == 0:
         # torsion classes (0, t): need c == 0 and then Re = -a*t < 0

@@ -293,16 +293,7 @@ def _cmd_pi1(args):
 def _cmd_fiber(args):
     Z = _parse_charge("--charge", args.charge)
     families = fiber_types(Z, args.d)
-    payload = {
-        "families": [
-            {
-                "label": jsonio.encode_label(f.label),
-                "structure": f.structure,
-                "note": f.note,
-            }
-            for f in families
-        ]
-    }
+    payload = {"families": [jsonio.encode_family(f) for f in families]}
     if not families:
         return payload, "empty fiber: the charge is not attained"
     lines = [f"{_label_text(f.label)}: {f.structure}" for f in families]

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charges import check_dimension, check_index, phase_in_strip, std_charge
+from .charges import _check_range, check_index, phase_in_strip, std_charge
 from .errors import DomainError, InvalidTorsionPair, MissingHNData, NotInHeart
 from .exactnum import HALF
 from .sheaves import (
@@ -84,24 +84,23 @@ def heart_membership(E: FormalObject, p: int, d: int) -> bool:
     2 <= p <= d-2 the extension between the two pieces must be split because
     the relevant extension group vanishes.
     """
-    check_dimension(d)
-    check_index(p, "heart index must lie in 0..{hi}, got {p!r}", hi=d - 1)
+    _check_range(p, d)
     if not _in_heart_shape(E, p):
         return False
     return not (2 <= p <= d - 2 and (-p, 0) in E.nonsplit)
 
 
-def canonical_decomposition(E: FormalObject, p: int, d: int | None = None):
-    """Split a heart-p object (p >= 1) into its two canonical pieces.
+def canonical_decomposition(E: FormalObject, p: int, d: int):
+    """Split a member E of the standard heart p >= 1 on a d-torus into its
+    two canonical pieces.
 
     Returns (shifted_part, torsion_part): the degree -p atom kept in place
     and the degree 0 atom, as formal objects; either may be the zero object.
-    Their classes add up to the class of E. Raises NotInHeart when E fails
-    the shape test (the full test including the split-flag rule when d is
-    given).
+    Their classes add up to the class of E. Raises NotInHeart when E is not
+    in the heart, split-flag rule included.
     """
     check_index(p, "decomposition needs a heart index p >= 1, got {p!r}", lo=1)
-    if not (heart_membership(E, p, d) if d is not None else _in_heart_shape(E, p)):
+    if not heart_membership(E, p, d):
         raise NotInHeart(f"object is not in the standard heart {p}")
     upper = E.component(-p)
     lower = E.component(0)
@@ -224,8 +223,6 @@ def _atom_cohomology(S, p: int) -> dict:
 
 
 def _merge_coh(coh: dict, n: int, piece: FormalObject) -> None:
-    if piece.is_zero():
-        return
     coh[n] = object_sum(coh[n], piece) if n in coh else piece
 
 
@@ -233,8 +230,7 @@ class StandardHeart:
     """The standard heart with index p inside the derived model category."""
 
     def __init__(self, p: int, d: int):
-        check_dimension(d)
-        check_index(p, "heart index must lie in 0..{hi}, got {p!r}", hi=d - 1)
+        _check_range(p, d)
         self.p = p
         self.d = d
         self.level = p
@@ -310,8 +306,6 @@ class TiltedHeart:
     def contains(self, E: FormalObject) -> bool:
         coh = self.base.cohomology(E)
         for n, piece in coh.items():
-            if piece.is_zero():
-                continue
             if n == 0:
                 if not self.pair.in_torsion(piece):
                     return False
@@ -471,8 +465,7 @@ def standard_pair(level: int, d: int) -> TorsionPairSpec:
     sheaf splits as its hull defect (torsion class) against its hull (free
     class).
     """
-    check_dimension(d)
-    check_index(level, "heart index must lie in 0..{hi}, got {p!r}", hi=d - 1)
+    _check_range(level, d)
     free_kind = LocallyFree if level else (LocallyFree, TorsionFree)
 
     # shape tests, not the split: TiltedHeart.contains runs them on every
@@ -503,8 +496,7 @@ def iterated_heart(p: int, d: int):
     Returned hearts are cached per (p, d) so that chains share their tails;
     the hearts are immutable apart from an internal memo, so reuse is safe.
     """
-    check_dimension(d)
-    check_index(p, "heart index must lie in 0..{hi}, got {p!r}", hi=d - 1)
+    _check_range(p, d)
     key = (p, d)
     heart = _ITERATED_CACHE.get(key)
     if heart is None:
@@ -516,20 +508,17 @@ def iterated_heart(p: int, d: int):
     return heart
 
 
-def chain_stabilizes(chain, p: int, d: int | None = None) -> int:
+def chain_stabilizes(chain, p: int, d: int) -> int:
     """First index n with chain[n] isomorphic to chain[n+1].
 
-    The chain models successive quotients inside the standard heart p; when d
-    is given each entry is checked for membership first. Raises DomainError
-    when the chain runs out before stabilizing.
+    The chain models successive quotients inside the standard heart p on a
+    d-torus; each entry is checked for membership first (NotInHeart). Raises
+    DomainError when the chain runs out before stabilizing.
     """
     chain = list(chain)
-    if d is not None:
-        for E in chain:
-            if not heart_membership(E, p, d):
-                raise NotInHeart(f"chain entry not in the standard heart {p}")
-    else:
-        check_index(p, "heart index must be a nonnegative integer, got {p!r}")
+    for E in chain:
+        if not heart_membership(E, p, d):
+            raise NotInHeart(f"chain entry not in the standard heart {p}")
     for n in range(len(chain) - 1):
         if objects_isomorphic(chain[n], chain[n + 1]):
             return n

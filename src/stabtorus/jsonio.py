@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from dataclasses import fields
 from fractions import Fraction
 
 from .charges import CentralCharge, KClass
@@ -206,9 +208,12 @@ def encode_object(E: FormalObject) -> dict:
 def decode_object(obj) -> FormalObject:
     if not isinstance(obj, dict) or not isinstance(obj.get("graded"), dict):
         raise DomainError(f"not an object payload: {obj!r}")
+    for key in obj["graded"]:
+        if not re.fullmatch("-?[0-9]+", key):
+            raise DomainError(f"a degree key must be a decimal integer, got {key!r}")
     try:
         graded = {int(i): decode_sheaf(S) for i, S in obj["graded"].items()}
-        flags = tuple((int(i), int(j)) for i, j in obj.get("flags", ()))
+        flags = tuple(obj.get("flags", ()))  # FormalObject checks each flag
     except (TypeError, ValueError) as exc:
         raise DomainError(f"malformed object payload: {exc}") from exc
     return formal_object(graded, flags)
@@ -218,42 +223,40 @@ def decode_object(obj) -> FormalObject:
 # assembled reports
 
 
-def encode_hn_factor(f) -> dict:
+def _encode_report(x):
+    """A report value as JSON: a dataclass field by field, with ``kclass``
+    written as "class", and a tuple as a list. Numbers, classes, labels and
+    objects go through their codecs; None, bools and strings stay as they are.
+    """
+    if x is None or isinstance(x, (bool, str)):
+        return x
+    if isinstance(x, (int, Fraction, float)):
+        return encode_number(x)
+    if isinstance(x, KClass):
+        return encode_kclass(x)
+    if isinstance(x, (StdLabel, DegLabel)):
+        return encode_label(x)
+    if isinstance(x, FormalObject):
+        return encode_object(x)
+    if isinstance(x, tuple):
+        return [_encode_report(v) for v in x]
     return {
-        "class": encode_kclass(f.kclass),
-        "phase": encode_number(f.phase),
-        "part": encode_object(f.part) if f.part is not None else None,
-        "stable": f.stable,
+        "class" if f.name == "kclass" else f.name: _encode_report(getattr(x, f.name))
+        for f in fields(x)
     }
+
+
+def encode_hn_factor(f) -> dict:
+    return _encode_report(f)
 
 
 def encode_family(fam) -> dict:
-    return {
-        "kind": fam.kind,
-        "shift": fam.shift,
-        "class": encode_kclass(fam.kclass) if fam.kclass is not None else None,
-        "phase": encode_number(fam.phase) if fam.phase is not None else None,
-        "note": fam.note,
-    }
+    """A StableFamily or a walls.FiberFamily."""
+    return _encode_report(fam)
 
 
 def encode_spectrum(descriptor) -> dict:
-    return {
-        "points": [encode_number(q) for q in descriptor.points],
-        "series": [
-            {
-                "kind": s.kind,
-                "computable": s.computable,
-                "increasing": s.increasing,
-                "limit": encode_number(s.limit),
-            }
-            for s in descriptor.series
-        ],
-        "uncertain": [
-            [encode_number(a), encode_number(b)] for a, b in descriptor.uncertain
-        ],
-        "complete": descriptor.complete,
-    }
+    return _encode_report(descriptor)
 
 
 def encode_wall_decision(decision) -> dict:
@@ -263,19 +266,7 @@ def encode_wall_decision(decision) -> dict:
 
 
 def encode_complex(cx) -> dict:
-    return {
-        "nodes": [
-            {
-                "name": nd.name,
-                "kind": nd.kind,
-                "index": nd.index,
-                "homotopy": nd.homotopy,
-                "note": nd.note,
-            }
-            for nd in cx.nodes
-        ],
-        "edges": [[w, c] for w, c in cx.edges],
-    }
+    return _encode_report(cx)
 
 
 def encode_group(group) -> dict:

@@ -98,10 +98,6 @@ class Matrix2:
         k = self.den
         return _reduced(k * d, -k * b, -k * c, k * a, det)
 
-    def neg(self) -> "Matrix2":
-        a, b, c, d = self.num
-        return _reduced(-a, -b, -c, -d, self.den)
-
     def apply(self, x, y):
         """Matrix times column vector; mixed exact/float input allowed."""
         return (mixed_dot(self.a, x, self.b, y), mixed_dot(self.c, x, self.d, y))

@@ -237,6 +237,13 @@ def _free_sum(f1, f2):
 # formal objects
 
 
+_SHEAF_KINDS = (Torsion, LocallyFree, TorsionFree, Mixed)
+
+
+def _is_degree(i) -> bool:
+    return isinstance(i, int) and not isinstance(i, bool)
+
+
 @dataclass(frozen=True)
 class FormalObject:
     """Formal direct sum of sheaf atoms placed in cohomological degrees.
@@ -250,20 +257,26 @@ class FormalObject:
     nonsplit: tuple = ()
 
     def __post_init__(self):
-        entries = tuple(sorted((int(i), S) for i, S in self.graded))
-        degrees = [i for i, _ in entries]
+        degrees = [i for i, _ in self.graded]
+        for i in degrees:
+            if not _is_degree(i):
+                raise DomainError(f"a degree must be an integer, got {i!r}")
         if len(set(degrees)) != len(degrees):
             raise DomainError("duplicate degree in graded data")
+        entries = tuple(sorted((i, S) for i, S in self.graded))
         for _, S in entries:
-            sheaf_class(S)  # raises for non-sheaves
+            if not isinstance(S, _SHEAF_KINDS):
+                raise DomainError(f"not a sheaf: {S!r}")
+        degrees.sort()
         adj = set(zip(degrees, degrees[1:]))
         flags = set()
         for entry in self.nonsplit:
             try:
                 i, j = entry
             except (TypeError, ValueError):
-                raise DomainError(f"a flag is a pair of degrees, got {entry!r}") from None
-            i, j = int(i), int(j)
+                i = j = None
+            if not (_is_degree(i) and _is_degree(j)):
+                raise DomainError(f"a flag is a pair of degrees, got {entry!r}")
             if (i, j) not in adj:
                 raise DomainError(f"flag on non-adjacent degrees ({i}, {j})")
             flags.add((i, j))
@@ -342,17 +355,21 @@ def object_is_legal(E: FormalObject, d: int):
     """
     check_dimension(d)
     for i, j in E.nonsplit:
-        n = j - i + 1
-        if n > d:
-            return (False, f"span {n} across ({i}, {j}) exceeds d = {d}")
-        upper = E.component(j)
-        lower = E.component(i)
-        if isinstance(upper, Torsion) and isinstance(lower, LocallyFree) and n != d:
-            return (
-                False,
-                f"torsion over locally free across ({i}, {j}) needs span exactly d = {d}",
-            )
+        fault = _flag_fault(E.component(i), E.component(j), i, j, d)
+        if fault is not None:
+            return (False, fault)
     return (True, None)
+
+
+def _flag_fault(lower, upper, i: int, j: int, d: int):
+    """Why a nonsplit extension of the atom ``upper`` in degree j by ``lower``
+    in degree i is impossible on a d-torus, None when it is possible."""
+    n = j - i + 1
+    if n > d:
+        return f"span {n} across ({i}, {j}) exceeds d = {d}"
+    if isinstance(upper, Torsion) and isinstance(lower, LocallyFree) and n != d:
+        return f"torsion over locally free across ({i}, {j}) needs span exactly d = {d}"
+    return None
 
 
 def canonical_form(E: FormalObject) -> FormalObject:
@@ -451,9 +468,6 @@ def torsion_kernel_cokernel(f: TorsionMorphism, p: int):
 
 def _partitions(m: int):
     """Integer partitions of m as weakly decreasing tuples."""
-    if m == 0:
-        yield ()
-        return
     def rec(rest, largest):
         if rest == 0:
             yield ()
@@ -499,34 +513,29 @@ def _compositions(total: int, parts: int):
             yield (first,) + tail
 
 
-def enumerate_objects(max_mass: int, degrees, d: int, include_flags: bool = True):
+def enumerate_objects(max_mass: int, degrees, d: int):
     """All legal formal objects of mass 1..max_mass supported on ``degrees``.
 
-    Flags run over every legal split/nonsplit assignment when
-    ``include_flags`` is set; otherwise everything is split.
+    Each choice of atoms comes with every split/nonsplit assignment of its
+    adjacent degree pairs that ``object_is_legal`` accepts, all split first.
+    Every object is built once, as the FormalObject yielded.
     """
+    check_dimension(d)
     degrees = sorted(degrees)
     sheaf_pool = {m: tuple(enumerate_sheaves(m)) for m in range(1, max_mass + 1)}
     for count in range(1, len(degrees) + 1):
         for slots in itertools.combinations(degrees, count):
+            adj = tuple(zip(slots, slots[1:]))
             for total in range(count, max_mass + 1):
                 for masses in _compositions(total, count):
                     for choice in itertools.product(
                         *(sheaf_pool[m] for m in masses)
                     ):
                         graded = tuple(zip(slots, choice))
-                        base = FormalObject(graded)
-                        if not include_flags:
-                            yield base
-                            continue
-                        adj = list(zip(slots, slots[1:]))
-                        options = []
-                        for i, j in adj:
-                            opts = [()]
-                            trial = FormalObject(graded, ((i, j),))
-                            if object_is_legal(trial, d)[0]:
-                                opts.append(((i, j),))
-                            options.append(opts)
+                        options = [
+                            ((), (fl,)) if _flag_fault(lower, upper, *fl, d) is None else ((),)
+                            for fl, lower, upper in zip(adj, choice, choice[1:])
+                        ]
                         for combo in itertools.product(*options):
                             flags = tuple(fl for part in combo for fl in part)
                             yield FormalObject(graded, flags)

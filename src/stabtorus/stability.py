@@ -23,6 +23,7 @@ from .charges import (
     KClass,
     SKYSCRAPER_CLASS,
     _charge_num,
+    _check_range,
     check_dimension,
     check_index,
     deg_charge,
@@ -126,15 +127,13 @@ class StabPoint:
 
 def make_std(p: int, d: int) -> StabPoint:
     """Base point of the standard orbit with heart index p, 0 <= p <= d-1."""
-    check_dimension(d)
-    check_index(p, "heart index must lie in 0..{hi}, got {p!r}", hi=d - 1)
+    _check_range(p, d)
     return StabPoint(StdLabel(p), identity_auto())
 
 
 def make_deg(p: int, gamma, d: int) -> StabPoint:
     """Base point of the boundary family Deg(p, gamma), 1 <= p <= d-1."""
-    check_dimension(d)
-    check_index(p, "boundary index must lie in 1..{hi}, got {p!r}", lo=1, hi=d - 1)
+    _check_range(p, d, 1, "boundary")
     return StabPoint(DegLabel(p, gamma), identity_auto())
 
 
@@ -233,13 +232,11 @@ def spectrum_of(label, d: int) -> SpectrumDescriptor:
     """Spectrum descriptor of a labeled base point in the window (0, 1]."""
     check_dimension(d)
     if isinstance(label, DegLabel):
-        if not label.p <= d - 1:
-            raise DomainError(f"boundary index {label.p} exceeds d-1 = {d - 1}")
+        _check_range(label.p, d, 1, "boundary")
         # every object of the boundary heart has phase 1; nothing else occurs
         return SpectrumDescriptor((Fraction(1),), (), (), True)
     p = label.p
-    if not p <= d - 1:
-        raise DomainError(f"heart index {p} exceeds d-1 = {d - 1}")
+    _check_range(p, d)
     points = (HALF, Fraction(1))
     if p == 0:
         series = (PhaseSeries("ideal_sheaves", True, False, Fraction(0)),)
@@ -262,9 +259,8 @@ def stable_objects(sigma: StabPoint, d: int):
     if isinstance(sigma.label, DegLabel):
         raise UnsupportedSpectrum("stable objects on boundary families are not classified")
     p = sigma.label.p
-    if not 0 <= p <= d - 1:
-        raise DomainError(f"heart index {p} exceeds d-1 = {d - 1}")
-    gi = gl_inverse(sigma.g)
+    _check_range(p, d)
+    gi = sigma._g_inverse()
     sky_phase = lift_eval(gi, 1)
     line_phase = lift_eval(gi, HALF)
     families = [
@@ -302,7 +298,7 @@ def ideal_family_phase(sigma: StabPoint, n: int, d: int):
     if not isinstance(sigma.label, StdLabel) or sigma.label.p != 0:
         raise UnsupportedSpectrum("the ideal-sheaf family lives at index-0 points")
     series = PhaseSeries("ideal_sheaves", True, False, Fraction(0))
-    return lift_eval(gl_inverse(sigma.g), series.value(n))
+    return lift_eval(sigma._g_inverse(), series.value(n))
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +331,14 @@ def hn_filtration(sigma: StabPoint, E: FormalObject, d: int):
     """
     check_dimension(d)
     label = sigma.label
-    gi = gl_inverse(sigma.g)
+    gi = sigma._g_inverse()
 
     def tr(x):
         return lift_eval(gi, x)
 
     if isinstance(label, DegLabel):
         p = label.p
-        if not p <= d - 1:
-            raise DomainError(f"boundary index {p} exceeds d-1 = {d - 1}")
+        _check_range(p, d, 1, "boundary")
         if not heart_membership(E, p, d):
             raise NotInHeart(f"object is not in the boundary heart at index {p}")
         if E.is_zero():
@@ -351,8 +346,7 @@ def hn_filtration(sigma: StabPoint, E: FormalObject, d: int):
         return (HNFactor(class_of(E), tr(1), E),)
 
     p = label.p
-    if not p <= d - 1:
-        raise DomainError(f"heart index {p} exceeds d-1 = {d - 1}")
+    _check_range(p, d)
     if not heart_membership(E, p, d):
         raise NotInHeart(f"object is not in the standard heart {p}")
     factors = []
@@ -379,8 +373,7 @@ def subobject_classes(E: FormalObject, p: int, d: int) -> set:
     (-r', m) exists precisely when r' = 0 with 1 <= m <= q + t, or
     0 < r' < r with 0 <= m <= q + t, or r' = r with q <= m <= q + t.
     """
-    check_dimension(d)
-    check_index(p, "heart index must lie in 1..{hi}, got {p!r}", lo=1, hi=d - 1)
+    _check_range(p, d, 1)
     if not heart_membership(E, p, d):
         raise NotInHeart(f"object is not in the standard heart {p}")
     upper = E.component(-p)

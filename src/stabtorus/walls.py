@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .charges import CentralCharge, KClass, _charge_num, check_dimension, check_index
+from .charges import CentralCharge, KClass, _charge_num, _check_range, check_dimension
 from .errors import DomainError, NeverEscapes, OnSpectrum, ZeroCharge
-from .exactnum import HALF, as_number, gamma_from_cot, num_eq, phase_eq, phase_mod1
+from .exactnum import HALF, as_number, gamma_from_cot, num_eq, phase_eq, phase_mod1, to_float
 from .hearts import (
     StandardHeart,
     TiltedHeart,
@@ -111,8 +111,7 @@ def boundary_at(p: int, gamma, d: int) -> WallDecision:
     the roles are mirrored with Deg(p + 1, 1 - gamma) and the escape at
     p = d - 1.
     """
-    check_dimension(d)
-    check_index(p, "heart index must lie in 0..{hi}, got {p!r}", hi=d - 1)
+    _check_range(p, d)
     g = as_number(gamma)
     if not 0 < g < 1:
         raise DomainError("gamma must lie strictly between 0 and 1")
@@ -142,8 +141,7 @@ def phase_cut_pair(p: int, gamma, d: int) -> TorsionPairSpec:
     for p >= 1, where every piece has phase 1/2 or 1, and at p = 0 it cuts
     the declared filtration steps of torsion-free sheaves.
     """
-    check_dimension(d)
-    check_index(p, "heart index must lie in 0..{hi}, got {p!r}", hi=d - 1)
+    _check_range(p, d)
     g = as_number(gamma)
     name = f"phase-cut-{p}-at-{gamma}"
     if g > HALF:
@@ -229,7 +227,7 @@ def twist_escape(ideal_class: KClass, twist_class: KClass, gamma_minus, Z: Centr
     if ze0 == 0 and ze1 == 0:
         raise ZeroCharge("the charge kills the twisting class")
     top = float(phase_mod1(ze0, ze1, den))
-    record = float(gm)
+    record = to_float(gm)
     if not top > record:
         raise NeverEscapes(
             "the twisting class sits at or below the record phase; iterates "

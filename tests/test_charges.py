@@ -252,6 +252,47 @@ def test_classify_never_answers_from_an_infinite_charge():
         classify(CentralCharge(float("inf"), 0, 0, 1), 1, Fraction(1, 2), 4)
 
 
+@pytest.mark.parametrize(
+    "big", [10**400, -(10**400), Fraction(10**401, 3)], ids=["1e400", "-1e400", "1e401/3"]
+)
+def test_mixed_charges_beyond_the_float_range_raise_domain_errors(big):
+    # an exact entry that meets a float entry is converted through to_float
+    from stabtorus.stability import classify
+
+    Z = CentralCharge(big, 0.5, 0, 1)
+    for call in (
+        Z.det,
+        Z.is_degenerate,
+        lambda: charge_eval(Z, SKYSCRAPER_CLASS),
+        lambda: classify(Z, 1, Fraction(1, 2), 4),
+    ):
+        with pytest.raises(DomainError):
+            call()
+
+
+@pytest.mark.parametrize(
+    "frame, witness",
+    [
+        ((1, 0, 0, -1), KClass(1, 0)),
+        ((1, 2, 0, 0), KClass(1, 0)),
+        ((1, 0, 0, 0), KClass(1, 0)),
+        ((2, -3, 0, 0), KClass(1, -2)),
+        ((0.5, -1.25, 0, 0), KClass(1, -3)),
+        ((-2, -3, 0, 0), KClass(1, 2)),
+        ((0, -1, 0, 0), KClass(0, 1)),
+        ((-1, 0, 0, 1), KClass(0, 1)),
+        ((0, 5, 0, 1), KClass(0, 1)),
+    ],
+)
+def test_torsion_blind_charges_at_index_zero_carry_witnesses(frame, witness):
+    # c = 0: the imaginary part ignores chd, so the real axis decides
+    Z = CentralCharge(*frame)
+    assert is_stability_function(Z, 0) == (False, witness)
+    assert witness.rk >= 1 or witness.chd >= 1  # an effective class of the sheaf heart
+    re, im = charge_eval(Z, witness)
+    assert im < 0 or (im == 0 and re >= 0)
+
+
 def test_charge_index_validation():
     with pytest.raises(DomainError):
         std_charge(-1)

@@ -140,6 +140,11 @@ def test_hn_two_step(capsys):
 
 
 STD_POINT_WITHOUT_P = IDENTITY_POINT.replace(', "p": 1', "")
+# a line bundle shifted to degree -1 under a skyscraper: (degree key, flags)
+LINE_UNDER_SKY = (
+    '{"graded": {%s: {"kind": "locally_free", "rank": 1}, '
+    '"0": {"kind": "torsion", "points": [["y", 1]]}}, "flags": %s}'
+)
 DEG_POINT_WITHOUT_GAMMA = IDENTITY_POINT.replace('"std"', '"deg"')
 
 
@@ -152,10 +157,17 @@ DEG_POINT_WITHOUT_GAMMA = IDENTITY_POINT.replace('"std"', '"deg"')
         (DEG_POINT_WITHOUT_GAMMA, '{"graded": {}}'),
         (IDENTITY_POINT, '{"graded": []}'),
         (IDENTITY_POINT, '{"graded": "0"}'),
+        (IDENTITY_POINT, LINE_UNDER_SKY % ('"-1"', '[[-1.9, 0.7]]')),
+        (IDENTITY_POINT, LINE_UNDER_SKY % ('"-1"', '[[-1, false]]')),
+        (IDENTITY_POINT, LINE_UNDER_SKY % ('"-1"', '[["-1", "0"]]')),
+        (IDENTITY_POINT, LINE_UNDER_SKY % ('"-1_0"', '[]')),
+        (IDENTITY_POINT, '{"graded": {"0_0": {"kind": "torsion", "points": [["y", 1]]}}}'),
+        (IDENTITY_POINT, '{"graded": {"+0": {"kind": "torsion", "points": [["y", 1]]}}}'),
     ],
     ids=[
         "bad-degree", "torsion-without-points", "std-label-without-p",
-        "deg-label-without-gamma", "graded-list", "graded-string",
+        "deg-label-without-gamma", "graded-list", "graded-string", "fractional-flag",
+        "bool-flag", "string-flag", "underscored-key", "underscored-zero-key", "plus-key",
     ],
 )
 def test_hn_malformed_object_exit_2(capsys, point, payload):
@@ -205,6 +217,74 @@ def test_entries_beyond_the_float_range_exit_2(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["name"] == "DomainError"
+
+
+# One argument of each subcommand that takes a number or JSON, with "@" where
+# the input goes: as it is in a flag, as a JSON string inside a payload.
+# Subcommands that loop over --d (pi1, orbit-graph, helix-svg) are left out,
+# and so is --check-mass, which bounds an enumeration.
+STD_AT = '{"label": {"kind": "std", "p": 1}, "g": {"T": [[@, 0], [0, 1]], "winding": 0}}'
+DEG_AT = '{"label": {"kind": "deg", "p": 1, "gamma": @}, "g": {"T": [[1, 0], [0, 1]], "winding": 0}}'
+IDENTITY_AUTO = '{"T": [[1, 0], [0, 1]], "winding": 0}'
+SKY_OBJECT = '{"graded": {"0": {"kind": "torsion", "points": [["y", %s]]}}}'
+ESCAPE = ["twist-escape", "--d", "4", "--ideal", "1,-1", "--twist", "1,0"]
+CONTRACT_CALLS = {
+    "classify-charge": ["classify", "--d", "4", "--charge", "@,0,0,1", "--phi", "1",
+                        "--psi", "1/2"],
+    "classify-phi": ["classify", "--d", "4", "--charge", "1,0,0,1", "--phi", "@",
+                     "--psi", "1/2"],
+    "classify-psi": ["classify", "--d", "4", "--charge", "1,0,0,1", "--phi", "1",
+                     "--psi", "@"],
+    "act-point": ["act", "--d", "4", "--point", STD_AT, "--auto", IDENTITY_AUTO],
+    "act-auto": ["act", "--d", "4", "--point", IDENTITY_POINT,
+                 "--auto", '{"T": [[1, @], [0, 1]], "winding": 0}'],
+    "hn-point": ["hn", "--d", "4", "--point", DEG_AT, "--object", SKY_OBJECT % 1],
+    "hn-object": ["hn", "--d", "4", "--point", IDENTITY_POINT, "--object", SKY_OBJECT % "@"],
+    "tilt-chain-p": ["tilt-chain", "--d", "4", "--p", "@", "--check-mass", "1"],
+    "spectrum-label": ["spectrum", "--d", "4", "--label", "deg:1:@"],
+    "spectrum-point": ["spectrum", "--d", "4", "--point", STD_AT],
+    "gamma-bounds-label": ["gamma-bounds", "--d", "4", "--label", "deg:1:@",
+                           "--gamma", "3/10"],
+    "gamma-bounds-gamma": ["gamma-bounds", "--d", "4", "--label", "std:0", "--gamma", "@"],
+    "boundary-p": ["boundary", "--d", "4", "--p", "@", "--gamma", "3/10"],
+    "boundary-gamma": ["boundary", "--d", "4", "--p", "1", "--gamma", "@"],
+    "fiber-charge": ["fiber", "--d", "4", "--charge", "1,@,0,0"],
+    "twist-escape-gamma-minus": ESCAPE + ["--gamma-minus", "@", "--charge", "1,0,0,1"],
+    "twist-escape-charge": ESCAPE + ["--gamma-minus", "2/5", "--charge", "1,0,@,1"],
+}
+CONTRACT_INPUTS = {
+    "1e400": "1e400",
+    "10**400": BIG,
+    "-10**400": "-" + BIG,
+    "1/10**400": "1/" + BIG,
+    "1e-400": "1e-400",
+    "nan": "nan",
+    "inf": "inf",
+    "truncated-json": None,
+}
+
+
+def _contract_argv(template, value):
+    argv = []
+    for arg in template:
+        if "@" in arg and arg.startswith("{"):
+            arg = arg.replace("@", json.dumps("1" if value is None else value))
+            if value is None:
+                arg = arg[: len(arg) // 2]
+        elif "@" in arg:
+            arg = arg.replace("@", '{"approx": [1' if value is None else value)
+        argv.append(arg)
+    return argv
+
+
+@pytest.mark.parametrize("value", list(CONTRACT_INPUTS.values()), ids=list(CONTRACT_INPUTS))
+@pytest.mark.parametrize("call", list(CONTRACT_CALLS))
+def test_numbers_and_json_end_in_an_exit_code_never_a_traceback(capsys, call, value):
+    code, out, err = run(capsys, _contract_argv(CONTRACT_CALLS[call], value))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert set(json.loads(err)["error"]) == {"name", "message"}
 
 
 def test_tilt_chain(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from stabtorus.charges import KClass
-from stabtorus.errors import DomainError, InvalidTorsionPair, NotInHeart
+from stabtorus.errors import DomainError, InvalidTorsionPair, MissingHNData, NotInHeart
 from stabtorus.hearts import (
     StandardHeart,
     TiltedHeart,
@@ -21,6 +21,7 @@ from stabtorus.hearts import (
 )
 from stabtorus.sheaves import (
     Mixed,
+    Torsion,
     class_of,
     enumerate_objects,
     formal_object,
@@ -212,6 +213,7 @@ def test_hrs_tilt_checks_the_pair_on_every_call():
 
 ZERO = formal_object([])
 STD0 = standard_pair(0, 3)
+SKY_X0 = sheaf_at(0, skyscraper("x0"))
 
 
 @pytest.mark.parametrize(
@@ -227,8 +229,11 @@ STD0 = standard_pair(0, 3)
          "does not add up in K", "class bookkeeping"),
         (STD0.in_free, STD0.in_torsion, lambda E: tuple(reversed(STD0.decompose(E))),
          "nonzero morphism from torsion class to free class", "nonzero morphism"),
+        (lambda E: E.is_zero() or E == SKY_X0, lambda E: E != SKY_X0,
+         lambda E: (E, ZERO) if E == SKY_X0 else (ZERO, E),
+         "nonzero morphism from torsion class to free class", "nonzero morphism"),
     ],
-    ids=["both-classes", "torsion-part", "free-part", "k-class", "morphism"],
+    ids=["both-classes", "torsion-part", "free-part", "k-class", "morphism", "shared-point"],
 )
 def test_broken_pair_witness(in_torsion, in_free, decompose, message, kind):
     pair = TorsionPairSpec("broken", in_torsion, in_free, decompose)
@@ -247,6 +252,52 @@ def test_broken_pair_witness(in_torsion, in_free, decompose, message, kind):
         assert second == (ZERO, ZERO) and not first.is_zero()
     else:
         assert str(second) in text
+
+
+def _pair_of_chosen_atoms(chosen, needs_data=lambda E: False):
+    """Torsion class: zero and the objects in ``chosen``; free class: zero and
+    every other object. Objects with ``needs_data`` raise MissingHNData."""
+
+    def chosen_member(E):
+        if needs_data(E):
+            raise MissingHNData("no data for this object")
+        return E in chosen
+
+    return TorsionPairSpec(
+        "broken",
+        lambda E: E.is_zero() or chosen_member(E),
+        lambda E: E.is_zero() or not chosen_member(E),
+        lambda E: (E, ZERO) if chosen_member(E) else (ZERO, E),
+    )
+
+
+@pytest.mark.parametrize(
+    "heart, chosen, needs_data, witness",
+    [
+        # a torsion-free sheaf maps into its hull, after two same-kind pairs
+        (lambda: StandardHeart(1, 3),
+         (sheaf_at(-1, make_locally_free(1)), sheaf_at(-1, make_torsion_free(2, 1))),
+         lambda E: False,
+         (sheaf_at(-1, make_torsion_free(2, 1)), sheaf_at(-1, make_locally_free(2)))),
+        # two mixed sheaves through a shared point; pure torsion is skipped
+        (lambda: StandardHeart(0, 3),
+         (sheaf_at(0, Mixed(skyscraper("x0"), make_locally_free(1))),),
+         lambda E: isinstance(E.component(0), Torsion),
+         (sheaf_at(0, Mixed(skyscraper("x0"), make_locally_free(1))),
+          sheaf_at(0, Mixed(skyscraper("x0"), make_torsion_free(1, 1))))),
+        # Hom(O_x, L[3]) is dual to Hom(L, O_x) on the 3-torus
+        (lambda: hrs_tilt(iterated_heart(2, 3), standard_pair(2, 3)),
+         (SKY_X0,),
+         lambda E: False,
+         (SKY_X0, sheaf_at(-3, make_locally_free(1)))),
+    ],
+    ids=["hull-inclusion", "mixed-shared-point", "serre-duality"],
+)
+def test_certain_morphisms_reject_a_pair(heart, chosen, needs_data, witness):
+    with pytest.raises(InvalidTorsionPair) as err:
+        hrs_tilt(heart(), _pair_of_chosen_atoms(chosen, needs_data), max_check_mass=3)
+    assert err.value.witness == (*witness, "nonzero morphism")
+    assert "nonzero morphism from torsion class to free class" in str(err.value)
 
 
 @pytest.mark.parametrize("level", [-1, 4, 9])

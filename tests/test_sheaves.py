@@ -150,6 +150,28 @@ def test_flags_must_join_adjacent_occupied_degrees():
             formal_object(atoms, nonsplit=[entry])
 
 
+LINE_UNDER_SKY = ((-1, LocallyFree(1)), (0, Torsion((("y", 1),))))
+
+
+@pytest.mark.parametrize(
+    "graded, nonsplit",
+    [
+        (((0, Torsion((("y", 1),))), (0, LocallyFree(1))), ()),
+        (((True, LocallyFree(1)),), ()),
+        (((0.5, LocallyFree(1)),), ()),
+        ((("0", LocallyFree(1)),), ()),
+        (LINE_UNDER_SKY, ((-1.0, 0),)),
+        (LINE_UNDER_SKY, ((-1.9, 0.7),)),
+        (LINE_UNDER_SKY, ((-1, False),)),
+    ],
+    ids=["duplicate-unorderable", "bool", "half", "string", "float-flag",
+         "fractional-flag", "bool-flag"],
+)
+def test_degrees_and_flags_are_integers(graded, nonsplit):
+    with pytest.raises(DomainError):
+        FormalObject(graded, nonsplit)
+
+
 def test_legality_of_nonsplit_extensions():
     d = 4
     # torsion over a locally free shift needs the span to be exactly d

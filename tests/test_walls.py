@@ -436,7 +436,9 @@ def test_twist_escape_proves_the_wrong_side():
         twist_escape(KClass(1, 0), KClass(0, -1), Fraction(3, 10), std_charge(0))
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), float("-inf"), Fraction(10**400), Fraction(-(10**400))]
+)
 def test_twist_escape_rejects_non_finite_input(bad):
     with pytest.raises(DomainError):
         twist_escape(KClass(1, -1), KClass(1, 0), bad, std_charge(0))
