@@ -171,9 +171,13 @@ class CentralCharge:
     def is_degenerate(self) -> bool:
         if self._frame is not None:
             return self._frame.det_sign() == 0
-        det = self.det()
-        scale = max(1.0, max(abs(to_float(v)) for v in self._values) ** 2)
-        return num_eq(det, 0, scale=scale)
+        # |det| <= TOL * max(1, m**2) for the largest entry m, tested on the
+        # values times 2**-k: exact in floats, and no product leaves the range
+        m = max(abs(to_float(v)) for v in self._values)
+        k = max(0, math.frexp(m)[1])
+        det = _charge(None, tuple(
+            v / 2**k if is_exact(v) else math.ldexp(v, -k) for v in self._values)).det()
+        return num_eq(det, 0, scale=max(math.ldexp(1.0, -2 * k), math.ldexp(m, -k) ** 2))
 
 
 _STD_CHARGES = (CentralCharge(1, 0, 0, 1), CentralCharge(1, 0, 0, -1))
@@ -227,13 +231,13 @@ def deg_charge(p: int, gamma, d: int | None = None) -> CentralCharge:
     return CentralCharge(1, -((-1) ** p) * cot, 0, 0)
 
 
-def check_index(p, message: str, lo: int = 0, hi: int | None = None) -> None:
-    """Raise DomainError unless p is an integer (not a bool) in lo..hi.
+def check_index(p, message: str, lo: int = 0) -> None:
+    """Raise DomainError unless p is an integer (not a bool) at least lo.
 
-    ``message`` is formatted only on failure, with the fields ``p`` and ``hi``.
+    ``message`` is formatted only on failure, with the field ``p``.
     """
-    if isinstance(p, bool) or not isinstance(p, int) or p < lo or (hi is not None and p > hi):
-        raise DomainError(message.format(p=p, hi=hi))
+    if isinstance(p, bool) or not isinstance(p, int) or p < lo:
+        raise DomainError(message.format(p=p))
 
 
 def check_dimension(d: int) -> None:

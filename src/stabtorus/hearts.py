@@ -15,16 +15,17 @@ p, torsion has phase 1 and a shifted locally free sheaf phase 1/2; a shifted
 torsion-free sheaf splits into its hull defect, torsion of phase 1, and its
 locally free hull, of phase 1/2 (``hull_split``); at p = 0 a torsion-free
 sheaf has the phases of its declared filtration steps, in (0, 1/2].
-``split_at_phase`` cuts these HN pieces at one phase. The standard torsion
-pairs are the cut at any phase in (1/2, 1), the wall pairs of
-``walls.phase_cut_pair`` are cuts at their gamma, and
-``stability.hn_filtration`` lists the pieces.
+``split_at_phase`` cuts these HN pieces at one phase, and every torsion pair
+the package builds is such a cut of a standard heart (``_phase_cut``): the
+standard pairs cut at 3/4, the wall pairs of ``walls.phase_cut_pair`` at
+their gamma. ``stability.hn_filtration`` lists the pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .charges import _check_range, check_index, phase_in_strip, std_charge
 from .errors import DomainError, InvalidTorsionPair, MissingHNData, NotInHeart
@@ -32,7 +33,6 @@ from .exactnum import HALF
 from .sheaves import (
     FormalObject,
     LocallyFree,
-    Mixed,
     Torsion,
     TorsionFree,
     ZERO_OBJECT,
@@ -257,19 +257,13 @@ class StandardHeart:
     def sample_members(self, max_mass: int):
         """Iterator over the members of mass up to max_mass, enumerated once
         per (p, d, max_mass) and shared by every heart with that key."""
-        key = (self.p, self.d, max_mass)
-        members = _MEMBERS_CACHE.get(key)
-        if members is None:
-            degrees = (0,) if self.p == 0 else (-self.p, 0)
-            members = tuple(
-                E for E in enumerate_objects(max_mass, degrees, self.d) if self.contains(E)
-            )
-            _MEMBERS_CACHE[key] = members
-        return iter(members)
+        return iter(_standard_members(self.p, self.d, max_mass))
 
 
-# StandardHeart.sample_members per (p, d, max_mass); members are frozen
-_MEMBERS_CACHE: dict = {}
+@cache
+def _standard_members(p: int, d: int, max_mass: int) -> tuple:
+    degrees = (0,) if p == 0 else (-p, 0)
+    return tuple(E for E in enumerate_objects(max_mass, degrees, d) if heart_membership(E, p, d))
 
 
 @dataclass
@@ -304,15 +298,9 @@ class TiltedHeart:
         return f"TiltedHeart({self.base!r}, pair={self.pair.name})"
 
     def contains(self, E: FormalObject) -> bool:
-        coh = self.base.cohomology(E)
-        for n, piece in coh.items():
-            if n == 0:
-                if not self.pair.in_torsion(piece):
-                    return False
-            elif n == -1:
-                if not self.pair.in_free(piece):
-                    return False
-            else:
+        pair = self.pair
+        for n, piece in self.base.cohomology(E).items():
+            if not (pair.in_torsion(piece) if n == 0 else n == -1 and pair.in_free(piece)):
                 return False
         return True
 
@@ -352,21 +340,9 @@ def hearts_agree_on(h1, h2, objects):
 # torsion pairs and tilting
 
 
-def _sheaf_iso(S1, S2) -> bool:
-    if type(S1) is not type(S2):
-        return False
-    if isinstance(S1, Torsion):
-        return S1.length_multiset() == S2.length_multiset()
-    if isinstance(S1, Mixed):
-        return _sheaf_iso(S1.torsion, S2.torsion) and _sheaf_iso(S1.free, S2.free)
-    if isinstance(S1, TorsionFree):
-        return (S1.rank, S1.colength) == (S2.rank, S2.colength)
-    return S1 == S2
-
-
 def _certain_hom(S1, S2) -> bool:
     """Morphisms the model is sure exist between sheaves (degree 0 to 0)."""
-    if _sheaf_iso(S1, S2):
+    if objects_isomorphic(sheaf_at(0, S1), sheaf_at(0, S2)):
         return True
     t1, t2 = torsion_part(S1), torsion_part(S2)
     if t1 is not None and t2 is not None:
@@ -412,6 +388,7 @@ def hrs_tilt(heart, pair: TorsionPairSpec, max_check_mass: int = 3) -> TiltedHea
     """
     members = list(heart.sample_members(max_check_mass))
     atoms = [E for E in members if len(E.graded) == 1]
+    free_atoms = [B for B in atoms if _try_pred(pair.in_free, B) is True]
     for E in members:
         try:
             if pair.in_torsion(E) and pair.in_free(E) and not E.is_zero():
@@ -431,9 +408,7 @@ def hrs_tilt(heart, pair: TorsionPairSpec, max_check_mass: int = 3) -> TiltedHea
     for A in atoms:
         if _try_pred(pair.in_torsion, A) is not True:
             continue
-        for B in atoms:
-            if _try_pred(pair.in_free, B) is not True:
-                continue
+        for B in free_atoms:
             if _atom_hom_nonzero(A, B, heart.d):
                 _reject(pair, f"nonzero morphism from torsion class to free class ({A} to {B})",
                         (A, B, "nonzero morphism"))
@@ -454,38 +429,41 @@ def _try_pred(pred, E):
         return None
 
 
+def _phase_cut(name: str, p: int, cut) -> TorsionPairSpec:
+    """The torsion pair on the standard heart p cut at phase ``cut``.
+
+    The torsion class holds the heart-p members whose HN pieces all lie above
+    cut, the free class those whose pieces all lie at or below it, and
+    ``decompose`` is ``split_at_phase``. An object off the heart-p shape is in
+    neither class. Every torsion pair of the package is built here.
+    """
+    steps = cut < HALF
+
+    def within(E, above: bool) -> bool:
+        try:
+            pieces = _hn_pieces(E, p, steps)
+        except NotInHeart:
+            return False
+        # pieces come top phase first, so the last or the first one decides
+        return not pieces or (pieces[-1][0] > cut if above else pieces[0][0] <= cut)
+
+    return TorsionPairSpec(name, lambda E: within(E, True), lambda E: within(E, False),
+                           lambda E: split_at_phase(E, p, cut))
+
+
 def standard_pair(level: int, d: int) -> TorsionPairSpec:
     """The torsion pair on the standard heart ``level`` whose tilt is the
-    standard heart ``level + 1``.
+    standard heart ``level + 1``: its cut at 3/4, as at any phase between 1/2
+    and 1.
 
-    It is the cut of the heart at a phase between 1/2 and 1. On the sheaf
-    category the pair is (torsion sheaves, torsion-free sheaves). On heart
-    k >= 1 the torsion class is still the degree-0 torsion part while the
-    free class is the shifted locally free piece; a shifted torsion-free
-    sheaf splits as its hull defect (torsion class) against its hull (free
-    class).
+    On the sheaf category the pair is (torsion sheaves, torsion-free sheaves).
+    On heart k >= 1 the torsion class is the degree-0 torsion and the free
+    class the shifted locally free sheaves; a shifted torsion-free sheaf
+    splits as its hull defect (torsion class) against its hull (free class).
     """
     _check_range(level, d)
-    free_kind = LocallyFree if level else (LocallyFree, TorsionFree)
-
-    # shape tests, not the split: TiltedHeart.contains runs them on every
-    # cohomology piece of every object it checks
-    def in_torsion(E):
-        return E.is_zero() or (E.degrees() == (0,) and isinstance(E.component(0), Torsion))
-
-    def in_free(E):
-        return E.is_zero() or (
-            E.degrees() == (-level,) and isinstance(E.component(-level), free_kind)
-        )
-
-    def decompose(E):
-        return split_at_phase(E, level, _STANDARD_CUT)
-
     name = f"degree-zero-torsion-at-level-{level}" if level else "torsion-against-torsion-free"
-    return TorsionPairSpec(name, in_torsion, in_free, decompose)
-
-
-_ITERATED_CACHE: dict = {}
+    return _phase_cut(name, level, _STANDARD_CUT)
 
 
 def iterated_heart(p: int, d: int):
@@ -497,15 +475,14 @@ def iterated_heart(p: int, d: int):
     the hearts are immutable apart from an internal memo, so reuse is safe.
     """
     _check_range(p, d)
-    key = (p, d)
-    heart = _ITERATED_CACHE.get(key)
-    if heart is None:
-        if p == 0:
-            heart = StandardHeart(0, d)
-        else:
-            heart = TiltedHeart(iterated_heart(p - 1, d), standard_pair(p - 1, d))
-        _ITERATED_CACHE[key] = heart
-    return heart
+    return _iterated_heart(p, d)
+
+
+@cache
+def _iterated_heart(p: int, d: int):
+    if p == 0:
+        return StandardHeart(0, d)
+    return TiltedHeart(_iterated_heart(p - 1, d), standard_pair(p - 1, d))
 
 
 def chain_stabilizes(chain, p: int, d: int) -> int:

@@ -80,10 +80,18 @@ class TorsionFree:
         _check_pos_int(self.rank, "rank")
         _check_pos_int(self.colength, "colength")
         if self.hn is not None:
-            steps = tuple((KClass(c.rk, c.chd), bool(s)) for c, s in self.hn)
+            steps = []
             total = ZERO_CLASS
             prev = None
-            for cls, _ in steps:
+            for step in self.hn:
+                try:
+                    cls, stable = step
+                except (TypeError, ValueError):
+                    cls = stable = None
+                if not isinstance(cls, KClass) or not isinstance(stable, bool):
+                    raise DomainError(
+                        f"a declared filtration step must be a (KClass, bool) pair, got {step!r}")
+                steps.append((cls, stable))
                 if cls.rk < 1:
                     raise DomainError("declared filtration steps must have rank >= 1")
                 if cls.chd > 0:
@@ -99,7 +107,7 @@ class TorsionFree:
                 total = total + cls
             if total != KClass(self.rank, -self.colength):
                 raise DomainError("declared filtration does not sum to the sheaf class")
-            object.__setattr__(self, "hn", steps)
+            object.__setattr__(self, "hn", tuple(steps))
 
 
 @dataclass(frozen=True)

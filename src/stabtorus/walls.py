@@ -13,21 +13,13 @@ inverts the charge map over it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .charges import CentralCharge, KClass, _charge_num, _check_range, check_dimension
 from .errors import DomainError, NeverEscapes, OnSpectrum, ZeroCharge
 from .exactnum import HALF, as_number, gamma_from_cot, num_eq, phase_eq, phase_mod1, to_float
-from .hearts import (
-    StandardHeart,
-    TiltedHeart,
-    TorsionPairSpec,
-    hrs_tilt,
-    split_at_phase,
-    standard_pair,
-)
-from .sheaves import ZERO_OBJECT
+from .hearts import StandardHeart, TiltedHeart, TorsionPairSpec, _phase_cut, hrs_tilt
 from .stability import DegLabel, SpectrumDescriptor, StdLabel, spectrum_of
 
 # reasons a deformation direction fails to reach a wall
@@ -133,29 +125,17 @@ def boundary_at(p: int, gamma, d: int) -> WallDecision:
 
 
 def phase_cut_pair(p: int, gamma, d: int) -> TorsionPairSpec:
-    """Torsion pair on the standard heart p cutting its objects at phase gamma:
-    the torsion class keeps the HN pieces above gamma, the free class those
-    below.
+    """Torsion pair on the standard heart p cutting its members at phase
+    gamma: the torsion class keeps the members whose HN pieces all lie above
+    gamma, the free class those whose pieces all lie at or below it.
 
-    Above 1/2 this is the standard pair of heart p. Below 1/2 it is trivial
-    for p >= 1, where every piece has phase 1/2 or 1, and at p = 0 it cuts
-    the declared filtration steps of torsion-free sheaves.
+    Above 1/2 its classes are those of the standard pair of heart p. Below
+    1/2 every member of heart p >= 1 is in the torsion class, its pieces
+    having phase 1/2 or 1, and at p = 0 the cut splits the declared
+    filtration steps of torsion-free sheaves.
     """
     _check_range(p, d)
-    g = as_number(gamma)
-    name = f"phase-cut-{p}-at-{gamma}"
-    if g > HALF:
-        return replace(standard_pair(p, d), name=name)
-    if p >= 1:
-        return TorsionPairSpec(
-            name, lambda E: True, lambda E: E.is_zero(), lambda E: (E, ZERO_OBJECT)
-        )
-    return TorsionPairSpec(
-        name,
-        lambda E: split_at_phase(E, p, g)[1].is_zero(),
-        lambda E: split_at_phase(E, p, g)[0].is_zero(),
-        lambda E: split_at_phase(E, p, g),
-    )
+    return _phase_cut(f"phase-cut-{p}-at-{gamma}", p, as_number(gamma))
 
 
 def boundary_heart(p: int, gamma, d: int):
@@ -166,9 +146,10 @@ def boundary_heart(p: int, gamma, d: int):
 
     hrs_tilt checks each pair once per process. A pair that passed is
     remembered by (p, d, "standard") for gamma > 1/2 and (p, d, "trivial")
-    for gamma < 1/2 at p >= 1: there the predicates are those of
-    standard_pair(p, d) or the constant trivial ones, and the members checked
-    are those of StandardHeart(p, d), so the check cannot depend on gamma.
+    for gamma < 1/2 at p >= 1: there the cut at gamma is constant on the
+    members of StandardHeart(p, d), which are the members checked, and equal
+    to the cut of standard_pair(p, d) or to the pair with every member in the
+    torsion class, so the check cannot depend on gamma.
     A repeat call tilts at its own pair, named for its own gamma, without the
     check. A failed check is never stored, nor is the p = 0 cut below 1/2,
     which splits at gamma itself.
@@ -360,10 +341,10 @@ def orbit_complex(d: int) -> OrbitComplex:
     return OrbitComplex(tuple(nodes), tuple(edges))
 
 
-def wall_only_complex(index: int = 1) -> OrbitComplex:
+def wall_only_complex() -> OrbitComplex:
     """A single wall node with no cells glued in; its group survives."""
     node = ComplexNode(
-        f"wall-{index}", "wall", index, "circle",
+        "wall-1", "wall", 1, "circle",
         "boundary family with nothing glued to it",
     )
     return OrbitComplex((node,), ())
@@ -401,8 +382,7 @@ def fiber_types(Z: CentralCharge, d: int):
         raise ZeroCharge("the zero charge is hit nowhere")
     out = []
     if not Z.is_degenerate():
-        det = Z.det()
-        eps = 1 if det > 0 else -1
+        eps = 1 if Z.frame().det_sign() > 0 else -1
         for p in range(d):
             if (-1) ** p == eps:
                 out.append(

@@ -22,6 +22,7 @@ from stabtorus.charges import (
 from stabtorus.errors import (
     DomainError,
     NoPhaseInWindow,
+    NotInU,
     UnsupportedSpectrum,
     ZeroCharge,
 )
@@ -268,6 +269,28 @@ def test_mixed_charges_beyond_the_float_range_raise_domain_errors(big):
     ):
         with pytest.raises(DomainError):
             call()
+
+
+@pytest.mark.parametrize(
+    "frame, degenerate",
+    [
+        ((1e200, 0, 0, 1e200), False),
+        ((1e200, 1e200, 1e200, 2e200), False),
+        ((1e300,) * 4, True),
+        ((1e200, 0.5, 0, 1), True),
+        ((1e200, 0.5, Fraction(1, 3), 1), True),
+    ],
+)
+def test_float_charges_of_any_magnitude_decide_degeneracy(frame, degenerate):
+    # the test is relative to the largest entry, whose square leaves the float range
+    assert CentralCharge(*frame).is_degenerate() is degenerate
+
+
+def test_classify_reads_a_huge_degenerate_float_charge():
+    from stabtorus.stability import classify
+
+    with pytest.raises(NotInU):
+        classify(CentralCharge(1e200, 0.5, 0, 1), 1, Fraction(1, 2), 4)
 
 
 @pytest.mark.parametrize(

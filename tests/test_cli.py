@@ -146,6 +146,12 @@ LINE_UNDER_SKY = (
     '"0": {"kind": "torsion", "points": [["y", 1]]}}, "flags": %s}'
 )
 DEG_POINT_WITHOUT_GAMMA = IDENTITY_POINT.replace('"std"', '"deg"')
+STD0_POINT = IDENTITY_POINT.replace('"p": 1', '"p": 0')
+# a torsion-free sheaf at degree 0 declaring one filtration step (flag)
+DECLARED_STEP = (
+    '{"graded": {"0": {"kind": "torsion_free", "rank": 1, "colength": 1, '
+    '"hn": [[{"rk": 1, "chd": -1}, %s]]}}}'
+)
 
 
 @pytest.mark.parametrize(
@@ -163,11 +169,16 @@ DEG_POINT_WITHOUT_GAMMA = IDENTITY_POINT.replace('"std"', '"deg"')
         (IDENTITY_POINT, LINE_UNDER_SKY % ('"-1_0"', '[]')),
         (IDENTITY_POINT, '{"graded": {"0_0": {"kind": "torsion", "points": [["y", 1]]}}}'),
         (IDENTITY_POINT, '{"graded": {"+0": {"kind": "torsion", "points": [["y", 1]]}}}'),
+        (STD0_POINT, DECLARED_STEP % '"false"'),
+        (STD0_POINT, DECLARED_STEP % "0"),
+        (STD0_POINT, DECLARED_STEP % "null"),
+        (STD0_POINT, DECLARED_STEP % "[]"),
     ],
     ids=[
         "bad-degree", "torsion-without-points", "std-label-without-p",
         "deg-label-without-gamma", "graded-list", "graded-string", "fractional-flag",
         "bool-flag", "string-flag", "underscored-key", "underscored-zero-key", "plus-key",
+        "string-step-flag", "zero-step-flag", "null-step-flag", "list-step-flag",
     ],
 )
 def test_hn_malformed_object_exit_2(capsys, point, payload):

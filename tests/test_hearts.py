@@ -20,8 +20,10 @@ from stabtorus.hearts import (
     standard_pair,
 )
 from stabtorus.sheaves import (
+    LocallyFree,
     Mixed,
     Torsion,
+    TorsionFree,
     class_of,
     enumerate_objects,
     formal_object,
@@ -29,9 +31,13 @@ from stabtorus.sheaves import (
     make_torsion,
     make_torsion_free,
     objects_isomorphic,
+    positive_rank_part,
     sheaf_at,
+    sheaf_sum,
     skyscraper,
+    torsion_part,
 )
+from stabtorus.walls import phase_cut_pair
 
 
 def sky_obj(pid="y", length=1, degree=0):
@@ -254,6 +260,22 @@ def test_broken_pair_witness(in_torsion, in_free, decompose, message, kind):
         assert str(second) in text
 
 
+SKY_Y = sheaf_at(0, skyscraper("y"))
+
+
+class _OwnHeart:
+    """A caller's own heart on the 3-torus: the members it is given, in order."""
+
+    d = 3
+    level = 0
+
+    def __init__(self, *members):
+        self.members = members
+
+    def sample_members(self, max_mass):
+        return iter(self.members)
+
+
 def _pair_of_chosen_atoms(chosen, needs_data=lambda E: False):
     """Torsion class: zero and the objects in ``chosen``; free class: zero and
     every other object. Objects with ``needs_data`` raise MissingHNData."""
@@ -290,14 +312,89 @@ def _pair_of_chosen_atoms(chosen, needs_data=lambda E: False):
          (SKY_X0,),
          lambda E: False,
          (SKY_X0, sheaf_at(-3, make_locally_free(1)))),
+        # skyscrapers at two named points are isomorphic; only a caller's own
+        # heart lists both, the standard ones enumerate one per class
+        (lambda: _OwnHeart(SKY_X0, SKY_Y),
+         (SKY_X0,),
+         lambda E: False,
+         (SKY_X0, SKY_Y)),
     ],
-    ids=["hull-inclusion", "mixed-shared-point", "serre-duality"],
+    ids=["hull-inclusion", "mixed-shared-point", "serre-duality", "two-named-skyscrapers"],
 )
 def test_certain_morphisms_reject_a_pair(heart, chosen, needs_data, witness):
     with pytest.raises(InvalidTorsionPair) as err:
         hrs_tilt(heart(), _pair_of_chosen_atoms(chosen, needs_data), max_check_mass=3)
     assert err.value.witness == (*witness, "nonzero morphism")
     assert "nonzero morphism from torsion class to free class" in str(err.value)
+
+
+def test_pairs_may_separate_sheaves_whose_declared_steps_differ():
+    # same rank and colength, different HN filtrations: not isomorphic, so
+    # the model certifies no morphism from one to the other
+    steps_a = [(KClass(1, 0), True), (KClass(1, -3), True)]
+    steps_b = [(KClass(1, -1), True), (KClass(1, -2), True)]
+    A = sheaf_at(0, make_torsion_free(2, 3, hn=steps_a))
+    B = sheaf_at(0, make_torsion_free(2, 3, hn=steps_b))
+    assert class_of(A) == class_of(B) == KClass(2, -3)
+    assert not objects_isomorphic(A, B)
+    pair = _pair_of_chosen_atoms((A,))
+    tilted = hrs_tilt(_OwnHeart(A, B), pair, max_check_mass=3)
+    assert tilted.pair is pair
+
+
+def _shape_predicates(level):
+    """The standard pair on heart ``level`` by atom kinds: degree-0 torsion
+    against one shifted locally free atom, or torsion-free at level 0."""
+    free_kind = LocallyFree if level else (LocallyFree, TorsionFree)
+
+    def in_torsion(E):
+        return E.is_zero() or (E.degrees() == (0,) and isinstance(E.component(0), Torsion))
+
+    def in_free(E):
+        return E.is_zero() or (
+            E.degrees() == (-level,) and isinstance(E.component(-level), free_kind)
+        )
+
+    return in_torsion, in_free
+
+
+def _hand_split(E, level):
+    """(torsion part, free part) of a member of the standard heart ``level``:
+    the torsion with the hull defect at "~q", against the hull."""
+    if level == 0:
+        S = E.component(0)
+        t, F = torsion_part(S), positive_rank_part(S)
+    else:
+        t, F = E.component(0), E.component(-level)
+        if isinstance(F, TorsionFree):
+            t = sheaf_sum(t, make_torsion([("~q", F.colength)]))
+            F = make_locally_free(F.rank)
+    return (
+        formal_object([] if t is None else [(0, t)]),
+        formal_object([] if F is None else [(-level, F)]),
+    )
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_every_pair_is_the_cut_its_reference_describes(d):
+    for p in range(d):
+        in_torsion, in_free = _shape_predicates(p)
+        standard = (in_torsion, in_free, lambda E: _hand_split(E, p))
+        trivial = (lambda E: True, lambda E: E.is_zero(), lambda E: (E, ZERO))
+        cases = [
+            (standard_pair(p, d), standard),
+            (phase_cut_pair(p, Fraction(7, 10), d), standard),
+            (phase_cut_pair(p, 0.65, d), standard),
+        ]
+        if p >= 1:
+            cases.append((phase_cut_pair(p, Fraction(3, 10), d), trivial))
+        members = list(StandardHeart(p, d).sample_members(4))
+        assert members
+        for pair, (ref_torsion, ref_free, ref_split) in cases:
+            for E in members:
+                assert pair.in_torsion(E) == ref_torsion(E), (pair.name, E)
+                assert pair.in_free(E) == ref_free(E), (pair.name, E)
+                assert pair.decompose(E) == ref_split(E), (pair.name, E)
 
 
 @pytest.mark.parametrize("level", [-1, 4, 9])

@@ -86,6 +86,27 @@ def test_declared_filtration_needs_decreasing_phases():
         make_torsion_free(2, 3, hn=[(KClass(1, 0), True), (KClass(1, -2), True)])
 
 
+@pytest.mark.parametrize(
+    "step",
+    [
+        (KClass(1, -1), "false"),
+        (KClass(1, -1), 0),
+        (KClass(1, -1), None),
+        (KClass(1, -1), []),
+        (KClass(1, -1),),
+        (KClass(1, -1), True, True),
+        KClass(1, -1),
+        ((1, -1), True),
+        5,
+    ],
+    ids=["string-flag", "zero-flag", "none-flag", "list-flag", "one-entry", "three-entries",
+         "bare-class", "tuple-class", "int"],
+)
+def test_declared_steps_are_kclass_bool_pairs(step):
+    with pytest.raises(DomainError):
+        make_torsion_free(1, 1, hn=[step])
+
+
 def test_mixed_sheaf():
     m = make_mixed(skyscraper("y", 2), make_locally_free(1))
     assert isinstance(m, Mixed)

@@ -66,6 +66,21 @@ def test_tolerances_live_in_exactnum():
     assert found == []
 
 
+def test_torsion_pairs_are_built_in_hearts():
+    # every torsion pair is a phase cut of a standard heart, built by the one
+    # constructor in hearts.py; no other module may call TorsionPairSpec
+    calls = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "TorsionPairSpec":
+                    calls.setdefault(path.name, []).append(node.lineno)
+    assert list(calls) == ["hearts.py"] and len(calls["hearts.py"]) == 1, calls
+
+
 def test_traced_names_resolve():
     # the benchmark tracer wraps these by name: a method through its class
     # __dict__, a bare class through its __post_init__

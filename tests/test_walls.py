@@ -509,6 +509,14 @@ def test_fiber_of_the_standard_charge():
     assert all(f.structure == "countable" for f in fams)
 
 
+@pytest.mark.parametrize("frame", [(1e200, 0, 0, 1e200), (1e200, 1e200, 1e200, 2e200)])
+def test_fiber_of_huge_float_charges(frame):
+    # the float determinant of the second frame is inf - inf; its exact sign is +
+    fams = fiber_types(CentralCharge(*frame), 5)
+    assert [f.label for f in fams] == [StdLabel(0), StdLabel(2), StdLabel(4)]
+    assert all(f.structure == "countable" for f in fams)
+
+
 def test_fiber_of_a_boundary_charge():
     fams = fiber_types(CentralCharge(1, 1, 0, 0), 5)
     assert [f.label for f in fams] == [
