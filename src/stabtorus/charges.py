@@ -30,6 +30,7 @@ from .exactnum import (
     as_number,
     cot_pi,
     direction_angle,
+    gamma_from_cot,
     is_exact,
     lift_near,
     num_eq,
@@ -211,15 +212,13 @@ def std_charge(p: int, d: int | None = None) -> CentralCharge:
     return _STD_CHARGES[p % 2]
 
 
-def deg_charge(p: int, gamma, d: int | None = None) -> CentralCharge:
+def deg_charge(p: int, gamma) -> CentralCharge:
     """Degenerate charge of the boundary family at heart index p, parameter gamma.
 
     Z(v) = -chd - (-1)^p * cot(pi*gamma) * rk, purely real, with gamma in
     (0, 1/2). Requires p >= 1.
     """
     check_index(p, "heart index must be a nonnegative integer, got {p!r}")
-    if d is not None:
-        _check_range(p, d)
     if p < 1:
         raise DomainError("degenerate charges need heart index p >= 1")
     g = as_number(gamma)
@@ -229,6 +228,28 @@ def deg_charge(p: int, gamma, d: int | None = None) -> CentralCharge:
     if not math.isfinite(cot):
         raise DomainError("gamma is so small that cot(pi*gamma) leaves the float range")
     return CentralCharge(1, -((-1) ** p) * cot, 0, 0)
+
+
+def _orbits_over(Z: CentralCharge, d: int):
+    """The inverse of the charge map on orbit labels: (degenerate, indices,
+    gamma), where Z is a charge of the Std(p) orbit (gamma None) or of the
+    Deg(p, gamma) family exactly for the p in the range ``indices``.
+
+    A nondegenerate Z lies over the Std(p), 0 <= p < d, with (-1)**p the sign
+    of its exact determinant. The rows of a degenerate Z are multiples of
+    (1, w), w read exactly from the first row with a nonzero skyscraper
+    entry; Z lies over Deg(p, gamma), gamma the ``gamma_from_cot`` of |w|,
+    for the 1 <= p < d that are odd exactly when w > 0, and over nothing when
+    its skyscraper column is zero or w = 0, the excluded parameter 1/2.
+    """
+    F = Z.frame()
+    if not Z.is_degenerate():
+        return (False, range(0 if F.det_sign() > 0 else 1, d, 2), None)
+    a, b, c, e = F.num
+    w = Fraction(b, a) if a else Fraction(e, c) if c else 0
+    if w == 0:
+        return (True, range(0), None)
+    return (True, range(1 if w > 0 else 2, d, 2), gamma_from_cot(abs(w)))
 
 
 def check_index(p, message: str, lo: int = 0) -> None:

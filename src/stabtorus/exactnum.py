@@ -146,6 +146,10 @@ def _rescaled(y: Fraction, x: Fraction):
     return to_float(y * s), to_float(x * s)
 
 
+# Niven's points: the only rational gamma in (0, 1) with rational cot(pi*gamma)
+_NIVEN = ((Fraction(1, 4), Fraction(1)), (HALF, Fraction(0)), (Fraction(3, 4), Fraction(-1)))
+
+
 def cot_pi(gamma):
     """cot(pi*gamma) for gamma in (0, 1), exact at the rational points;
     inf where pi*gamma underflows to 0."""
@@ -153,27 +157,26 @@ def cot_pi(gamma):
     if not 0 < g < 1:
         raise ValueError("cot_pi needs an argument in (0, 1)")
     if is_exact(g):
-        if g == HALF:
-            return Fraction(0)
-        if g == Fraction(1, 4):
-            return Fraction(1)
-        if g == Fraction(3, 4):
-            return Fraction(-1)
+        for q, c in _NIVEN:
+            if g == q:
+                return c
     gf = to_float(g)
     s = math.sin(math.pi * gf)
     return math.cos(math.pi * gf) / s if s else math.inf
 
 
 def gamma_from_cot(c):
-    """Inverse of cot_pi into (0, 1); exact at c in {-1, 0, 1}."""
+    """Inverse of cot_pi into (0, 1); exact at c in {-1, 0, 1}. A nonzero c
+    never comes back as 1/2: a float that rounds onto it steps one ulp to
+    the side of the sign of c."""
     if is_exact(c):
-        if c == 1:
-            return Fraction(1, 4)
-        if c == 0:
-            return HALF
-        if c == -1:
-            return Fraction(3, 4)
-    return math.atan2(1.0, to_float(c)) / math.pi
+        for q, k in _NIVEN:
+            if c == k:
+                return q
+    g = math.atan2(1.0, to_float(c)) / math.pi
+    if g == 0.5 and c != 0:
+        return math.nextafter(0.5, 0.0 if c > 0 else 1.0)
+    return g
 
 
 def phase_mod1(re, im, den: int = 1):

@@ -19,9 +19,9 @@ from .charges import KClass, ZERO_CLASS, check_dimension, check_index
 from .errors import DomainError, InconsistentMorphism
 
 
-def _check_pos_int(v, what: str, minimum: int = 1) -> None:
-    if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
-        raise DomainError(f"{what} must be an integer >= {minimum}, got {v!r}")
+def _check_pos_int(v, what: str) -> None:
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise DomainError(f"{what} must be an integer >= 1, got {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +48,6 @@ class Torsion:
 
     def total_length(self) -> int:
         return sum(l for _, l in self.points)
-
-    def length_multiset(self) -> tuple:
-        return tuple(sorted(l for _, l in self.points))
 
 
 @dataclass(frozen=True)
@@ -80,10 +77,14 @@ class TorsionFree:
         _check_pos_int(self.rank, "rank")
         _check_pos_int(self.colength, "colength")
         if self.hn is not None:
+            try:
+                given = iter(self.hn)
+            except TypeError:
+                raise DomainError(f"a declared filtration must be iterable, got {self.hn!r}") from None
             steps = []
             total = ZERO_CLASS
             prev = None
-            for step in self.hn:
+            for step in given:
                 try:
                     cls, stable = step
                 except (TypeError, ValueError):
@@ -142,7 +143,7 @@ def make_torsion_free(rank: int, colength: int, hn=None):
         if hn is not None:
             raise DomainError("a locally free sheaf carries no filtration data")
         return LocallyFree(rank)
-    return TorsionFree(rank, colength, None if hn is None else tuple(hn))
+    return TorsionFree(rank, colength, hn)
 
 
 def make_mixed(torsion: Torsion | None, free) -> object:

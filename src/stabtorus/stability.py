@@ -24,6 +24,7 @@ from .charges import (
     SKYSCRAPER_CLASS,
     _charge_num,
     _check_range,
+    _orbits_over,
     check_dimension,
     check_index,
     deg_charge,
@@ -51,7 +52,6 @@ from .exactnum import (
     cot_pi,
     direction_angle,
     floor_near,
-    gamma_from_cot,
     phase_mod1,
     to_float,
 )
@@ -247,13 +247,23 @@ def spectrum_of(label, d: int) -> SpectrumDescriptor:
     return SpectrumDescriptor(points, (), (), True)
 
 
+_SERIES_NOTES = {
+    "ideal_sheaves": "twisted ideal sheaves of n points, classes (1, -n); phases "
+                     "decrease to the bottom of the window",
+    "unclassified_tail": "an incomplete family with phases increasing toward the "
+                         "skyscraper phase",
+}
+
+
 def stable_objects(sigma: StabPoint, d: int):
     """Families of stable objects at sigma with transported phases.
 
     Returns (SpectrumDescriptor, families). The descriptor stays in the base
     window of the label; family phases are transported through the group
-    part of the point. Boundary points raise UnsupportedSpectrum since their
-    stable objects are not classified.
+    part of the point. Every point has the skyscraper and shifted line bundle
+    families; each series of the descriptor adds one more family, shifted by
+    the heart index, with no single phase. Boundary points raise
+    UnsupportedSpectrum since their stable objects are not classified.
     """
     check_dimension(d)
     if isinstance(sigma.label, DegLabel):
@@ -273,23 +283,10 @@ def stable_objects(sigma: StabPoint, d: int):
             "simple semihomogeneous bundles of degree zero, shifted into the heart",
         ),
     ]
-    if p == 0:
-        families.append(
-            StableFamily(
-                "ideal_sheaves", 0, None, None,
-                "twisted ideal sheaves of n points, classes (1, -n); phases "
-                "decrease to the bottom of the window",
-            )
-        )
-    if p == d - 1:
-        families.append(
-            StableFamily(
-                "unclassified_tail", d - 1, None, None,
-                "an incomplete family with phases increasing toward the "
-                "skyscraper phase",
-            )
-        )
-    return (spectrum_of(sigma.label, d), tuple(families))
+    descriptor = spectrum_of(sigma.label, d)
+    families += [StableFamily(s.kind, p, None, None, _SERIES_NOTES[s.kind])
+                 for s in descriptor.series]
+    return (descriptor, tuple(families))
 
 
 def ideal_family_phase(sigma: StabPoint, n: int, d: int):
@@ -297,7 +294,7 @@ def ideal_family_phase(sigma: StabPoint, n: int, d: int):
     check_dimension(d)
     if not isinstance(sigma.label, StdLabel) or sigma.label.p != 0:
         raise UnsupportedSpectrum("the ideal-sheaf family lives at index-0 points")
-    series = PhaseSeries("ideal_sheaves", True, False, Fraction(0))
+    (series,) = spectrum_of(sigma.label, d).series
     return lift_eval(sigma._g_inverse(), series.value(n))
 
 
@@ -366,12 +363,13 @@ def hn_filtration(sigma: StabPoint, E: FormalObject, d: int):
 def subobject_classes(E: FormalObject, p: int, d: int) -> set:
     """Classes of proper nonzero subobjects of E in the standard heart p >= 1.
 
-    For p >= 2 a heart object is a locally free shift plus torsion and its
-    subobjects are exactly the pairs (sub-bundle shift, torsion subsheaf).
-    For p = 1 long exact sequences allow mixing: writing the shifted piece
-    as rank r with colength q and the torsion mass t, a subobject of class
-    (-r', m) exists precisely when r' = 0 with 1 <= m <= q + t, or
-    0 < r' < r with 0 <= m <= q + t, or r' = r with q <= m <= q + t.
+    Write the shifted piece as rank r with hull defect (colength) q, the
+    torsion mass as t and eps = (-1)**p. A subobject of class (eps*r', m)
+    exists precisely when r' = 0 with 1 <= m <= q + t, or 0 < r' < r with
+    0 <= m <= q + t, or r' = r with q <= m <= q + t. For p = 1 long exact
+    sequences mix the hull defect into the torsion this way; for p >= 2 the
+    shifted piece is locally free, q = 0, and the subobjects are exactly the
+    pairs (sub-bundle shift, torsion subsheaf).
     """
     _check_range(p, d, 1)
     if not heart_membership(E, p, d):
@@ -382,26 +380,11 @@ def subobject_classes(E: FormalObject, p: int, d: int) -> set:
     q = hull_defect_length(upper) if upper is not None else 0
     t = lower.total_length() if lower is not None else 0
     eps = (-1) ** p
-    full = class_of(E)
     out = set()
-    if p >= 2:
-        for rp in range(r + 1):
-            for tp in range(t + 1):
-                cand = KClass(eps * rp, tp)
-                if not cand.is_zero() and cand != full:
-                    out.add(cand)
-        return out
     for rp in range(r + 1):
-        if rp == 0:
-            lo, hi = 1, q + t
-        elif rp < r:
-            lo, hi = 0, q + t
-        else:
-            lo, hi = q, q + t
-        for m in range(lo, hi + 1):
-            cand = KClass(-rp, m)
-            if not cand.is_zero() and cand != full:
-                out.add(cand)
+        lo = 1 if rp == 0 else q if rp == r else 0
+        out.update(KClass(eps * rp, m) for m in range(lo, q + t + 1))
+    out.discard(class_of(E))
     return out
 
 
@@ -432,9 +415,11 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
     phi_sky is the lifted skyscraper phase, psi_line the lifted phase of the
     positive rank ray. The pair determines the heart index through
     p = floor(phi_sky - psi_line) and the group element through the frame of
-    Z; degenerate frames land on the boundary families. Raises NotInU when
-    the data names no point of the region and NotNumericallyConsistent when
-    the phases contradict the charge.
+    Z; degenerate frames land on the boundary families. The labels over Z
+    come from ``charges._orbits_over``, the one inverse of the charge map,
+    and the inferred index must be one of them. Raises NotInU when the data
+    names no point of the region and NotNumericallyConsistent when the
+    phases contradict the charge.
     """
     check_dimension(d)
     phi = as_number(phi_sky)
@@ -452,25 +437,32 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
         )
     p_hat = floor_near(phi_f - psi_f)
     window = psi_f + p_hat - phi_f
-    if Z.is_degenerate():
+    degenerate, indices, gamma = _orbits_over(Z, d)
+    if degenerate:
         if abs(window + 1) <= PHASE_TOL:
             p_hat += 1
         elif abs(window) > PHASE_TOL:  # interior data cannot carry a degenerate charge
             raise NotInU("degenerate charge with interior phase data")
         if not 1 <= p_hat <= d - 1:
             raise NotInU(f"boundary index {p_hat} outside 1..{d - 1}")
-        return _classify_degenerate(Z, phi, p_hat, d)
+        if p_hat not in indices:
+            raise NotInU("boundary parameter would leave (0, 1/2)")
+        alpha, beta = Z.frame().column0()
+        norm = alpha * alpha + beta * beta
+        # T0 sends (alpha, beta) to (1, 0) exactly and has determinant one
+        T0 = Matrix2(alpha / norm, beta / norm, -beta, alpha)
+        return StabPoint(DegLabel(p_hat, gamma), LiftedAuto(T0, _winding(T0, phi)))
     if abs(window) <= PHASE_TOL:
         raise NotNumericallyConsistent(
             "nondegenerate charge with boundary phase data"
         )
     if not 0 <= p_hat <= d - 1:
         raise NotInU(f"heart index {p_hat} outside 0..{d - 1}")
-    M = Matrix2(1, 0, 0, (-1) ** p_hat) @ Z.frame().inverse()
-    if M.det_sign() <= 0:
+    if p_hat not in indices:
         raise NotNumericallyConsistent(
             "charge orientation contradicts the inferred heart index"
         )
+    M = Matrix2(1, 0, 0, (-1) ** p_hat) @ Z.frame().inverse()
     G = LiftedAuto(M, _winding(M, phi))
     check = lift_eval(G, psi)
     if abs(to_float(check) - (0.5 - p_hat)) > PHASE_TOL:
@@ -478,26 +470,6 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
             f"psi_line = {psi} disagrees with the rank-ray phase {check}"
         )
     return StabPoint(StdLabel(p_hat), G)
-
-
-def _classify_degenerate(Z: CentralCharge, phi, p_hat: int, d: int) -> StabPoint:
-    # the frame has rank one; both rows are multiples of a primitive (1, b0)
-    rows = Z.frame().rows()
-    row = rows[0] if rows[0] != (0, 0) else rows[1]
-    if row == (0, 0):
-        raise NotInU("zero charge")
-    if row[0] == 0:
-        raise NotInU("charge vanishes on the skyscraper ray")
-    b0 = row[1] / row[0]
-    cot = -((-1) ** p_hat) * b0
-    if not cot > 0:
-        raise NotInU("boundary parameter would leave (0, 1/2)")
-    gamma = gamma_from_cot(cot)
-    alpha, beta = rows[0][0], rows[1][0]
-    norm = alpha * alpha + beta * beta
-    # T0 sends (alpha, beta) to (1, 0) exactly and has determinant one
-    T0 = Matrix2(alpha / norm, beta / norm, -beta, alpha)
-    return StabPoint(DegLabel(p_hat, gamma), LiftedAuto(T0, _winding(T0, phi)))
 
 
 def _winding(M: Matrix2, phi_sky) -> int:

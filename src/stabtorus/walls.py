@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charges import CentralCharge, KClass, _charge_num, _check_range, check_dimension
+from .charges import CentralCharge, KClass, _charge_num, _check_range, _orbits_over, check_dimension
 from .errors import DomainError, NeverEscapes, OnSpectrum, ZeroCharge
-from .exactnum import HALF, as_number, gamma_from_cot, num_eq, phase_eq, phase_mod1, to_float
+from .exactnum import HALF, as_number, num_eq, phase_eq, phase_mod1, to_float
 from .hearts import StandardHeart, TiltedHeart, TorsionPairSpec, _phase_cut, hrs_tilt
 from .stability import DegLabel, SpectrumDescriptor, StdLabel, spectrum_of
 
@@ -368,7 +368,8 @@ class FiberFamily:
 
 
 def fiber_types(Z: CentralCharge, d: int):
-    """Patterns of points of the region hitting the given charge.
+    """Patterns of points of the region hitting the given charge, over the
+    labels that ``charges._orbits_over`` reads from it.
 
     A nondegenerate charge is reached from every standard orbit whose parity
     matches the orientation of its frame, one point for each winding. A
@@ -380,33 +381,9 @@ def fiber_types(Z: CentralCharge, d: int):
     check_dimension(d)
     if Z.a == 0 and Z.b == 0 and Z.c == 0 and Z.e == 0:
         raise ZeroCharge("the zero charge is hit nowhere")
-    out = []
-    if not Z.is_degenerate():
-        eps = 1 if Z.frame().det_sign() > 0 else -1
-        for p in range(d):
-            if (-1) ** p == eps:
-                out.append(
-                    FiberFamily(
-                        StdLabel(p), "countable",
-                        "one point in the orbit of std-%d per winding" % p,
-                    )
-                )
-        return out
-    if Z.a == 0 and Z.c == 0:
-        return out  # pure rank functional, never a boundary charge
-    rows = ((Z.a, Z.b), (Z.c, Z.e))
-    row = rows[0] if rows[0] != (0, 0) else rows[1]
-    w = row[1] / row[0]
-    if w == 0:
-        return out  # pure degree functional: parameter 1/2 is excluded
-    gamma = gamma_from_cot(abs(w))
-    want_odd = w > 0
-    for p in range(1, d):
-        if (p % 2 == 1) == want_odd:
-            out.append(
-                FiberFamily(
-                    DegLabel(p, gamma), "positive-dimensional",
-                    "stabilizer quotient over the boundary family",
-                )
-            )
-    return out
+    degenerate, indices, gamma = _orbits_over(Z, d)
+    if degenerate:
+        return [FiberFamily(DegLabel(p, gamma), "positive-dimensional",
+                            "stabilizer quotient over the boundary family") for p in indices]
+    return [FiberFamily(StdLabel(p), "countable", "one point in the orbit of std-%d per winding" % p)
+            for p in indices]

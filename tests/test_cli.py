@@ -456,6 +456,22 @@ def test_pi1_drop_end_cell(capsys):
     assert json.loads(out)["group"] == "infinite-cyclic"
 
 
+def test_pi1_drop_both_end_cells(capsys):
+    code, out, _ = run(capsys, ["pi1", "--d", "4", "--drop", "std-0", "--drop", "std-3"])
+    assert code == 0
+    assert json.loads(out)["group"] == "free-of-rank-2"
+
+
+def test_fiber_of_a_tiny_positive_slope_stays_below_half(capsys):
+    code, out, _ = run(capsys, ["fiber", "--d", "4", "--charge", "1,1e-17,0,0"])
+    assert code == 0
+    labels = [f["label"] for f in json.loads(out)["families"]]
+    assert [(l["p"], l["gamma"]) for l in labels] == [
+        (1, {"approx": 0.49999999999999994}),
+        (3, {"approx": 0.49999999999999994}),
+    ]
+
+
 def test_fiber_accepts_leading_negative_charge(capsys):
     code, out, _ = run(capsys, ["fiber", "--d", "5", "--charge", "-1,0,0,1"])
     assert code == 0

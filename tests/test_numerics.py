@@ -47,6 +47,7 @@ def test_cot_pi_special_values():
     assert cot_pi(Fraction(1, 4)) == 1
     assert cot_pi(Fraction(1, 2)) == 0
     assert abs(float(cot_pi(Fraction(1, 6))) - math.sqrt(3)) < 1e-12
+    assert cot_pi(Fraction(3, 4)) == -1
 
 
 def test_gamma_from_cot_inverts_cot_pi():
@@ -55,6 +56,20 @@ def test_gamma_from_cot_inverts_cot_pi():
         assert num_eq(back, g, 1e-12)
     # the quarter turn is recognized exactly
     assert gamma_from_cot(1) == Fraction(1, 4)
+    assert gamma_from_cot(0) == Fraction(1, 2)
+    assert gamma_from_cot(-1) == Fraction(3, 4)
+
+
+@pytest.mark.parametrize(
+    "c", [1e-17, Fraction(1, 10**17), 5e-324, -1e-17, Fraction(-1, 10**30)],
+    ids=["float", "exact", "subnormal", "negative-float", "negative-exact"],
+)
+def test_gamma_from_cot_never_rounds_a_nonzero_cotangent_onto_half(c):
+    # atan2(1, c) / pi rounds to 1/2 for these; the answer keeps the side of c
+    g = gamma_from_cot(c)
+    assert (g < Fraction(1, 2)) if c > 0 else (g > Fraction(1, 2))
+    assert abs(g - 0.5) <= 2**-53
+    assert gamma_from_cot(0.0) == gamma_from_cot(-0.0) == 0.5
 
 
 def test_direction_angle_axes_are_exact():

@@ -107,6 +107,16 @@ def test_declared_steps_are_kclass_bool_pairs(step):
         make_torsion_free(1, 1, hn=[step])
 
 
+def test_declared_filtration_must_be_iterable():
+    with pytest.raises(DomainError, match="must be iterable"):
+        TorsionFree(1, 1, hn=5)
+    with pytest.raises(DomainError, match="must be iterable"):
+        make_torsion_free(1, 1, hn=5)
+    # any iterable of steps is read once and stored as a tuple
+    S = make_torsion_free(1, 1, hn=(step for step in [(KClass(1, -1), True)]))
+    assert S.hn == ((KClass(1, -1), True),)
+
+
 def test_mixed_sheaf():
     m = make_mixed(skyscraper("y", 2), make_locally_free(1))
     assert isinstance(m, Mixed)

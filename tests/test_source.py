@@ -81,6 +81,21 @@ def test_torsion_pairs_are_built_in_hearts():
     assert list(calls) == ["hearts.py"] and len(calls["hearts.py"]) == 1, calls
 
 
+def test_boundary_parameters_are_read_in_charges():
+    # charges._orbits_over is the one inverse of the charge map: no other
+    # module turns a slope into a boundary parameter with gamma_from_cot
+    calls = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "gamma_from_cot":
+                    calls.setdefault(path.name, []).append(node.lineno)
+    assert list(calls) == ["charges.py"], calls
+
+
 def test_traced_names_resolve():
     # the benchmark tracer wraps these by name: a method through its class
     # __dict__, a bare class through its __post_init__

@@ -175,6 +175,28 @@ def test_stable_objects_transport_phases():
         assert abs(float(f.phase) - p0[f.kind] - 1) < 1e-12
 
 
+def test_stable_objects_top_heart_ends_with_the_unclassified_tail():
+    descriptor, fams = stable_objects(make_std(3, 4), 4)
+    assert [f.kind for f in fams] == ["skyscraper", "shifted_line_bundle", "unclassified_tail"]
+    tail = fams[-1]
+    assert (tail.shift, tail.kclass, tail.phase) == (3, None, None)
+    assert tail.note == (
+        "an incomplete family with phases increasing toward the skyscraper phase"
+    )
+    assert [s.kind for s in descriptor.series] == ["unclassified_tail"]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_stable_objects_list_one_family_per_series(d):
+    for p in range(d):
+        descriptor, fams = stable_objects(make_std(p, d), d)
+        extra = [(f.kind, f.shift) for f in fams[2:]]
+        assert extra == [(s.kind, p) for s in descriptor.series]
+        assert extra == ([("ideal_sheaves", 0)] if p == 0 else []) + (
+            [("unclassified_tail", d - 1)] if p == d - 1 else []
+        )
+
+
 def test_stable_objects_rejects_boundary_points():
     with pytest.raises(UnsupportedSpectrum):
         stable_objects(make_deg(1, Fraction(1, 4), 4), 4)
@@ -269,6 +291,31 @@ def test_classify_degenerate_charge():
     assert act_on_charge(sigma.g, sigma.base_charge()) == Z
 
 
+def test_classify_degenerate_charge_below_the_window():
+    # psi a hair above the boundary value reads window -1: the index moves up one
+    Z = CentralCharge(1, 1, 0, 0)
+    sigma = classify(Z, 1, Fraction(1, 10**10), 4)
+    assert sigma.label == DegLabel(1, Fraction(1, 4))
+    assert act_on_charge(sigma.g, sigma.base_charge()) == Z
+
+
+def test_classify_tiny_exact_slope_stays_below_half():
+    # the exact slope is positive, so gamma lies below 1/2 even though its
+    # float rounds onto 1/2
+    Z = CentralCharge(1, Fraction(1, 10**17), 0, 0)
+    sigma = classify(Z, 1, 0, 4)
+    assert sigma.label.p == 1 and 0 < sigma.label.gamma < Fraction(1, 2)
+    assert act_on_charge(sigma.g, sigma.base_charge()).is_degenerate()
+
+
+def test_classify_reads_the_slope_from_a_row_that_sees_the_skyscraper():
+    # Z(skyscraper) = (0, -1); the first row (0, 1e-20) carries no skyscraper
+    # entry, the second row (1, 0) has slope 0, the excluded parameter 1/2
+    Z = CentralCharge(0, 1e-20, 1, 0)
+    with pytest.raises(NotInU, match=r"boundary parameter would leave \(0, 1/2\)"):
+        classify(Z, Fraction(-1, 2), Fraction(-3, 2), 4)
+
+
 def test_classify_round_trip_interior():
     rng = random.Random(101)
     d = 5
@@ -315,6 +362,34 @@ def test_subobject_classes_interior():
     assert KClass(1, 0) in subs
     assert class_of(E) not in subs
     assert all(not v.is_zero() for v in subs)
+
+
+def _subobject_reference(E, p):
+    # the rule as two cases: free mixing of hull defect and torsion at p = 1,
+    # independent (sub-bundle shift, torsion subsheaf) pairs for p >= 2
+    upper, lower = E.component(-p), E.component(0)
+    r = upper.rank if upper is not None else 0
+    q = getattr(upper, "colength", 0) if upper is not None else 0
+    t = lower.total_length() if lower is not None else 0
+    if p >= 2:
+        cands = {KClass((-1) ** p * rp, tp) for rp in range(r + 1) for tp in range(t + 1)}
+    else:
+        cands = set()
+        for rp in range(r + 1):
+            lo = 1 if rp == 0 else (q if rp == r else 0)
+            cands |= {KClass(-rp, m) for m in range(lo, q + t + 1)}
+    return {v for v in cands if not v.is_zero() and v != class_of(E)}
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_subobject_classes_match_the_two_case_rule(d):
+    from stabtorus.hearts import StandardHeart
+
+    for p in range(1, d):
+        members = list(StandardHeart(p, d).sample_members(4))
+        assert members
+        for E in members:
+            assert subobject_classes(E, p, d) == _subobject_reference(E, p)
 
 
 def test_stable_objects_in_model():

@@ -535,6 +535,35 @@ def test_fiber_of_functional_directions_is_empty():
         fiber_types(CentralCharge(0, 0, 0, 0), 4)
 
 
+def test_fiber_reads_the_slope_from_a_row_that_sees_the_skyscraper():
+    # the first row (0, 1e-20) has no skyscraper entry; the second, (1, 0),
+    # has slope 0: the excluded parameter 1/2, so the fiber is empty
+    assert fiber_types(CentralCharge(0, 1e-20, 1, 0), 4) == []
+
+
+def test_fiber_and_classify_read_one_label_from_a_float_frame():
+    from stabtorus.stability import classify
+
+    Z = CentralCharge(1.0, 1.0, 0.0, 0.0)
+    fams = fiber_types(Z, 4)
+    assert [f.label for f in fams] == [DegLabel(1, Fraction(1, 4)), DegLabel(3, Fraction(1, 4))]
+    assert isinstance(fams[0].label.gamma, Fraction)
+    assert classify(Z, 1, 0, 4).label == fams[0].label
+
+
+def test_boundary_parameter_beyond_the_float_range_is_a_domain_error():
+    # the slope 10**400 has no float cotangent; both readers of the labels
+    # over the charge refuse it the same way, whatever the phase data
+    from stabtorus.stability import classify
+
+    Z = CentralCharge(Fraction(1, 10**200), 10**200, 0, 0)
+    with pytest.raises(DomainError, match="beyond the float range"):
+        fiber_types(Z, 4)
+    for psi in (Fraction(1, 2), 0, -1):
+        with pytest.raises(DomainError, match="beyond the float range"):
+            classify(Z, 1, psi, 4)
+
+
 def test_fiber_structures_differ_across_the_determinant_locus():
     nondeg = fiber_types(std_charge(0), 4)
     deg = fiber_types(CentralCharge(1, 1, 0, 0), 4)
