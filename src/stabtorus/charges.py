@@ -230,26 +230,39 @@ def deg_charge(p: int, gamma) -> CentralCharge:
     return CentralCharge(1, -((-1) ** p) * cot, 0, 0)
 
 
-def _orbits_over(Z: CentralCharge, d: int):
+def _orbits_over(Z: CentralCharge, d: int, F: Matrix2):
     """The inverse of the charge map on orbit labels: (degenerate, indices,
-    gamma), where Z is a charge of the Std(p) orbit (gamma None) or of the
-    Deg(p, gamma) family exactly for the p in the range ``indices``.
+    gamma), where Z, with exact frame F, is a charge of the Std(p) orbit
+    (gamma None) or of the Deg(p, gamma()) family exactly for the p in the
+    range ``indices``. gamma is called only where a label is built, since a
+    slope beyond the float range has no boundary parameter.
 
     A nondegenerate Z lies over the Std(p), 0 <= p < d, with (-1)**p the sign
     of its exact determinant. The rows of a degenerate Z are multiples of
     (1, w), w read exactly from the first row with a nonzero skyscraper
     entry; Z lies over Deg(p, gamma), gamma the ``gamma_from_cot`` of |w|,
     for the 1 <= p < d that are odd exactly when w > 0, and over nothing when
-    its skyscraper column is zero or w = 0, the excluded parameter 1/2.
+    its skyscraper column is zero or w = 0, the excluded parameter 1/2. A
+    float Z that is degenerate only within the tolerance also lies over
+    nothing unless the rank-one frame through its skyscraper column and the
+    row read, which is the charge a boundary point over Z has, lies within
+    the tolerance of Z.
     """
-    F = Z.frame()
     if not Z.is_degenerate():
         return (False, range(0 if F.det_sign() > 0 else 1, d, 2), None)
-    a, b, c, e = F.num
-    w = Fraction(b, a) if a else Fraction(e, c) if c else 0
+    a, b, c, e = (Fraction(n, F.den) for n in F.num)
+    if not a:
+        a, b = c, e
+    if F.det_sign():  # degenerate only within the tolerance
+        # the rebuilt frame misses Z by |det| / |a| in the other row; a miss
+        # past m fails anyway, so the float conversion cannot overflow
+        m = max(1, abs(a), abs(b), abs(c), abs(e))
+        if not num_eq(to_float(min(abs(F.det() / a) / m, 1)), 0):
+            return (True, range(0), None)
+    w = b / a if a else 0
     if w == 0:
         return (True, range(0), None)
-    return (True, range(1 if w > 0 else 2, d, 2), gamma_from_cot(abs(w)))
+    return (True, range(1 if w > 0 else 2, d, 2), lambda: gamma_from_cot(abs(w)))
 
 
 def check_index(p, message: str, lo: int = 0) -> None:

@@ -80,7 +80,9 @@ class TorsionFree:
             try:
                 given = iter(self.hn)
             except TypeError:
-                raise DomainError(f"a declared filtration must be iterable, got {self.hn!r}") from None
+                raise DomainError(
+                    f"a declared filtration must be iterable, got {self.hn!r}"
+                ) from None
             steps = []
             total = ZERO_CLASS
             prev = None

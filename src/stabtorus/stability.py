@@ -382,7 +382,10 @@ def subobject_classes(E: FormalObject, p: int, d: int) -> set:
     eps = (-1) ** p
     out = set()
     for rp in range(r + 1):
-        lo = 1 if rp == 0 else q if rp == r else 0
+        if rp == 0:
+            lo = 1
+        else:
+            lo = q if rp == r else 0
         out.update(KClass(eps * rp, m) for m in range(lo, q + t + 1))
     out.discard(class_of(E))
     return out
@@ -437,7 +440,8 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
         )
     p_hat = floor_near(phi_f - psi_f)
     window = psi_f + p_hat - phi_f
-    degenerate, indices, gamma = _orbits_over(Z, d)
+    F = Z.frame()
+    degenerate, indices, gamma = _orbits_over(Z, d, F)
     if degenerate:
         if abs(window + 1) <= PHASE_TOL:
             p_hat += 1
@@ -447,11 +451,11 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
             raise NotInU(f"boundary index {p_hat} outside 1..{d - 1}")
         if p_hat not in indices:
             raise NotInU("boundary parameter would leave (0, 1/2)")
-        alpha, beta = Z.frame().column0()
+        alpha, beta = F.column0()
         norm = alpha * alpha + beta * beta
         # T0 sends (alpha, beta) to (1, 0) exactly and has determinant one
         T0 = Matrix2(alpha / norm, beta / norm, -beta, alpha)
-        return StabPoint(DegLabel(p_hat, gamma), LiftedAuto(T0, _winding(T0, phi)))
+        return StabPoint(DegLabel(p_hat, gamma()), LiftedAuto(T0, _winding(T0, phi)))
     if abs(window) <= PHASE_TOL:
         raise NotNumericallyConsistent(
             "nondegenerate charge with boundary phase data"
@@ -462,7 +466,7 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
         raise NotNumericallyConsistent(
             "charge orientation contradicts the inferred heart index"
         )
-    M = Matrix2(1, 0, 0, (-1) ** p_hat) @ Z.frame().inverse()
+    M = Matrix2(1, 0, 0, (-1) ** p_hat) @ F.inverse()
     G = LiftedAuto(M, _winding(M, phi))
     check = lift_eval(G, psi)
     if abs(to_float(check) - (0.5 - p_hat)) > PHASE_TOL:

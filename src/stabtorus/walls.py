@@ -16,7 +16,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charges import CentralCharge, KClass, _charge_num, _check_range, _orbits_over, check_dimension
+from .charges import (
+    CentralCharge,
+    KClass,
+    _charge_num,
+    _check_range,
+    _orbits_over,
+    check_dimension,
+)
 from .errors import DomainError, NeverEscapes, OnSpectrum, ZeroCharge
 from .exactnum import HALF, as_number, num_eq, phase_eq, phase_mod1, to_float
 from .hearts import StandardHeart, TiltedHeart, TorsionPairSpec, _phase_cut, hrs_tilt
@@ -376,14 +383,16 @@ def fiber_types(Z: CentralCharge, d: int):
     degenerate rank-one charge lands on the boundary families of the matching
     parity, where the stabilizer makes the fiber positive-dimensional; the
     two functional directions that correspond to the excluded parameter
-    values have empty fiber. The zero charge raises ZeroCharge.
+    values have empty fiber, and so does a float charge that is degenerate
+    only within the tolerance and not within it of a boundary charge. The
+    zero charge raises ZeroCharge.
     """
     check_dimension(d)
     if Z.a == 0 and Z.b == 0 and Z.c == 0 and Z.e == 0:
         raise ZeroCharge("the zero charge is hit nowhere")
-    degenerate, indices, gamma = _orbits_over(Z, d)
+    degenerate, indices, gamma = _orbits_over(Z, d, Z.frame())
     if degenerate:
-        return [FiberFamily(DegLabel(p, gamma), "positive-dimensional",
+        return [FiberFamily(DegLabel(p, gamma()), "positive-dimensional",
                             "stabilizer quotient over the boundary family") for p in indices]
-    return [FiberFamily(StdLabel(p), "countable", "one point in the orbit of std-%d per winding" % p)
-            for p in indices]
+    note = "one point in the orbit of std-%d per winding"
+    return [FiberFamily(StdLabel(p), "countable", note % p) for p in indices]

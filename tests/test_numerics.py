@@ -58,6 +58,7 @@ def test_gamma_from_cot_inverts_cot_pi():
     assert gamma_from_cot(1) == Fraction(1, 4)
     assert gamma_from_cot(0) == Fraction(1, 2)
     assert gamma_from_cot(-1) == Fraction(3, 4)
+    assert gamma_from_cot(0.0) == gamma_from_cot(-0.0) == 0.5
 
 
 @pytest.mark.parametrize(
@@ -69,7 +70,6 @@ def test_gamma_from_cot_never_rounds_a_nonzero_cotangent_onto_half(c):
     g = gamma_from_cot(c)
     assert (g < Fraction(1, 2)) if c > 0 else (g > Fraction(1, 2))
     assert abs(g - 0.5) <= 2**-53
-    assert gamma_from_cot(0.0) == gamma_from_cot(-0.0) == 0.5
 
 
 def test_direction_angle_axes_are_exact():

@@ -175,15 +175,12 @@ def test_stable_objects_transport_phases():
         assert abs(float(f.phase) - p0[f.kind] - 1) < 1e-12
 
 
-def test_stable_objects_top_heart_ends_with_the_unclassified_tail():
-    descriptor, fams = stable_objects(make_std(3, 4), 4)
-    assert [f.kind for f in fams] == ["skyscraper", "shifted_line_bundle", "unclassified_tail"]
-    tail = fams[-1]
-    assert (tail.shift, tail.kclass, tail.phase) == (3, None, None)
-    assert tail.note == (
-        "an incomplete family with phases increasing toward the skyscraper phase"
-    )
-    assert [s.kind for s in descriptor.series] == ["unclassified_tail"]
+_SERIES_NOTES = {
+    "ideal_sheaves": "twisted ideal sheaves of n points, classes (1, -n); phases "
+                     "decrease to the bottom of the window",
+    "unclassified_tail": "an incomplete family with phases increasing toward the "
+                         "skyscraper phase",
+}
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -195,6 +192,8 @@ def test_stable_objects_list_one_family_per_series(d):
         assert extra == ([("ideal_sheaves", 0)] if p == 0 else []) + (
             [("unclassified_tail", d - 1)] if p == d - 1 else []
         )
+        for f in fams[2:]:
+            assert (f.kclass, f.phase, f.note) == (None, None, _SERIES_NOTES[f.kind])
 
 
 def test_stable_objects_rejects_boundary_points():
@@ -314,6 +313,17 @@ def test_classify_reads_the_slope_from_a_row_that_sees_the_skyscraper():
     Z = CentralCharge(0, 1e-20, 1, 0)
     with pytest.raises(NotInU, match=r"boundary parameter would leave \(0, 1/2\)"):
         classify(Z, Fraction(-1, 2), Fraction(-3, 2), 4)
+
+
+def test_classify_refuses_a_frame_within_tolerance_of_the_rank_functional():
+    # degenerate only within the float tolerance, and the skyscraper column
+    # (-6e5, 1e-37) is within it of zero against e = -9e33: Z is the limit
+    # gamma -> 0, which no boundary point reaches. Reading the slope from the
+    # first row would rebuild a charge with e = 6.7e-39.
+    Z = CentralCharge(-600000.0, -40000, Fraction(1, 10**37), -9e33)
+    assert Z.is_degenerate()
+    with pytest.raises(NotInU, match=r"boundary parameter would leave \(0, 1/2\)"):
+        classify(Z, -2, -3, 4)
 
 
 def test_classify_round_trip_interior():

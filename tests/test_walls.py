@@ -553,15 +553,25 @@ def test_fiber_and_classify_read_one_label_from_a_float_frame():
 
 def test_boundary_parameter_beyond_the_float_range_is_a_domain_error():
     # the slope 10**400 has no float cotangent; both readers of the labels
-    # over the charge refuse it the same way, whatever the phase data
+    # over the charge refuse it the same way once the phase data names a
+    # boundary point of the matching parity
+    from stabtorus.errors import NotInU
     from stabtorus.stability import classify
 
     Z = CentralCharge(Fraction(1, 10**200), 10**200, 0, 0)
     with pytest.raises(DomainError, match="beyond the float range"):
         fiber_types(Z, 4)
-    for psi in (Fraction(1, 2), 0, -1):
-        with pytest.raises(DomainError, match="beyond the float range"):
-            classify(Z, 1, psi, 4)
+    with pytest.raises(DomainError, match="beyond the float range"):
+        classify(Z, 1, 0, 4)
+    with pytest.raises(NotInU, match="interior phase data"):
+        classify(Z, 1, Fraction(1, 2), 4)
+    with pytest.raises(NotInU, match="would leave"):
+        classify(Z, 1, -1, 4)
+
+
+def test_fiber_of_a_frame_within_tolerance_of_the_rank_functional_is_empty():
+    Z = CentralCharge(-600000.0, -40000, Fraction(1, 10**37), -9e33)
+    assert fiber_types(Z, 4) == []
 
 
 def test_fiber_structures_differ_across_the_determinant_locus():
