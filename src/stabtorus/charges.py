@@ -251,15 +251,14 @@ def _orbits_over(Z: CentralCharge, d: int, F: Matrix2):
     if not Z.is_degenerate():
         return (False, range(0 if F.det_sign() > 0 else 1, d, 2), None)
     a, b, c, e = (Fraction(n, F.den) for n in F.num)
-    if not a:
-        a, b = c, e
+    sky, rk = (a, b) if a else (c, e)
     if F.det_sign():  # degenerate only within the tolerance
-        # the rebuilt frame misses Z by |det| / |a| in the other row; a miss
+        # the rebuilt frame misses Z by |det| / |sky| in the other row; a miss
         # past m fails anyway, so the float conversion cannot overflow
         m = max(1, abs(a), abs(b), abs(c), abs(e))
-        if not num_eq(to_float(min(abs(F.det() / a) / m, 1)), 0):
+        if not num_eq(to_float(min(abs(F.det() / sky) / m, 1)), 0):
             return (True, range(0), None)
-    w = b / a if a else 0
+    w = rk / sky if sky else 0
     if w == 0:
         return (True, range(0), None)
     return (True, range(1 if w > 0 else 2, d, 2), lambda: gamma_from_cot(abs(w)))
