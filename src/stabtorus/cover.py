@@ -6,11 +6,13 @@ circle map induced by T on directions measured in units of pi, pinned down by
 
     f(0) = direction of T(1, 0) in (-1, 1], plus 2 * winding.
 
-With exact matrices every winding computation below reduces to evaluating
-atan2 on a pair of exactly known rational vectors and rounding a quantity
-that sits within about 1e-15 of an integer, so windings are exact even
-though intermediate angles are floats. Exact vectors stay integer numerators
-over one denominator, as in ``Matrix2``, until that atan2.
+Windings are decided from exact integer signs: the whole turns of a lift
+over the direction of an image vector follow from the half-planes of two
+integer vectors and the sign of their cross product (``_turns``), so no
+float angle, rounding or tolerance enters the group law. Floats enter only
+values, never windings: ``lift_eval`` off the axes takes atan2 of correctly
+rounded coordinates. Exact vectors stay integer numerators over one
+denominator, as in ``Matrix2``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .charges import CentralCharge, _charge
-from .errors import DomainError, NotNumericallyConsistent
+from .errors import DomainError
 from .exactnum import HALF, as_number, direction_angle, is_exact, lift_near, to_float
 from .linalg import Matrix2, mixed_dot
 
@@ -77,77 +79,76 @@ def lift_eval(G: LiftedAuto, phi):
     from the integer below underflows the float range.
     """
     phi = as_number(phi)
-    n = math.floor(phi)
-    r = phi - n
-    if is_exact(r) and r == HALF:
+    if isinstance(phi, float):
+        n = math.floor(phi)
+        rem = rf = phi - n
+    else:  # split on the integers, without Fraction arithmetic
+        n, rem = divmod(phi.numerator, phi.denominator)
+        rf = None if 2 * rem == phi.denominator else rem / phi.denominator
+    if rf is None:
         value = _canonical_value(G.T, 0, 1)
     else:
-        rf = to_float(r)
         value = _canonical_value(G.T, math.cos(math.pi * rf), math.sin(math.pi * rf))
-        if r and not rf:  # just above the axis: base plus a float-invisible offset
+        if rem and not rf:  # just above the axis: base plus a float-invisible offset
             value = to_float(value)
     shift = n + 2 * G.winding
     return value + shift if is_exact(value) else value + to_float(shift)
 
 
-def _canonical_value(T: Matrix2, x, y, den: int = 1):
-    """f_T at the direction of the vector (x, y) / den != 0, T's canonical
-    lift; (x, y) is an integer vector over the positive int den, or a float
-    vector with den 1.
-
-    The half-plane of (x, y) picks the branch, so no float angle of (x, y)
-    is taken: on the axis f_T(0) = base or f_T(1) = base + 1; above it f_T
-    lies in (base, base + 1), 1 away from any wrong lift; below it
-    f_T(psi) = f_T(psi + 1) - 1.
-    """
+def _canonical_value(T: Matrix2, x, y):
+    """f_T at the direction of (x, y), T's canonical lift, for the exact
+    (0, 1) or a float unit vector with y > 0 or y = 0 < x: f_T(0) = base, and
+    above the axis f_T lies in (base, base + 1), 1 away from a wrong lift."""
     base = canonical_base_value(T)
-    if y == 0:
-        return base if x > 0 else base + 1
-    below = y < 0
-    if below:
-        x, y = -x, -y
+    if not y:
+        return base
+    a, b, c, d = T.num
     if isinstance(x, int):
-        a, b, c, d = T.num
-        theta = direction_angle(a * x + b * y, c * x + d * y, T.den * den)
+        theta = direction_angle(a * x + b * y, c * x + d * y, T.den)
     else:
-        a, b, c, d = (to_float(n, T.den) for n in T.num)
+        k = T.den
+        a, b, c, d = to_float(a, k), to_float(b, k), to_float(c, k), to_float(d, k)
         theta = direction_angle(a * x + b * y, c * x + d * y)
     # a float base takes the float 0.5: the same sum, without Fraction dispatch
-    value = lift_near(theta, base + HALF if is_exact(base) else base + 0.5)
-    return value - 1 if below else value
+    return lift_near(theta, base + HALF if is_exact(base) else base + 0.5)
+
+
+def _turns(T: Matrix2, x: int, y: int) -> int:
+    """The integer k with f_T(dir(x, y)) = dir(T(x, y)) + 2k, for T's
+    canonical lift, an integer vector (x, y) != 0 and directions in (-1, 1].
+    f_T sends the upper half-turn (0, 1] into (base, base + 1] and the rest
+    into (base - 1, base], base = dir(p), p = T(1, 0); so k is 1 or 0 for an
+    upper (x, y), 0 or -1 otherwise, as dir(q) <= base or not, q = T(x, y):
+    the half-planes of p and q decide, or within one the sign of p x q."""
+    a, b, c, d = T.num
+    qx, qy = a * x + b * y, c * x + d * y
+    p_upper = c > 0 or (c == 0 and a < 0)
+    q_upper = qy > 0 or (qy == 0 and qx < 0)
+    q_le_p = p_upper if p_upper != q_upper else a * qy - c * qx <= 0
+    if y > 0 or (y == 0 and x < 0):
+        return 1 if q_le_p else 0
+    return 0 if q_le_p else -1
 
 
 def gl_compose(g1: LiftedAuto, g2: LiftedAuto) -> LiftedAuto:
     """Composition g1 after g2 in the cover.
 
-    The matrix part is the exact product; the winding is fixed by evaluating
-    f_{g1}(f_{g2}(0)) against the canonical lift of the product, using the
-    exact image vector g2.T(1,0) rather than its float angle.
+    The matrix part is the exact product. With u = g2.T(1, 0),
+    f_{g1}(f_{g2}(0)) = f_{g1.T}(dir u) + 2 * (g1.winding + g2.winding), and
+    ``_turns`` gives the whole turns of the first term over dir(g1.T u), the
+    product's base value.
     """
-    T = g1.T @ g2.T
     u = g2.T.num
-    f1_at = _canonical_value(g1.T, u[0], u[2], g2.T.den)
-    # the windings are integers and add exactly; only the canonical gap is a float
-    half_gap = (to_float(f1_at) - to_float(canonical_base_value(T))) / 2
-    w = round(half_gap)
-    if not abs(half_gap - w) < 0.25:
-        raise NotNumericallyConsistent("winding drifted away from an integer")
-    return _lifted(T, w + g1.winding + g2.winding)
+    return _lifted(g1.T @ g2.T, _turns(g1.T, u[0], u[2]) + g1.winding + g2.winding)
 
 
 def gl_inverse(g: LiftedAuto) -> LiftedAuto:
-    """Inverse in the cover; winding recovered exactly.
-
-    With u = T^{-1}(1,0) the value f_g(dir u) is an exact even integer
-    because T u is a positive multiple of (1, 0); the inverse winding is
-    minus half of it.
-    """
+    """Inverse in the cover, its winding exact: with u = T^{-1}(1, 0), T u is
+    a positive multiple of (1, 0), so f_g(dir u) = 2 * (_turns(T, u) +
+    winding), and minus that half makes f_g(f_{g^-1}(0)) = 0."""
     Ti = g.T.inverse()
     u = Ti.num
-    val = _canonical_value(g.T, u[0], u[2], Ti.den) + 2 * g.winding
-    if not (is_exact(val) and val % 2 == 0):
-        raise NotNumericallyConsistent("inverse winding must be an even integer")
-    return _lifted(Ti, -int(val // 2))
+    return _lifted(Ti, -(_turns(g.T, u[0], u[2]) + g.winding))
 
 
 def gl_equal(g1: LiftedAuto, g2: LiftedAuto) -> bool:

@@ -6,12 +6,13 @@ arctangent phases) are floats compared at ``TOL``. Every branch decision that
 matters lands on a phase in (1/2)Z, where the helpers below return exact
 values, so float noise never flips a branch.
 
-This module alone picks lifts and decides phase equality. Lift rule:
-``lift_near(theta, target)`` is the representative theta + 2k nearest target,
-exact when both are exact. Equality rule: ``phase_eq`` meets an exact gamma
-only exactly, and a float gamma within ``TOL``; by Niven's theorem tan(pi*q)
-is rational for rational q only at 0 and +-1, so the float (arctangent)
-phases are irrational and never equal a rational gamma.
+This module alone lifts angles and decides phase equality; windings take no
+angle (``cover._turns``). Lift rule: ``lift_near(theta, target)`` is the
+representative theta + 2k nearest target, exact when both are exact.
+Equality rule: ``phase_eq`` meets an exact gamma only exactly, and a float
+gamma within ``TOL``; by Niven's theorem tan(pi*q) is rational for rational
+q only at 0 and +-1, so the float (arctangent) phases are irrational and
+never equal a rational gamma.
 
 Exact values become floats only through ``to_float``: correctly rounded, and
 a DomainError instead of an OverflowError past the float range.
@@ -39,12 +40,12 @@ def is_exact(x) -> bool:
 
 def as_number(x):
     """Coerce to Fraction when exact, keep floats as floats."""
+    if x.__class__ is Fraction or isinstance(x, float):
+        return x
     if isinstance(x, bool):
         raise TypeError("booleans are not numbers here")
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    if isinstance(x, float):
-        return x
     if isinstance(x, str):
         return parse_number(x)
     raise TypeError(f"not a number: {x!r}")

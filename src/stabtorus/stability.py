@@ -33,6 +33,7 @@ from .charges import (
 from .cover import (
     LiftedAuto,
     _pull_back,
+    _turns,
     gl_compose,
     gl_inverse,
     identity_auto,
@@ -434,13 +435,17 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
     phi_f, psi_f = to_float(phi), to_float(psi)
     # phi must lift the actual direction of Z(skyscraper)
     gap = (phi_f - to_float(theta)) / 2
-    if abs(gap - round(gap)) > PHASE_TOL:
+    j = round(gap)
+    if abs(gap - j) > PHASE_TOL:
         raise NotNumericallyConsistent(
             f"phi_sky = {phi} is not a lift of the skyscraper direction {theta}"
         )
     p_hat = floor_near(phi_f - psi_f)
     window = psi_f + p_hat - phi_f
     F = Z.frame()
+    # a float rounding can flatten Z(sky) onto the cut (theta = 1) while the
+    # exact vector lies just below it, at a direction near -1: one turn more
+    j += theta == 1 and F.num[2] > 0
     degenerate, indices, gamma = _orbits_over(Z, d, F)
     if degenerate:
         if abs(window + 1) <= PHASE_TOL:
@@ -455,7 +460,7 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
         norm = alpha * alpha + beta * beta
         # T0 sends (alpha, beta) to (1, 0) exactly and has determinant one
         T0 = Matrix2(alpha / norm, beta / norm, -beta, alpha)
-        return StabPoint(DegLabel(p_hat, gamma()), LiftedAuto(T0, _winding(T0, phi)))
+        return StabPoint(DegLabel(p_hat, gamma()), LiftedAuto(T0, _winding(T0, F, j)))
     if abs(window) <= PHASE_TOL:
         raise NotNumericallyConsistent(
             "nondegenerate charge with boundary phase data"
@@ -467,20 +472,23 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
             "charge orientation contradicts the inferred heart index"
         )
     M = Matrix2(1, 0, 0, (-1) ** p_hat) @ F.inverse()
-    G = LiftedAuto(M, _winding(M, phi))
+    G = LiftedAuto(M, _winding(M, F, j))
     check = lift_eval(G, psi)
     if abs(to_float(check) - (0.5 - p_hat)) > PHASE_TOL:
         raise NotNumericallyConsistent(
             f"psi_line = {psi} disagrees with the rank-ray phase {check}"
         )
+    # a skewed M squeezes phases, so psi must also lift Z(rank)'s direction
+    _, b, _, e = F.num
+    gap = (psi_f - to_float(direction_angle(b, e, max(abs(b), abs(e))))) / 2
+    if abs(gap - round(gap)) > PHASE_TOL:
+        raise NotNumericallyConsistent(f"psi_line = {psi} is not a lift of the rank-ray direction")
     return StabPoint(StdLabel(p_hat), G)
 
 
-def _winding(M: Matrix2, phi_sky) -> int:
-    """The winding w that makes (M, w) carry phi_sky to the base skyscraper
-    phase 1."""
-    w_val = (1 - to_float(lift_eval(LiftedAuto(M, 0), phi_sky))) / 2
-    w = round(w_val)
-    if abs(w_val - w) > PHASE_TOL:
-        raise NotNumericallyConsistent("phi_sky is not a valid lift for this charge")
-    return w
+def _winding(M: Matrix2, F: Matrix2, j: int) -> int:
+    """The winding w that makes (M, w) carry phi_sky = theta + 2j to the base
+    skyscraper phase 1, theta = dir Z(sky), Z(sky) = -F(1, 0). M sends Z(sky)
+    to a positive multiple of (-1, 0), so f_M(theta) = 1 + 2 * _turns."""
+    a, _, c, _ = F.num
+    return -(_turns(M, -a, -c) + j)

@@ -49,13 +49,7 @@ def gamma_pm(spectrum: SpectrumDescriptor, gamma):
     DomainError when gamma leaves (0, 1) or falls below the float range of
     a computable series.
     """
-    g = as_number(gamma)
-    if not 0 < g < 1:
-        raise DomainError("gamma must lie strictly between 0 and 1")
-    candidates = [q + k for q in spectrum.points for k in (-1, 0, 1)]
-    for series in spectrum.series:
-        if series.computable:
-            candidates += [c for c in series.bracket(g) if c is not None]
+    g, candidates = _candidates(spectrum, gamma)
     if any(phase_eq(c, g) for c in candidates):
         raise OnSpectrum(f"gamma = {gamma} is a stable phase")
     below = max(c for c in candidates if c < g)
@@ -73,11 +67,21 @@ def gamma_pm(spectrum: SpectrumDescriptor, gamma):
 
 
 def on_spectrum(label, gamma, d: int) -> bool:
-    try:
-        gamma_pm(spectrum_of(label, d), gamma)
-    except OnSpectrum:
-        return True
-    return False
+    g, candidates = _candidates(spectrum_of(label, d), gamma)
+    return any(phase_eq(c, g) for c in candidates)
+
+
+def _candidates(spectrum: SpectrumDescriptor, gamma):
+    """gamma as a number, and the spectrum phases ``gamma_pm`` picks from:
+    the points shifted by -1, 0 and 1 and the series members bracketing it."""
+    g = as_number(gamma)
+    if not 0 < g < 1:
+        raise DomainError("gamma must lie strictly between 0 and 1")
+    candidates = [q + k for q in spectrum.points for k in (-1, 0, 1)]
+    for series in spectrum.series:
+        if series.computable:
+            candidates += [c for c in series.bracket(g) if c is not None]
+    return g, candidates
 
 
 # ---------------------------------------------------------------------------

@@ -216,18 +216,25 @@ BIG = "1" + "0" * 400
 @pytest.mark.parametrize(
     "argv",
     [
-        ["act", "--d", "4", "--point", IDENTITY_POINT,
-         "--auto", '{"T": [[%s, 1], [1, 1]], "winding": 0}' % BIG],
         ["classify", "--d", "4", "--charge", f"{BIG},1,1,1", "--phi", "1", "--psi", "-0.5"],
         ["classify", "--d", "4", "--charge", "1,0,0,-1", "--phi", BIG, "--psi", "-0.5"],
         ["fiber", "--d", "5", "--charge", f"1,{BIG},0,0"],
     ],
-    ids=["act-auto", "classify-charge", "classify-phi", "fiber-charge"],
+    ids=["classify-charge", "classify-phi", "fiber-charge"],
 )
 def test_entries_beyond_the_float_range_exit_2(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["name"] == "DomainError"
+
+
+def test_auto_entries_beyond_the_float_range_act_exactly(capsys):
+    # the group law takes no float, so an exact entry of any size is answered
+    auto = '{"T": [[%s, 1], [1, 1]], "winding": 0}' % BIG
+    code, out, err = run(capsys, ["act", "--d", "4", "--point", IDENTITY_POINT, "--auto", auto])
+    assert code == 0 and err == ""
+    g = json.loads(out)["g"]
+    assert g["T"] == [[10**400, 1], [1, 1]] and g["winding"] == 0
 
 
 # One argument of each subcommand that takes a number or JSON, with "@" where

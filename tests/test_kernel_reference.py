@@ -284,6 +284,28 @@ def test_cover_matches_the_fraction_reference(g1, g2, phi):
     assert outcome(lift_eval, G2, HALF + w2) == outcome(r_lift_eval, T2, w2, HALF + w2)
 
 
+small_autos = (
+    st.tuples(st.tuples(ints, ints, ints, ints), st.integers(-3, 3))
+    .map(lambda tw: (as_ref(tw[0]), tw[1]))
+    .filter(lambda tw: r_det(tw[0]) > 0)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_autos, small_autos, st.integers(-400, 400), st.integers(-400, 400))
+def test_windings_ignore_a_positive_scale_at_any_magnitude(g1, g2, k1, k2):
+    # 10**k * T induces the circle map of T, so it has the same lifts: the
+    # windings stay those of the small matrices, which the reference checks
+    (T1, w1), (T2, w2) = g1, g2
+    G1, G2 = LiftedAuto(Matrix2(*T1), w1), LiftedAuto(Matrix2(*T2), w2)
+    S1 = LiftedAuto(Matrix2(*(x * Fraction(10) ** k1 for x in T1)), w1)
+    S2 = LiftedAuto(Matrix2(*(x * Fraction(10) ** k2 for x in T2)), w2)
+    assert repr(gl_compose(G1, G2)) == r_compose(T1, w1, T2, w2)
+    assert repr(gl_inverse(G1)) == r_inverse(T1, w1)
+    assert gl_compose(S1, S2).winding == gl_compose(G1, G2).winding
+    assert gl_inverse(S1).winding == gl_inverse(G1).winding
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.tuples(fracs, fracs, fracs, fracs).filter(lambda m: r_det(m) > 0), st.integers(-2, 2))
 def test_exact_directions_match_the_reference_to_the_last_bit(T, n):

@@ -66,6 +66,32 @@ def test_tolerances_live_in_exactnum():
     assert found == []
 
 
+def test_no_float_decides_a_winding():
+    # windings come from integer signs: the group law and classify's winding
+    # solve take no float angle, no rounding and no math function
+    forbidden = {"direction_angle", "lift_eval", "to_float", "round"}
+    kernels = {"cover.py": {"gl_compose", "gl_inverse", "_turns"}, "stability.py": {"_winding"}}
+    found = []
+    for filename, names in kernels.items():
+        path = PACKAGE / filename
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        funcs = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names]
+        assert sorted(f.name for f in funcs) == sorted(names)
+        for func in funcs:
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if isinstance(f, ast.Name) and f.id in forbidden:
+                    found.append(f"{func.name}:{node.lineno}: {f.id}")
+                elif isinstance(f, ast.Attribute) and (
+                    f.attr in forbidden
+                    or (isinstance(f.value, ast.Name) and f.value.id == "math")
+                ):
+                    found.append(f"{func.name}:{node.lineno}: {ast.unparse(f)}")
+    assert found == []
+
+
 def test_torsion_pairs_are_built_in_hearts():
     # every torsion pair is a phase cut of a standard heart, built by the one
     # constructor in hearts.py; no other module may call TorsionPairSpec

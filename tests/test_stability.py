@@ -326,6 +326,49 @@ def test_classify_refuses_a_frame_within_tolerance_of_the_rank_functional():
         classify(Z, -2, -3, 4)
 
 
+def test_classify_winds_a_skewed_rank_one_charge_exactly():
+    # T0, which sends the skyscraper column to (1, 0), is so skewed that a
+    # float lift of phi through it misses an integer; the winding is read
+    # from integer signs instead
+    Z = CentralCharge(1, Fraction(1, 10**17), 10**30, 10**13)
+    sigma = classify(Z, Fraction(-1, 2), Fraction(-3, 2), 4)
+    assert sigma.label.p == 1 and isinstance(sigma.label, DegLabel)
+    assert sigma.phi_sky() == Fraction(-1, 2)
+
+
+def test_classify_refuses_a_rank_phase_that_only_a_skewed_frame_hides():
+    # M squeezes every direction toward the vertical, so psi = 0 passes the
+    # check on the moved side; it does not lift Z(rank), which points down
+    Z = CentralCharge(3, Fraction(1, 10**13), 10**39, -(10**23))
+    with pytest.raises(NotNumericallyConsistent, match="not a lift of the rank-ray direction"):
+        classify(Z, Fraction(3, 2), 0, 4)
+
+
+def test_classify_counts_turns_from_the_exact_skyscraper_vector():
+    # Z(sky) = (-1/2, -10**-400) rounds onto the cut at direction 1, while the
+    # exact vector that fixes the winding lies just below it, near -1
+    Z = CentralCharge(Fraction(1, 2), 0.25, Fraction(1, 10**400), 0.0)
+    for phi in (-1.0, 1.0, 3.0):
+        sigma = classify(Z, phi, phi - 1, 5)
+        assert sigma.phi_sky() == phi and sigma.psi_line() == phi - 1
+
+
+def test_classify_takes_back_a_moved_point_from_a_nudged_float_phase():
+    # phi_sky within the lift check's slack of the exact lift names the same
+    # point however skewed the frame
+    for seed in range(100):
+        rng = random.Random(seed)
+        mag = rng.choice([5, 1000, 10**6])
+        while True:
+            T = Matrix2(*(rng.randint(-mag, mag) for _ in range(4)))
+            if T.det_sign() > 0:
+                break
+        sigma = act(LiftedAuto(T, rng.randint(-2, 2)), make_std(rng.randrange(5), 5))
+        for nudge in (1e-10, -1e-10):
+            phi = float(sigma.phi_sky()) + nudge
+            assert classify(sigma.charge(), phi, sigma.psi_line(), 5) == sigma, seed
+
+
 def test_classify_round_trip_interior():
     rng = random.Random(101)
     d = 5
