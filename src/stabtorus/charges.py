@@ -11,11 +11,11 @@ so the skyscraper class (0, 1) goes to -a - i*c. The standard charges are
 ``std_charge`` (one per heart index, period two) and the degenerate boundary
 charges ``deg_charge`` whose image is a ray plus its negative.
 
-An exact charge is stored as one ``linalg.Matrix2``: four integer numerators
-over one positive denominator. Values, determinant signs, the stability test
-and the cover action are integer arithmetic on it, and Fractions appear only
-when a, b, c or e is read. A charge with a float entry keeps its four values
-and the float semantics of Fraction arithmetic.
+A charge is stored as one ``linalg.Matrix2``: four integer numerators over
+one positive denominator. A float entry is the dyadic rational it equals, so
+a float charge is its exact twin. Values, determinant signs, the stability
+test and the cover action are integer arithmetic on it, and Fractions appear
+only when a, b, c or e is read.
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ from .exactnum import (
     cot_pi,
     direction_angle,
     gamma_from_cot,
-    is_exact,
     lift_near,
-    num_eq,
     to_float,
 )
-from .linalg import Matrix2, mixed_dot
+from .linalg import Matrix2
 
 
 @dataclass(frozen=True)
@@ -86,17 +84,12 @@ def _entry_value(name: str, x):
 
 
 def _charge_entry(i: int) -> property:
-    def get(self):
-        F = self._frame
-        return self._values[i] if F is None else Fraction(F.num[i], F.den)
-
-    return property(get)
+    return property(lambda self: Fraction(self._frame.num[i], self._frame.den))
 
 
-def _charge(frame, values) -> CentralCharge:
+def _charge(frame: Matrix2) -> CentralCharge:
     Z = object.__new__(CentralCharge)
     object.__setattr__(Z, "_frame", frame)
-    object.__setattr__(Z, "_values", values)
     return Z
 
 
@@ -104,16 +97,15 @@ class CentralCharge:
     """Frame (a, b; c, e) on the column (-chd, rk); entries exact or finite
     floats.
 
-    An exact frame is one ``Matrix2`` ((a, b), (c, e)): integer numerators
-    over one positive denominator in lowest terms. ``frame()`` returns it as
-    it is, and a, b, c, e come out as Fractions on read. A frame with a float
-    entry keeps its four values, exact ones as Fractions, and computes with
-    them in floats as Fraction arithmetic would. Equality, hashing and the
-    repr are those of a frozen dataclass with the fields a, b, c, e, so an
-    exact charge equals and hashes like its equal-valued float twin.
+    The frame is one ``Matrix2`` ((a, b), (c, e)): integer numerators over
+    one positive denominator in lowest terms. A float entry is converted
+    exactly, ``frame()`` returns the matrix as it is, and a, b, c, e come out
+    as Fractions on read. Equality, hashing and the repr are those of a
+    frozen dataclass with the fields a, b, c, e, so a charge equals and
+    hashes like any other with the same values, however they were given.
     """
 
-    __slots__ = ("_frame", "_values")  # Matrix2 of an exact frame, else the four values
+    __slots__ = ("_frame",)
     __match_args__ = ("a", "b", "c", "e")
 
     def __new__(cls, a, b, c, e):
@@ -121,9 +113,7 @@ class CentralCharge:
         if not (type(a) in _EXACT and type(b) in _EXACT and type(c) in _EXACT
                 and type(e) in _EXACT):
             entries = tuple(map(_entry_value, "abce", entries))
-            if float in map(type, entries):
-                return _charge(None, entries)
-        return _charge(Matrix2(*entries), None)
+        return _charge(Matrix2(*entries))
 
     a, b, c, e = map(_charge_entry, range(4))
 
@@ -135,17 +125,15 @@ class CentralCharge:
 
     def _entries(self) -> tuple:
         F = self._frame
-        return self._values if F is None else tuple(Fraction(n, F.den) for n in F.num)
+        return tuple(Fraction(n, F.den) for n in F.num)
 
     def __eq__(self, other):
         if other.__class__ is not CentralCharge:
             return NotImplemented
-        if self._frame is not None and other._frame is not None:
-            return self._frame == other._frame
-        return self._entries() == other._entries()
+        return self._frame == other._frame
 
     def __hash__(self):
-        return hash(self._entries())
+        return hash(self._frame)
 
     def __repr__(self):
         return "CentralCharge(a={!r}, b={!r}, c={!r}, e={!r})".format(*self._entries())
@@ -153,53 +141,32 @@ class CentralCharge:
     def __reduce__(self):
         return (CentralCharge, self._entries())
 
-    def is_exact(self) -> bool:
-        return self._frame is not None
-
     def frame(self) -> Matrix2:
-        """Exact matrix form; float entries are converted exactly."""
-        return self._frame if self._frame is not None else Matrix2(*self._values)
+        """The frame as its exact matrix."""
+        return self._frame
 
-    def det(self):
-        if self._frame is not None:
-            return self._frame.det()
-        a, b, c, e = self._values
-        # a*e - b*c as Fraction arithmetic computes it, floats through to_float
-        ae, bc = (x * y if is_exact(x) and is_exact(y) else to_float(x) * to_float(y)
-                  for x, y in ((a, e), (b, c)))
-        return ae - bc if is_exact(ae) and is_exact(bc) else to_float(ae) - to_float(bc)
+    def det(self) -> Fraction:
+        return self._frame.det()
 
     def is_degenerate(self) -> bool:
-        if self._frame is not None:
-            return self._frame.det_sign() == 0
-        # |det| <= TOL * max(1, m**2) for the largest entry m, tested on the
-        # values times 2**-k: exact in floats, and no product leaves the range
-        m = max(abs(to_float(v)) for v in self._values)
-        k = max(0, math.frexp(m)[1])
-        det = _charge(None, tuple(
-            v / 2**k if is_exact(v) else math.ldexp(v, -k) for v in self._values)).det()
-        return num_eq(det, 0, scale=max(math.ldexp(1.0, -2 * k), math.ldexp(m, -k) ** 2))
+        return self._frame.det_sign() == 0
 
 
 _STD_CHARGES = (CentralCharge(1, 0, 0, 1), CentralCharge(1, 0, 0, -1))
 
 
 def charge_eval(Z: CentralCharge, v: KClass):
-    """Value of Z on v as the pair (re, im); exact when Z is exact."""
+    """Value of Z on v as the exact pair (re, im)."""
     re, im, den = _charge_num(Z, v)
-    return (re, im) if Z._frame is None else (Fraction(re, den), Fraction(im, den))
+    return (Fraction(re, den), Fraction(im, den))
 
 
 def _charge_num(Z: CentralCharge, v: KClass):
     """Z(v) as (re, im, den) meaning (re, im) / den: integer numerators over
-    the denominator of an exact Z, charge_eval's pair over 1 otherwise. Either
-    form goes to ``direction_angle`` as it is."""
+    the denominator of Z's frame, the form ``direction_angle`` takes."""
     x = -v.chd
     y = v.rk
     F = Z._frame
-    if F is None:
-        a, b, c, e = Z._values
-        return (mixed_dot(x, a, y, b), mixed_dot(x, c, y, e), 1)
     a, b, c, e = F.num
     return (a * x + b * y, c * x + e * y, F.den)
 
@@ -230,37 +197,29 @@ def deg_charge(p: int, gamma) -> CentralCharge:
     return CentralCharge(1, -((-1) ** p) * cot, 0, 0)
 
 
-def _orbits_over(Z: CentralCharge, d: int, F: Matrix2):
+def _orbits_over(F: Matrix2, d: int):
     """The inverse of the charge map on orbit labels: (degenerate, indices,
-    gamma), where Z, with exact frame F, is a charge of the Std(p) orbit
+    gamma), where the charge with frame F is a charge of the Std(p) orbit
     (gamma None) or of the Deg(p, gamma()) family exactly for the p in the
     range ``indices``. gamma is called only where a label is built, since a
     slope beyond the float range has no boundary parameter.
 
-    A nondegenerate Z lies over the Std(p), 0 <= p < d, with (-1)**p the sign
-    of its exact determinant. The rows of a degenerate Z are multiples of
-    (1, w), w read exactly from the first row with a nonzero skyscraper
-    entry; Z lies over Deg(p, gamma), gamma the ``gamma_from_cot`` of |w|,
-    for the 1 <= p < d that are odd exactly when w > 0, and over nothing when
-    its skyscraper column is zero or w = 0, the excluded parameter 1/2. A
-    float Z that is degenerate only within the tolerance also lies over
-    nothing unless the rank-one frame through its skyscraper column and the
-    row read, which is the charge a boundary point over Z has, lies within
-    the tolerance of Z.
+    A nondegenerate frame lies over the Std(p), 0 <= p < d, with (-1)**p the
+    sign of its determinant. The rows of a degenerate frame are multiples of
+    (1, w), w read from the first row with a nonzero skyscraper entry; it
+    lies over Deg(p, gamma), gamma the ``gamma_from_cot`` of |w|, for the
+    1 <= p < d that are odd exactly when w > 0, and over nothing when its
+    skyscraper column is zero or w = 0, the excluded parameter 1/2. Both
+    readings are exact: the sign and the ratio of integer numerators.
     """
-    if not Z.is_degenerate():
-        return (False, range(0 if F.det_sign() > 0 else 1, d, 2), None)
-    a, b, c, e = (Fraction(n, F.den) for n in F.num)
+    sign = F.det_sign()
+    if sign:
+        return (False, range(0 if sign > 0 else 1, d, 2), None)
+    a, b, c, e = F.num
     sky, rk = (a, b) if a else (c, e)
-    if F.det_sign():  # degenerate only within the tolerance
-        # the rebuilt frame misses Z by |det| / |sky| in the other row; a miss
-        # past m fails anyway, so the float conversion cannot overflow
-        m = max(1, abs(a), abs(b), abs(c), abs(e))
-        if not num_eq(to_float(min(abs(F.det() / sky) / m, 1)), 0):
-            return (True, range(0), None)
-    w = rk / sky if sky else 0
-    if w == 0:
+    if sky == 0 or rk == 0:
         return (True, range(0), None)
+    w = Fraction(rk, sky)
     return (True, range(1 if w > 0 else 2, d, 2), lambda: gamma_from_cot(abs(w)))
 
 
@@ -298,19 +257,19 @@ def is_stability_function(Z: CentralCharge, p: int, d: int | None = None):
     (0, t), t >= 1, and (eps*r, m) with eps = (-1)^p, r >= 1, m >= 0
     (shifted bundles plus torsion summands).
 
-    An exact Z is decided on its integer numerators: a common positive
+    Z is decided on the integer numerators of its frame: a common positive
     denominator changes none of the signs tested, nor floor(e/c).
     """
     check_index(p, "heart index must be a nonnegative integer, got {p!r}")
     if d is not None:
         _check_range(p, d)
-    a, b, c, e = Z._values if Z._frame is None else Z._frame.num
+    a, b, c, e = Z._frame.num
     if p == 0:
         # torsion classes (0, t): need c == 0 and then Re = -a*t < 0
         if c != 0:
             # rank-one class with chd large of the right sign gives Im < 0
-            m = _floor_ratio(e, c) + 1 if c > 0 else -_floor_ratio(-e, c) - 1
-            return (False, KClass(1, int(m)))
+            m = e // c + 1 if c > 0 else -(-e // c) - 1
+            return (False, KClass(1, m))
         if e < 0:
             return (False, KClass(1, 0))
         if e == 0:
@@ -318,9 +277,9 @@ def is_stability_function(Z: CentralCharge, p: int, d: int | None = None):
             if b >= 0:
                 return (False, KClass(1, 0))
             if a > 0:
-                return (False, KClass(1, _floor_ratio(b, a)))
+                return (False, KClass(1, b // a))
             if a < 0:
-                return (False, KClass(1, -_floor_ratio(-b, a)))
+                return (False, KClass(1, -(-b // a)))
             return (False, KClass(0, 1))
         if a <= 0:
             return (False, KClass(0, 1))
@@ -332,12 +291,6 @@ def is_stability_function(Z: CentralCharge, p: int, d: int | None = None):
     if e * eps < 0 or (e * eps == 0 and b * eps >= 0):
         return (False, KClass(eps, 0))
     return (True, None)
-
-
-def _floor_ratio(x, y) -> int:
-    """floor(x / y), by integer division when both are integers; the ceiling
-    is -_floor_ratio(-x, y)."""
-    return x // y if type(x) is int and type(y) is int else math.floor(x / y)
 
 
 def charge_norm(U: CentralCharge, label, d: int) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .charges import CentralCharge, _charge
 from .errors import DomainError
 from .exactnum import HALF, as_number, direction_angle, is_exact, lift_near, to_float
-from .linalg import Matrix2, mixed_dot
+from .linalg import Matrix2
 
 
 @dataclass(frozen=True)
@@ -165,12 +165,5 @@ def act_on_charge(G: LiftedAuto, Z: CentralCharge) -> CentralCharge:
 
 
 def _pull_back(Ti: Matrix2, Z: CentralCharge) -> CentralCharge:
-    """The charge with frame Ti * frame(Z): integer products for an exact Z,
-    the float semantics of Fraction arithmetic otherwise."""
-    if Z.is_exact():
-        return _charge(Ti @ Z.frame(), None)
-    (s, t), (u, v) = Ti.rows()
-    return CentralCharge(
-        mixed_dot(s, Z.a, t, Z.c), mixed_dot(s, Z.b, t, Z.e),
-        mixed_dot(u, Z.a, v, Z.c), mixed_dot(u, Z.b, v, Z.e),
-    )
+    """The charge with frame Ti * frame(Z), by integer products."""
+    return _charge(Ti @ Z.frame())

@@ -84,11 +84,11 @@ def to_float(x, den: int = 1) -> float:
         raise DomainError("an exact value lies beyond the float range") from None
 
 
-def num_eq(x, y, tol: float = TOL, scale: float = 1.0) -> bool:
-    """Equality: exact on exact inputs, within tol * scale across floats."""
+def num_eq(x, y, tol: float = TOL) -> bool:
+    """Equality: exact on exact inputs, within tol across floats."""
     if is_exact(x) and is_exact(y):
         return x == y
-    return abs(to_float(x) - to_float(y)) <= tol * scale
+    return abs(to_float(x) - to_float(y)) <= tol
 
 
 def phase_eq(phase, gamma) -> bool:
@@ -107,9 +107,10 @@ def lift_near(theta, target):
     return theta + 2 * round((to_float(target) - to_float(theta)) / 2)
 
 
-def floor_near(x: float) -> int:
-    """floor of a float that may sit a rounding error below an integer."""
-    return math.floor(x + TOL)
+def floor_near(x) -> int:
+    """floor of an exact x, or of a float that may sit a rounding error below
+    an integer."""
+    return math.floor(x) if is_exact(x) else math.floor(x + TOL)
 
 
 def direction_angle(x, y, den: int = 1):

@@ -421,8 +421,11 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
     p = floor(phi_sky - psi_line) and the group element through the frame of
     Z; degenerate frames land on the boundary families. The labels over Z
     come from ``charges._orbits_over``, the one inverse of the charge map,
-    and the inferred index must be one of them. Raises NotInU when the data
-    names no point of the region and NotNumericallyConsistent when the
+    and the inferred index must be one of them. Exact phases are read
+    exactly: phi_sky is split on the even integer below it, the window comes
+    from the exact difference of the phases, and psi_line is checked against
+    the direction of Z(rank) lifted by integer turns. Raises NotInU when the
+    data names no point of the region and NotNumericallyConsistent when the
     phases contradict the charge.
     """
     check_dimension(d)
@@ -432,21 +435,24 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
     if re == 0 and im == 0:
         raise NotInU("the skyscraper class has zero charge")
     theta = direction_angle(re, im, den)
-    phi_f, psi_f = to_float(phi), to_float(psi)
-    # phi must lift the actual direction of Z(skyscraper)
-    gap = (phi_f - to_float(theta)) / 2
+    # phi must lift the actual direction of Z(skyscraper): phi = 2n + r with
+    # 0 <= r < 2, split as lift_eval splits, and r within the slack of theta
+    # or theta + 2
+    phi_num, phi_den = phi.as_integer_ratio()
+    n, r = divmod(phi_num, 2 * phi_den)
+    gap = (r / phi_den - to_float(theta)) / 2
     j = round(gap)
     if abs(gap - j) > PHASE_TOL:
         raise NotNumericallyConsistent(
             f"phi_sky = {phi} is not a lift of the skyscraper direction {theta}"
         )
-    p_hat = floor_near(phi_f - psi_f)
-    window = psi_f + p_hat - phi_f
+    j += n
+    # exact for exact phases; a float and an exact one meet through to_float
+    delta = phi - psi if type(phi) is type(psi) else to_float(phi) - to_float(psi)
+    p_hat = floor_near(delta)
+    window = p_hat - delta
     F = Z.frame()
-    # a float rounding can flatten Z(sky) onto the cut (theta = 1) while the
-    # exact vector lies just below it, at a direction near -1: one turn more
-    j += theta == 1 and F.num[2] > 0
-    degenerate, indices, gamma = _orbits_over(Z, d, F)
+    degenerate, indices, gamma = _orbits_over(F, d)
     if degenerate:
         if abs(window + 1) <= PHASE_TOL:
             p_hat += 1
@@ -473,16 +479,15 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
         )
     M = Matrix2(1, 0, 0, (-1) ** p_hat) @ F.inverse()
     G = LiftedAuto(M, _winding(M, F, j))
-    check = lift_eval(G, psi)
-    if abs(to_float(check) - (0.5 - p_hat)) > PHASE_TOL:
-        raise NotNumericallyConsistent(
-            f"psi_line = {psi} disagrees with the rank-ray phase {check}"
-        )
-    # a skewed M squeezes phases, so psi must also lift Z(rank)'s direction
+    # M sends Z(rank) = F(0, 1) to (0, (-1)**p_hat), whose base phase is
+    # 1/2 - p_hat: G carries dir Z(rank) + 2k there, and psi must be that lift
     _, b, _, e = F.num
-    gap = (psi_f - to_float(direction_angle(b, e, max(abs(b), abs(e))))) / 2
-    if abs(gap - round(gap)) > PHASE_TOL:
-        raise NotNumericallyConsistent(f"psi_line = {psi} is not a lift of the rank-ray direction")
+    k = (1 - p_hat) // 2 - _turns(M, b, e) - G.winding
+    rank_dir = direction_angle(b, e, max(abs(b), abs(e)))
+    if abs(to_float(psi - 2 * k) - to_float(rank_dir)) > 2 * PHASE_TOL:
+        raise NotNumericallyConsistent(
+            f"psi_line = {psi} disagrees with the rank-ray phase {rank_dir} + {2 * k}"
+        )
     return StabPoint(StdLabel(p_hat), G)
 
 

@@ -211,7 +211,7 @@ def twist_escape(ideal_class: KClass, twist_class: KClass, gamma_minus, Z: Centr
     gm = as_number(gamma_minus)
     if isinstance(gm, float) and not math.isfinite(gm):
         raise DomainError("twist escape needs a finite record phase")
-    # iterates zi + n*ze over one denominator: integers for an exact Z
+    # iterates zi + n*ze as integer numerators over one denominator
     zi0, zi1, den = _charge_num(Z, ideal_class)
     if zi0 == 0 and zi1 == 0:
         raise ZeroCharge("the charge kills the starting class")
@@ -236,18 +236,15 @@ def twist_escape(ideal_class: KClass, twist_class: KClass, gamma_minus, Z: Centr
     # iterate is real; then n0 is where v_t passes through 0
     n0 = None
     if ze1 != 0:
-        n0 = _quotient(-zi1, ze1)
+        n0 = Fraction(-zi1, ze1)
     elif zi1 == 0:
-        n0 = _quotient(-zi0, ze0)
+        n0 = Fraction(-zi0, ze0)
     # runs of n >= 1 split at n0, as (first, last or None)
     runs = [(1, None)]
     if n0 is not None and n0 >= 1:
         k = math.floor(n0)
         runs = [(1, k - 1), (k, k), (k + 1, None)] if k == n0 else [(1, k), (k + 1, None)]
-    try:
-        n = _first_crossing(crosses, runs, rising)
-    except OverflowError:
-        raise DomainError("the iterates leave the float range of the phase test") from None
+    n = _first_crossing(crosses, runs, rising)
     if n is not None:
         return n
     if ze1 == 0 and zi1 * ze0 > 0:
@@ -256,12 +253,6 @@ def twist_escape(ideal_class: KClass, twist_class: KClass, gamma_minus, Z: Centr
             "the phase falls to 0; they never cross the record phase"
         )
     raise DomainError("the phase comparison lost the crossing to float rounding")
-
-
-def _quotient(x, y):
-    """x / y, a Fraction for integers: a float quotient could land a
-    non-integer n0 on an integer."""
-    return Fraction(x, y) if type(x) is int and type(y) is int else x / y
 
 
 def _first_crossing(crosses, runs, rising: bool):
@@ -387,14 +378,14 @@ def fiber_types(Z: CentralCharge, d: int):
     degenerate rank-one charge lands on the boundary families of the matching
     parity, where the stabilizer makes the fiber positive-dimensional; the
     two functional directions that correspond to the excluded parameter
-    values have empty fiber, and so does a float charge that is degenerate
-    only within the tolerance and not within it of a boundary charge. The
-    zero charge raises ZeroCharge.
+    values have empty fiber. Float entries count as the dyadic rationals
+    they equal, so every charge is read exactly. The zero charge raises
+    ZeroCharge.
     """
     check_dimension(d)
     if Z.a == 0 and Z.b == 0 and Z.c == 0 and Z.e == 0:
         raise ZeroCharge("the zero charge is hit nowhere")
-    degenerate, indices, gamma = _orbits_over(Z, d, Z.frame())
+    degenerate, indices, gamma = _orbits_over(Z.frame(), d)
     if degenerate:
         return [FiberFamily(DegLabel(p, gamma()), "positive-dimensional",
                             "stabilizer quotient over the boundary family") for p in indices]

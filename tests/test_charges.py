@@ -22,7 +22,7 @@ from stabtorus.charges import (
 from stabtorus.errors import (
     DomainError,
     NoPhaseInWindow,
-    NotInU,
+    NotNumericallyConsistent,
     UnsupportedSpectrum,
     ZeroCharge,
 )
@@ -257,18 +257,17 @@ def test_classify_never_answers_from_an_infinite_charge():
     "big", [10**400, -(10**400), Fraction(10**401, 3)], ids=["1e400", "-1e400", "1e401/3"]
 )
 def test_mixed_charges_beyond_the_float_range_raise_domain_errors(big):
-    # an exact entry that meets a float entry is converted through to_float
+    # a float entry is the dyadic rational it equals, so a mixed frame past
+    # the float range is answered exactly
     from stabtorus.stability import classify
 
     Z = CentralCharge(big, 0.5, 0, 1)
-    for call in (
-        Z.det,
-        Z.is_degenerate,
-        lambda: charge_eval(Z, SKYSCRAPER_CLASS),
-        lambda: classify(Z, 1, Fraction(1, 2), 4),
-    ):
-        with pytest.raises(DomainError):
-            call()
+    assert Z.det() == big and type(Z.det()) is Fraction
+    assert Z.is_degenerate() is False
+    assert charge_eval(Z, SKYSCRAPER_CLASS) == (-big, 0)
+    assert charge_eval(Z, KClass(1, 0)) == (Fraction(1, 2), 1)
+    with pytest.raises(NotNumericallyConsistent):
+        classify(Z, 1, Fraction(1, 2), 4)
 
 
 @pytest.mark.parametrize(
@@ -277,19 +276,21 @@ def test_mixed_charges_beyond_the_float_range_raise_domain_errors(big):
         ((1e200, 0, 0, 1e200), False),
         ((1e200, 1e200, 1e200, 2e200), False),
         ((1e300,) * 4, True),
-        ((1e200, 0.5, 0, 1), True),
-        ((1e200, 0.5, Fraction(1, 3), 1), True),
+        ((1e200, 0.5, 0, 1), False),
+        ((1e200, 0.5, Fraction(1, 3), 1), False),
     ],
 )
 def test_float_charges_of_any_magnitude_decide_degeneracy(frame, degenerate):
-    # the test is relative to the largest entry, whose square leaves the float range
+    # the exact determinant of the dyadic entries decides, at any magnitude
     assert CentralCharge(*frame).is_degenerate() is degenerate
 
 
 def test_classify_reads_a_huge_degenerate_float_charge():
+    # the frame has positive determinant, so it lies over the Std(p), p even;
+    # its rank ray (1/2, 1) does not point at the phase 1/2 given for it
     from stabtorus.stability import classify
 
-    with pytest.raises(NotInU):
+    with pytest.raises(NotNumericallyConsistent, match="disagrees with the rank-ray phase"):
         classify(CentralCharge(1e200, 0.5, 0, 1), 1, Fraction(1, 2), 4)
 
 

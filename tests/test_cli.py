@@ -214,18 +214,21 @@ BIG = "1" + "0" * 400
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, name",
     [
-        ["classify", "--d", "4", "--charge", f"{BIG},1,1,1", "--phi", "1", "--psi", "-0.5"],
-        ["classify", "--d", "4", "--charge", "1,0,0,-1", "--phi", BIG, "--psi", "-0.5"],
-        ["fiber", "--d", "5", "--charge", f"1,{BIG},0,0"],
+        (["classify", "--d", "4", "--charge", f"{BIG},1,1,1", "--phi", "1", "--psi", "-0.5"],
+         "DomainError"),
+        # phi is read exactly: 10**400 is an even integer, no lift of direction 1
+        (["classify", "--d", "4", "--charge", "1,0,0,-1", "--phi", BIG, "--psi", "-0.5"],
+         "NotNumericallyConsistent"),
+        (["fiber", "--d", "5", "--charge", f"1,{BIG},0,0"], "DomainError"),
     ],
     ids=["classify-charge", "classify-phi", "fiber-charge"],
 )
-def test_entries_beyond_the_float_range_exit_2(capsys, argv):
+def test_entries_beyond_the_float_range_exit_2(capsys, argv, name):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
-    assert json.loads(err)["error"]["name"] == "DomainError"
+    assert json.loads(err)["error"]["name"] == name
 
 
 def test_auto_entries_beyond_the_float_range_act_exactly(capsys):

@@ -3,9 +3,9 @@
 The reference is the arithmetic the kernel replaced: a matrix is a 4-tuple of
 Fractions, a lift is evaluated through the Fraction-based canonical value,
 which applies Fraction entries to the vector and takes atan2 of the float
-coordinates, and a central charge is a frozen dataclass of four Fractions or
-floats. Answers must match the reference to the repr, errors to the name and
-message.
+coordinates, and a central charge is a frozen dataclass of four Fractions, a
+float entry read as the dyadic rational it equals. Answers must match the
+reference to the repr, errors to the name and message.
 """
 
 import math
@@ -19,9 +19,10 @@ from hypothesis import assume, given, settings, strategies as st
 from stabtorus.charges import CentralCharge, KClass, charge_eval
 from stabtorus.cover import LiftedAuto, act_on_charge, gl_compose, gl_inverse, lift_eval
 from stabtorus.errors import NotInU, NotNumericallyConsistent
-from stabtorus.exactnum import HALF, PHASE_TOL, TOL, floor_near
+from stabtorus.exactnum import HALF, PHASE_TOL, direction_angle, floor_near
 from stabtorus.linalg import Matrix2
 from stabtorus.stability import act, classify, make_std
+from stabtorus.walls import fiber_types
 
 # ---------------------------------------------------------------------------
 # the Fraction reference
@@ -143,7 +144,7 @@ def r_classify(Z, phi, psi, d):
 
 @dataclass(frozen=True)
 class RefCharge:
-    """The dataclass CentralCharge: entries coerced to Fractions, floats kept."""
+    """The dataclass CentralCharge: entries coerced to Fractions, floats too."""
 
     a: object
     b: object
@@ -160,8 +161,8 @@ def r_number(x):
         try:
             return Fraction(x.strip())
         except (ValueError, ZeroDivisionError):
-            return float(x)
-    return x if isinstance(x, float) else Fraction(x)
+            return Fraction(float(x))
+    return Fraction(x)
 
 
 def charge_repr(R):
@@ -169,11 +170,7 @@ def charge_repr(R):
 
 
 def r_degenerate(R):
-    det = R.a * R.e - R.b * R.c
-    if all(is_exact(x) for x in astuple(R)):
-        return det == 0
-    scale = max(1.0, max(abs(float(x)) for x in astuple(R)) ** 2)
-    return abs(float(det)) <= TOL * scale
+    return R.a * R.e - R.b * R.c == 0
 
 
 def r_charge_eval(R, v):
@@ -360,7 +357,6 @@ def test_central_charge_matches_the_fraction_reference(quad, v, g):
     assert repr(Z) == charge_repr(R)
     assert repr((Z.a, Z.b, Z.c, Z.e)) == repr(ref)
     assert [type(x) for x in (Z.a, Z.b, Z.c, Z.e)] == [type(x) for x in ref]
-    assert Z.is_exact() == all(is_exact(x) for x in ref)
     assert Z == CentralCharge(*ref) and hash(Z) == hash(R) == hash(ref)
     assert repr(Z.frame()) == matrix_repr(as_ref(ref))
     assert repr(Z.det()) == repr(R.a * R.e - R.b * R.c)
@@ -369,7 +365,7 @@ def test_central_charge_matches_the_fraction_reference(quad, v, g):
     T, w = g
     assert outcome(act_on_charge, LiftedAuto(Matrix2(*T), w), Z) == ref_outcome(r_act_on_ref, T, R)
     copy = pickle.loads(pickle.dumps(Z))
-    assert copy == Z and repr(copy) == repr(Z) and copy.is_exact() == Z.is_exact()
+    assert copy == Z and repr(copy) == repr(Z)
     for name in ("a", "b", "c", "e", "_frame"):
         with pytest.raises(FrozenInstanceError):
             setattr(Z, name, 0)
@@ -385,8 +381,47 @@ def test_exact_charges_equal_and_hash_like_their_float_twins(quad, as_float):
     exact = CentralCharge(*quad)
     twin = CentralCharge(*(float(x) if f else x for x, f in zip(quad, as_float)))
     assert exact == twin and twin == exact and hash(exact) == hash(twin)
-    assert twin.is_exact() == (not any(as_float))
+    assert repr(twin) == repr(exact)
     assert exact.frame() == twin.frame()
     other = CentralCharge(quad[0] + Fraction(1, 3), *quad[1:])
     assert exact != other and twin != other
     assert (exact == quad) is False and exact != RefCharge(*quad)
+
+
+# frames on and near the determinant locus, rows (a, b) and k * (a, b) + (0, t),
+# with entries of at most 53 significant bits, so that each is a float
+short = st.builds(lambda m, j: Fraction(m, 2**j), st.integers(-99, 99), st.integers(0, 8))
+near_degenerate = st.builds(
+    lambda a, b, k, t: (a, b, k * a, k * b + t),
+    short, short, short,
+    st.one_of(st.just(Fraction(0)), st.builds(lambda j: Fraction(1, 2**j), st.integers(20, 36))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.tuples(dyadic, dyadic, dyadic, dyadic), near_degenerate),
+    st.lists(st.booleans(), min_size=4, max_size=4),
+    small_autos,
+    st.integers(-2, 2),
+    st.integers(0, 4),
+    kclasses,
+)
+def test_a_float_charge_answers_as_its_exact_twin(quad, as_float, g, n, p, v):
+    # a float entry is the dyadic rational it equals, so every reading of the
+    # charge, degenerate or not, is that of the exact frame
+    exact = CentralCharge(*quad)
+    twin = CentralCharge(*(float(x) if f else x for x, f in zip(quad, as_float)))
+    assert twin == exact
+    assume(any(quad))
+    G = LiftedAuto(Matrix2(*g[0]), g[1])
+    assert outcome(charge_eval, twin, v) == outcome(charge_eval, exact, v)
+    assert twin.is_degenerate() == exact.is_degenerate()
+    assert outcome(fiber_types, twin, 5) == outcome(fiber_types, exact, 5)
+    assert outcome(act_on_charge, G, twin) == outcome(act_on_charge, G, exact)
+    # phases that lift Z(sky), with interior or boundary data for psi
+    a, c = exact.a, exact.c
+    assume(a or c)
+    phi = float(direction_angle(-a, -c, 1)) + 2 * n
+    for psi in (phi - p - HALF, phi - p):
+        assert outcome(classify, twin, phi, psi, 5) == outcome(classify, exact, phi, psi, 5)

@@ -309,20 +309,23 @@ def test_classify_tiny_exact_slope_stays_below_half():
 
 def test_classify_reads_the_slope_from_a_row_that_sees_the_skyscraper():
     # Z(skyscraper) = (0, -1); the first row (0, 1e-20) carries no skyscraper
-    # entry, the second row (1, 0) has slope 0, the excluded parameter 1/2
+    # entry, but its rank entry makes the determinant -1e-20: a Std charge
     Z = CentralCharge(0, 1e-20, 1, 0)
-    with pytest.raises(NotInU, match=r"boundary parameter would leave \(0, 1/2\)"):
+    with pytest.raises(NotNumericallyConsistent, match="nondegenerate charge with boundary"):
         classify(Z, Fraction(-1, 2), Fraction(-3, 2), 4)
+    # with that entry 0 the frame is degenerate, and the second row (1, 0)
+    # has slope 0, the excluded parameter 1/2
+    with pytest.raises(NotInU, match=r"boundary parameter would leave \(0, 1/2\)"):
+        classify(CentralCharge(0, 0, 1, 0), Fraction(-1, 2), Fraction(-3, 2), 4)
 
 
 def test_classify_refuses_a_frame_within_tolerance_of_the_rank_functional():
-    # degenerate only within the float tolerance, and the skyscraper column
-    # (-6e5, 1e-37) is within it of zero against e = -9e33: Z is the limit
-    # gamma -> 0, which no boundary point reaches. Reading the slope from the
-    # first row would rebuild a charge with e = 6.7e-39.
+    # the skyscraper column (-6e5, 1e-37) is tiny against e = -9e33, but the
+    # exact determinant is positive: a Std charge, which boundary phase data
+    # cannot carry
     Z = CentralCharge(-600000.0, -40000, Fraction(1, 10**37), -9e33)
-    assert Z.is_degenerate()
-    with pytest.raises(NotInU, match=r"boundary parameter would leave \(0, 1/2\)"):
+    assert not Z.is_degenerate()
+    with pytest.raises(NotNumericallyConsistent, match="nondegenerate charge with boundary"):
         classify(Z, -2, -3, 4)
 
 
@@ -340,17 +343,36 @@ def test_classify_refuses_a_rank_phase_that_only_a_skewed_frame_hides():
     # M squeezes every direction toward the vertical, so psi = 0 passes the
     # check on the moved side; it does not lift Z(rank), which points down
     Z = CentralCharge(3, Fraction(1, 10**13), 10**39, -(10**23))
-    with pytest.raises(NotNumericallyConsistent, match="not a lift of the rank-ray direction"):
+    with pytest.raises(NotNumericallyConsistent, match="disagrees with the rank-ray phase"):
         classify(Z, Fraction(3, 2), 0, 4)
 
 
 def test_classify_counts_turns_from_the_exact_skyscraper_vector():
-    # Z(sky) = (-1/2, -10**-400) rounds onto the cut at direction 1, while the
-    # exact vector that fixes the winding lies just below it, near -1
+    # Z(sky) = (-1/2, -10**-400) lies just below the cut at direction 1; the
+    # float entries are exact, so the determinant -10**-400 / 4 is nonzero and
+    # boundary phase data is refused
     Z = CentralCharge(Fraction(1, 2), 0.25, Fraction(1, 10**400), 0.0)
+    assert not Z.is_degenerate()
     for phi in (-1.0, 1.0, 3.0):
-        sigma = classify(Z, phi, phi - 1, 5)
-        assert sigma.phi_sky() == phi and sigma.psi_line() == phi - 1
+        with pytest.raises(NotNumericallyConsistent, match="nondegenerate charge with boundary"):
+            classify(Z, phi, phi - 1, 5)
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_classify_takes_back_a_point_moved_by_a_skewed_element(p):
+    # M squeezes every direction, so a float lift of psi through it misses
+    # the base rank phase; the check lifts Z(rank) by integer turns instead
+    g = LiftedAuto(Matrix2(-(10**22), 70, 5 * 10**15, -8 * 10**10), -2)
+    sigma = act(g, make_std(p, 5))
+    assert classify(sigma.charge(), sigma.phi_sky(), sigma.psi_line(), 5) == sigma
+
+
+def test_classify_reads_exact_phases_past_the_float_precision():
+    # phi - psi = 3/2 exactly, while the difference of their floats is 0
+    sigma = act(LiftedAuto(Matrix2(1, 0, 0, 1), 10**17), make_std(1, 5))
+    phi, psi = sigma.phi_sky(), sigma.psi_line()
+    assert phi == -199999999999999999 and float(phi) == float(psi)
+    assert classify(sigma.charge(), phi, psi, 5) == sigma
 
 
 def test_classify_takes_back_a_moved_point_from_a_nudged_float_phase():

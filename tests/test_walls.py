@@ -536,9 +536,21 @@ def test_fiber_of_functional_directions_is_empty():
 
 
 def test_fiber_reads_the_slope_from_a_row_that_sees_the_skyscraper():
-    # the first row (0, 1e-20) has no skyscraper entry; the second, (1, 0),
-    # has slope 0: the excluded parameter 1/2, so the fiber is empty
-    assert fiber_types(CentralCharge(0, 1e-20, 1, 0), 4) == []
+    # the first row (0, 1e-20) has no skyscraper entry, but the exact
+    # determinant is -1e-20: the odd standard orbits hit the charge
+    fams = fiber_types(CentralCharge(0, 1e-20, 1, 0), 4)
+    assert [f.label for f in fams] == [StdLabel(1), StdLabel(3)]
+    # with that entry 0 the second row (1, 0) has slope 0: the excluded
+    # parameter 1/2, so the fiber is empty
+    assert fiber_types(CentralCharge(0, 0, 1, 0), 4) == []
+
+
+@pytest.mark.parametrize("frame", [(1e-7, 0.0, 0.0, 1e-7), (1e-7, 1e-7, -1e-7, 1e-7)])
+def test_fiber_of_a_tiny_float_charge_is_read_at_its_scale(frame):
+    # 1e-7 times a charge of positive determinant: no absolute tolerance
+    # makes it degenerate, so the even standard orbits hit it
+    fams = fiber_types(CentralCharge(*frame), 4)
+    assert [f.label for f in fams] == [StdLabel(0), StdLabel(2)]
 
 
 def test_fiber_and_classify_read_one_label_from_a_float_frame():
@@ -570,8 +582,9 @@ def test_boundary_parameter_beyond_the_float_range_is_a_domain_error():
 
 
 def test_fiber_of_a_frame_within_tolerance_of_the_rank_functional_is_empty():
+    # near the rank functional, but the exact determinant is positive
     Z = CentralCharge(-600000.0, -40000, Fraction(1, 10**37), -9e33)
-    assert fiber_types(Z, 4) == []
+    assert [f.label for f in fiber_types(Z, 4)] == [StdLabel(0), StdLabel(2)]
 
 
 def test_fiber_structures_differ_across_the_determinant_locus():
