@@ -10,9 +10,11 @@ Windings are decided from exact integer signs: the whole turns of a lift
 over the direction of an image vector follow from the half-planes of two
 integer vectors and the sign of their cross product (``_turns``), so no
 float angle, rounding or tolerance enters the group law. Floats enter only
-values, never windings: ``lift_eval`` off the axes takes atan2 of correctly
-rounded coordinates. Exact vectors stay integer numerators over one
-denominator, as in ``Matrix2``.
+values, never windings, and through one float image of T per ``lift_eval``:
+its entries correctly rounded once, the base direction and the image of
+(cos pi*r, sin pi*r) both taken from them by atan2. Integer and half-integer
+phases never form it: their directions are those of exact vectors, integer
+numerators over one denominator, as in ``Matrix2``.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from dataclasses import dataclass
 
 from .charges import CentralCharge, _charge
 from .errors import DomainError
-from .exactnum import HALF, as_number, direction_angle, is_exact, lift_near, to_float
+from .exactnum import _MIN_NORMAL, HALF, as_number, direction_angle, is_exact, lift_near, to_float
 from .linalg import Matrix2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiftedAuto:
     T: Matrix2
     winding: int
@@ -44,13 +46,21 @@ class LiftedAuto:
 def _lifted(T: Matrix2, winding: int) -> LiftedAuto:
     """LiftedAuto(T, winding) for a T already known to have det T > 0."""
     g = object.__new__(LiftedAuto)
-    object.__setattr__(g, "T", T)
-    object.__setattr__(g, "winding", winding)
+    _set_T(g, T)
+    _set_winding(g, winding)
     return g
 
 
+# the slot setters, past the frozen __setattr__
+_set_T, _set_winding = LiftedAuto.T.__set__, LiftedAuto.winding.__set__
+
+
 def identity_auto() -> LiftedAuto:
-    return LiftedAuto(Matrix2.identity(), 0)
+    """The identity element, one shared instance."""
+    return _IDENTITY
+
+
+_IDENTITY = _lifted(Matrix2.identity(), 0)
 
 
 def shift_auto(n: int) -> LiftedAuto:
@@ -72,45 +82,61 @@ def canonical_base_value(T: Matrix2):
 
 
 def lift_eval(G: LiftedAuto, phi):
-    """Evaluate the lift f_G at the phase phi.
+    """Evaluate the lift f_G at the phase phi = n + r, n an integer and
+    0 <= r < 1: f_G(phi) = f_T(r) + n + 2 * winding, f_T the canonical lift.
 
-    Exact at integer phi and wherever the image direction hits an axis;
-    float (atan2 quality) elsewhere, including an exact phi whose offset
-    from the integer below underflows the float range.
+    f_T(0) is the base, the direction of T(1, 0); at r = 1/2 (exact) f_T is
+    the direction of the exact vector T(0, 1), and at any other r that of the
+    float image of T applied to (cos pi*r, sin pi*r), lifted into (base,
+    base + 1). Exact at integer phi and wherever the image direction hits an
+    axis; float (atan2 quality) elsewhere, including an exact phi whose
+    offset from the integer below underflows the float range.
     """
-    phi = as_number(phi)
+    if phi.__class__ is not int:
+        phi = as_number(phi)
+    T = G.T
     if isinstance(phi, float):
         n = math.floor(phi)
-        rem = rf = phi - n
+        r = phi - n
     else:  # split on the integers, without Fraction arithmetic
-        n, rem = divmod(phi.numerator, phi.denominator)
-        rf = None if 2 * rem == phi.denominator else rem / phi.denominator
-    if rf is None:
-        value = _canonical_value(G.T, 0, 1)
+        num, den = phi.as_integer_ratio()
+        n, rem = divmod(num, den)
+        if not rem:
+            return _shifted(canonical_base_value(T), n + 2 * G.winding)
+        if 2 * rem == den:
+            _, b, _, d = T.num
+            value = _above(direction_angle(b, d, T.den), canonical_base_value(T))
+            return _shifted(value, n + 2 * G.winding)
+        r = rem / den
+        if not r:  # just above the axis: base plus a float-invisible offset
+            return _shifted(to_float(canonical_base_value(T)), n + 2 * G.winding)
+    if not r:
+        return _shifted(canonical_base_value(T), n + 2 * G.winding)
+    fa, fb, fc, fd = T.float_image()
+    # the base from the same image, unless an axis or a subnormal entry asks
+    # direction_angle for an exact or rescaled answer
+    if abs(fa) >= _MIN_NORMAL and abs(fc) >= _MIN_NORMAL:
+        base = math.atan2(fc, fa) / math.pi
     else:
-        value = _canonical_value(G.T, math.cos(math.pi * rf), math.sin(math.pi * rf))
-        if rem and not rf:  # just above the axis: base plus a float-invisible offset
-            value = to_float(value)
-    shift = n + 2 * G.winding
-    return value + shift if is_exact(value) else value + to_float(shift)
+        base = canonical_base_value(T)
+    x, y = math.cos(math.pi * r), math.sin(math.pi * r)
+    u, v = fa * x + fb * y, fc * x + fd * y
+    theta = math.atan2(v, u) / math.pi if u and v else direction_angle(u, v)
+    return _shifted(_above(theta, base), n + 2 * G.winding)
 
 
-def _canonical_value(T: Matrix2, x, y):
-    """f_T at the direction of (x, y), T's canonical lift, for the exact
-    (0, 1) or a float unit vector with y > 0 or y = 0 < x: f_T(0) = base, and
-    above the axis f_T lies in (base, base + 1), 1 away from a wrong lift."""
-    base = canonical_base_value(T)
-    if not y:
-        return base
-    a, b, c, d = T.num
-    if isinstance(x, int):
-        theta = direction_angle(a * x + b * y, c * x + d * y, T.den)
-    else:
-        k = T.den
-        a, b, c, d = to_float(a, k), to_float(b, k), to_float(c, k), to_float(d, k)
-        theta = direction_angle(a * x + b * y, c * x + d * y)
-    # a float base takes the float 0.5: the same sum, without Fraction dispatch
+def _above(theta, base):
+    """The lift theta + 2k in (base, base + 1): the value above the axis of
+    a canonical lift with f(0) = base, 1 away from a wrong lift, so the
+    representative nearest base + 1/2."""
+    if theta.__class__ is float:  # an exact base is an axis value: base + 0.5 is exact
+        return theta + 2 * round((to_float(base) + 0.5 - theta) / 2)
     return lift_near(theta, base + HALF if is_exact(base) else base + 0.5)
+
+
+def _shifted(value, shift: int):
+    """value + shift, a float where value is one."""
+    return value + to_float(shift) if value.__class__ is float else value + shift
 
 
 def _turns(T: Matrix2, x: int, y: int) -> int:

@@ -74,10 +74,11 @@ def to_float(x, den: int = 1) -> float:
     float(Fraction(x, den)) bit for bit. Raises DomainError when the value
     lies beyond the float range.
     """
-    if isinstance(x, float):
-        return x
-    if not isinstance(x, int):  # a Fraction
-        x, den = x.numerator, x.denominator * den
+    if x.__class__ is not int:
+        if isinstance(x, float):
+            return x
+        if not isinstance(x, int):  # a Fraction
+            x, den = x.numerator, x.denominator * den
     try:
         return x / den
     except OverflowError:
@@ -124,12 +125,12 @@ def direction_angle(x, y, den: int = 1):
     subnormal coordinate does not bend the direction; with both coordinates
     normal the result is unchanged. Raises ZeroCharge on the zero vector.
     """
-    if x == 0 and y == 0:
-        raise ZeroCharge("direction of the zero vector is undefined")
     if y == 0:
-        return Fraction(1) if x < 0 else Fraction(0)
+        if x == 0:
+            raise ZeroCharge("direction of the zero vector is undefined")
+        return _ONE if x < 0 else _ZERO
     if x == 0:
-        return HALF if y > 0 else -HALF
+        return HALF if y > 0 else _MINUS_HALF
     fy, fx = to_float(y, den), to_float(x, den)
     if (abs(fy) < _MIN_NORMAL or abs(fx) < _MIN_NORMAL) and is_exact(x) and is_exact(y):
         fy, fx = _rescaled(Fraction(y, den), Fraction(x, den))
@@ -137,6 +138,7 @@ def direction_angle(x, y, den: int = 1):
 
 
 _MIN_NORMAL = sys.float_info.min
+_ZERO, _ONE, _MINUS_HALF = Fraction(0), Fraction(1), -HALF
 
 
 def _rescaled(y: Fraction, x: Fraction):
@@ -183,6 +185,18 @@ def gamma_from_cot(c):
 
 def phase_mod1(re, im, den: int = 1):
     """Phase of the nonzero value (re + i*im) / den folded into (0, 1]; den
-    as in ``direction_angle``."""
+    as in ``direction_angle``.
+
+    The fold follows the exact half-plane: a value strictly above the real
+    axis whose angle atan2 rounds to 0.0 has a phase in (0, 5e-324), so it
+    folds to the bottom of the window, the smallest positive float, not to 1.
+    """
     theta = direction_angle(re, im, den)
-    return theta if theta > 0 else theta + 1
+    if theta > 0:
+        return theta
+    if theta == 0 and im > 0:
+        return _SMALLEST
+    return theta + 1
+
+
+_SMALLEST = math.ulp(0.0)

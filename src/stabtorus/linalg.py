@@ -18,10 +18,13 @@ from fractions import Fraction
 from .exactnum import is_exact, to_float
 
 
-def _frac(x) -> Fraction:
+def _ratio(x) -> tuple:
+    """An entry as its (numerator, denominator) in lowest terms, exactly."""
+    if type(x) is int or type(x) is Fraction:
+        return x.as_integer_ratio()
     if isinstance(x, bool):
         raise TypeError("matrix entries must be numbers")
-    return Fraction(x)
+    return Fraction(x).as_integer_ratio()
 
 
 def _entry(i: int) -> property:
@@ -36,10 +39,11 @@ class Matrix2:
     def __new__(cls, a, b, c, d):
         if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
             return _reduced(a, b, c, d, 1)
-        fs = [x if type(x) is int or type(x) is Fraction else _frac(x) for x in (a, b, c, d)]
-        den = math.lcm(*[f.denominator for f in fs])
+        (na, ka), (nb, kb), (nc, kc), (nd, kd) = map(_ratio, (a, b, c, d))
+        den = math.lcm(ka, kb, kc, kd)
         # over the lcm of reduced denominators the numerators share no factor with it
-        return _reduced(*[f.numerator * (den // f.denominator) for f in fs], den)
+        return _reduced(na * (den // ka), nb * (den // kb), nc * (den // kc), nd * (den // kd),
+                        den)
 
     a, b, c, d = map(_entry, range(4))
 
@@ -98,6 +102,16 @@ class Matrix2:
         k = self.den
         return _reduced(k * d, -k * b, -k * c, k * a, det)
 
+    def float_image(self) -> tuple:
+        """(a, b, c, d) as floats, each correctly rounded (int / int true
+        division is), as ``to_float`` gives them."""
+        a, b, c, d = self.num
+        k = self.den
+        try:
+            return (a / k, b / k, c / k, d / k)
+        except OverflowError:  # to_float raises the DomainError for it
+            return tuple(to_float(x, k) for x in self.num)
+
     def apply(self, x, y):
         """Matrix times column vector; mixed exact/float input allowed."""
         return (mixed_dot(self.a, x, self.b, y), mixed_dot(self.c, x, self.d, y))
@@ -121,12 +135,17 @@ def mixed_dot(s, x, t, y):
 
 def _reduced(a: int, b: int, c: int, d: int, den: int) -> Matrix2:
     """The matrix (a, b, c, d) / den, den != 0, in lowest terms."""
-    g = math.gcd(a, b, c, d, den)
-    if den < 0:
-        g = -g
-    if g != 1:
-        a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+    if den != 1:  # gcd(..., 1) = 1
+        g = math.gcd(a, b, c, d, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
     m = object.__new__(Matrix2)
-    object.__setattr__(m, "num", (a, b, c, d))
-    object.__setattr__(m, "den", den)
+    _set_num(m, (a, b, c, d))
+    _set_den(m, den)
     return m
+
+
+# the slot setters, past the frozen __setattr__
+_set_num, _set_den = Matrix2.num.__set__, Matrix2.den.__set__

@@ -32,6 +32,7 @@ from .charges import (
 )
 from .cover import (
     LiftedAuto,
+    _lifted,
     _pull_back,
     _turns,
     gl_compose,
@@ -58,7 +59,7 @@ from .exactnum import (
 )
 from .hearts import _hn_pieces, heart_membership
 from .linalg import Matrix2
-from .sheaves import FormalObject, class_of, hull_defect_length, sheaf_at
+from .sheaves import FormalObject, class_of, hull_defect_length, sheaf_at, sheaf_class
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +123,31 @@ class StabPoint:
 
     def psi_line(self):
         """Lifted phase of the positive rank ray at this point."""
-        base = HALF - self.label.p if isinstance(self.label, StdLabel) else 1 - self.label.p
+        p = self.label.p
+        base = Fraction(1 - 2 * p, 2) if isinstance(self.label, StdLabel) else 1 - p
         return lift_eval(self._g_inverse(), base)
+
+
+def _std_label(p: int) -> StdLabel:
+    """StdLabel(p) for a heart index p already checked."""
+    label = object.__new__(StdLabel)
+    object.__setattr__(label, "p", p)
+    return label
+
+
+def _deg_label(p: int, gamma) -> DegLabel:
+    """DegLabel(p, gamma) for a boundary index p and a number gamma in
+    (0, 1/2), both already checked."""
+    label = object.__new__(DegLabel)
+    object.__setattr__(label, "p", p)
+    object.__setattr__(label, "gamma", gamma)
+    return label
 
 
 def make_std(p: int, d: int) -> StabPoint:
     """Base point of the standard orbit with heart index p, 0 <= p <= d-1."""
     _check_range(p, d)
-    return StabPoint(StdLabel(p), identity_auto())
+    return StabPoint(_std_label(p), identity_auto())
 
 
 def make_deg(p: int, gamma, d: int) -> StabPoint:
@@ -234,18 +252,28 @@ def spectrum_of(label, d: int) -> SpectrumDescriptor:
     check_dimension(d)
     if isinstance(label, DegLabel):
         _check_range(label.p, d, 1, "boundary")
-        # every object of the boundary heart has phase 1; nothing else occurs
-        return SpectrumDescriptor((Fraction(1),), (), (), True)
-    p = label.p
-    _check_range(p, d)
-    points = (HALF, Fraction(1))
-    if p == 0:
-        series = (PhaseSeries("ideal_sheaves", True, False, Fraction(0)),)
-        return SpectrumDescriptor(points, series, ((Fraction(0), HALF),), False)
-    if p == d - 1:
-        series = (PhaseSeries("unclassified_tail", False, True, Fraction(1)),)
-        return SpectrumDescriptor(points, series, ((HALF, Fraction(1)),), False)
-    return SpectrumDescriptor(points, (), (), True)
+        return _DEG_SPECTRUM
+    _check_range(label.p, d)
+    return _std_spectrum(label.p, d)
+
+
+def _std_spectrum(p: int, d: int) -> SpectrumDescriptor:
+    """The descriptor of Std(p) for a p already in 0..d-1: the ideal-sheaf
+    series at p = 0, the unclassified tail at p = d - 1, else complete."""
+    return _STD_SPECTRA[0 if p == 0 else 2 if p == d - 1 else 1]
+
+
+# the descriptors are immutable, so every call shares one of these
+_POINTS = (HALF, Fraction(1))
+_STD_SPECTRA = (
+    SpectrumDescriptor(_POINTS, (PhaseSeries("ideal_sheaves", True, False, Fraction(0)),),
+                       ((Fraction(0), HALF),), False),
+    SpectrumDescriptor(_POINTS, (), (), True),
+    SpectrumDescriptor(_POINTS, (PhaseSeries("unclassified_tail", False, True, Fraction(1)),),
+                       ((HALF, Fraction(1)),), False),
+)
+# every object of the boundary heart has phase 1; nothing else occurs
+_DEG_SPECTRUM = SpectrumDescriptor((Fraction(1),), (), (), True)
 
 
 _SERIES_NOTES = {
@@ -330,10 +358,6 @@ def hn_filtration(sigma: StabPoint, E: FormalObject, d: int):
     check_dimension(d)
     label = sigma.label
     gi = sigma._g_inverse()
-
-    def tr(x):
-        return lift_eval(gi, x)
-
     if isinstance(label, DegLabel):
         p = label.p
         _check_range(p, d, 1, "boundary")
@@ -341,7 +365,7 @@ def hn_filtration(sigma: StabPoint, E: FormalObject, d: int):
             raise NotInHeart(f"object is not in the boundary heart at index {p}")
         if E.is_zero():
             return ()
-        return (HNFactor(class_of(E), tr(1), E),)
+        return (HNFactor(class_of(E), lift_eval(gi, 1), E),)
 
     p = label.p
     _check_range(p, d)
@@ -350,10 +374,13 @@ def hn_filtration(sigma: StabPoint, E: FormalObject, d: int):
     factors = []
     for phase, i, S, step in _hn_pieces(E, p, steps=True):
         if step is None:
-            part = sheaf_at(i, S)
-            factors.append(HNFactor(class_of(part), tr(phase), part))
+            # a one-atom part, E itself when E is that atom; its class is its
+            # sheaf's, signed by the degree
+            part = E if E.graded == ((i, S),) else sheaf_at(i, S)
+            v = sheaf_class(S)
+            factors.append(HNFactor(-v if i % 2 else v, lift_eval(gi, phase), part))
         else:
-            factors.append(HNFactor(step[0], tr(phase), None, step[1]))
+            factors.append(HNFactor(step[0], lift_eval(gi, phase), None, step[1]))
     return tuple(factors)
 
 
@@ -411,6 +438,9 @@ def is_stable_in_model(E: FormalObject, p: int, d: int) -> bool:
 # ---------------------------------------------------------------------------
 # classification of normalized point data
 
+# PHASE_TOL as the exact ratio of integers that the float is
+_TOL_NUM, _TOL_DEN = PHASE_TOL.as_integer_ratio()
+
 
 def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
     """Rebuild the unique point of the simply connected part with the given
@@ -447,16 +477,27 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
             f"phi_sky = {phi} is not a lift of the skyscraper direction {theta}"
         )
     j += n
-    # exact for exact phases; a float and an exact one meet through to_float
-    delta = phi - psi if type(phi) is type(psi) else to_float(phi) - to_float(psi)
-    p_hat = floor_near(delta)
-    window = p_hat - delta
+    # p_hat = floor(phi - psi) and the window p_hat - (phi - psi) in (-1, 0],
+    # read at its ends: exact for exact phases, on the integer numerators of
+    # phi - psi; otherwise a float meets the other phase through to_float
+    if phi.__class__ is Fraction and psi.__class__ is Fraction:
+        num = phi_num * psi.denominator - psi.numerator * phi_den
+        den = phi_den * psi.denominator
+        p_hat, rem = divmod(num, den)  # the window is -rem/den
+        at_top = rem * _TOL_DEN <= _TOL_NUM * den
+        at_bottom = (den - rem) * _TOL_DEN <= _TOL_NUM * den
+    else:
+        delta = phi - psi if type(phi) is type(psi) else to_float(phi) - to_float(psi)
+        p_hat = floor_near(delta)
+        window = p_hat - delta
+        at_top = abs(window) <= PHASE_TOL
+        at_bottom = abs(window + 1) <= PHASE_TOL
     F = Z.frame()
     degenerate, indices, gamma = _orbits_over(F, d)
     if degenerate:
-        if abs(window + 1) <= PHASE_TOL:
+        if at_bottom:
             p_hat += 1
-        elif abs(window) > PHASE_TOL:  # interior data cannot carry a degenerate charge
+        elif not at_top:  # interior data cannot carry a degenerate charge
             raise NotInU("degenerate charge with interior phase data")
         if not 1 <= p_hat <= d - 1:
             raise NotInU(f"boundary index {p_hat} outside 1..{d - 1}")
@@ -466,8 +507,8 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
         norm = alpha * alpha + beta * beta
         # T0 sends (alpha, beta) to (1, 0) exactly and has determinant one
         T0 = Matrix2(alpha / norm, beta / norm, -beta, alpha)
-        return StabPoint(DegLabel(p_hat, gamma()), LiftedAuto(T0, _winding(T0, F, j)))
-    if abs(window) <= PHASE_TOL:
+        return StabPoint(DegLabel(p_hat, gamma()), _lifted(T0, _winding(T0, F, j)))
+    if at_top:
         raise NotNumericallyConsistent(
             "nondegenerate charge with boundary phase data"
         )
@@ -477,18 +518,26 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
         raise NotNumericallyConsistent(
             "charge orientation contradicts the inferred heart index"
         )
-    M = Matrix2(1, 0, 0, (-1) ** p_hat) @ F.inverse()
-    G = LiftedAuto(M, _winding(M, F, j))
+    # M = diag(1, (-1)**p_hat) F^-1, det M > 0 as p_hat is one of the indices
+    M = F.inverse() if p_hat % 2 == 0 else _FLIP @ F.inverse()
+    G = _lifted(M, _winding(M, F, j))
     # M sends Z(rank) = F(0, 1) to (0, (-1)**p_hat), whose base phase is
     # 1/2 - p_hat: G carries dir Z(rank) + 2k there, and psi must be that lift
     _, b, _, e = F.num
     k = (1 - p_hat) // 2 - _turns(M, b, e) - G.winding
     rank_dir = direction_angle(b, e, max(abs(b), abs(e)))
-    if abs(to_float(psi - 2 * k) - to_float(rank_dir)) > 2 * PHASE_TOL:
+    if psi.__class__ is Fraction:  # psi - 2k on the integers of psi
+        shifted = to_float(psi.numerator - 2 * k * psi.denominator, psi.denominator)
+    else:
+        shifted = psi - 2 * k
+    if abs(shifted - to_float(rank_dir)) > 2 * PHASE_TOL:
         raise NotNumericallyConsistent(
             f"psi_line = {psi} disagrees with the rank-ray phase {rank_dir} + {2 * k}"
         )
-    return StabPoint(StdLabel(p_hat), G)
+    return StabPoint(_std_label(p_hat), G)
+
+
+_FLIP = Matrix2(1, 0, 0, -1)
 
 
 def _winding(M: Matrix2, F: Matrix2, j: int) -> int:

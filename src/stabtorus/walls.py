@@ -27,7 +27,14 @@ from .charges import (
 from .errors import DomainError, NeverEscapes, OnSpectrum, ZeroCharge
 from .exactnum import HALF, as_number, num_eq, phase_eq, phase_mod1, to_float
 from .hearts import StandardHeart, TiltedHeart, TorsionPairSpec, _phase_cut, hrs_tilt
-from .stability import DegLabel, SpectrumDescriptor, StdLabel, spectrum_of
+from .stability import (
+    DegLabel,
+    SpectrumDescriptor,
+    StdLabel,
+    _deg_label,
+    _std_spectrum,
+    spectrum_of,
+)
 
 # reasons a deformation direction fails to reach a wall
 GAMMA_PLUS_VACUOUS = "gamma-plus-vacuous"
@@ -49,7 +56,8 @@ def gamma_pm(spectrum: SpectrumDescriptor, gamma):
     DomainError when gamma leaves (0, 1) or falls below the float range of
     a computable series.
     """
-    g, candidates = _candidates(spectrum, gamma)
+    g = _unit_gamma(gamma)
+    candidates = _candidates(spectrum, g)
     if any(phase_eq(c, g) for c in candidates):
         raise OnSpectrum(f"gamma = {gamma} is a stable phase")
     below = max(c for c in candidates if c < g)
@@ -67,21 +75,45 @@ def gamma_pm(spectrum: SpectrumDescriptor, gamma):
 
 
 def on_spectrum(label, gamma, d: int) -> bool:
-    g, candidates = _candidates(spectrum_of(label, d), gamma)
-    return any(phase_eq(c, g) for c in candidates)
+    """Is gamma in (0, 1) a stable phase of the base point of label, up to
+    integer shift? DomainError when gamma leaves (0, 1) or falls below the
+    float range of a computable series.
+
+    An exact gamma is decided exactly, as ``phase_eq`` decides it: only an
+    exact phase can equal it, and the points shifted by -1 or 1 leave (0, 1).
+    The float members of a series are arctangent phases, irrational by
+    Niven's theorem, so no rational gamma is one of them. So an exact gamma
+    is on the spectrum exactly when it is one of the points or an exact
+    member of a computable series' bracket, as 1/4 is at Std(0). A float
+    gamma is compared with every candidate of ``_candidates`` within TOL.
+    """
+    return _on_spectrum(spectrum_of(label, d), _unit_gamma(gamma))
 
 
-def _candidates(spectrum: SpectrumDescriptor, gamma):
-    """gamma as a number, and the spectrum phases ``gamma_pm`` picks from:
-    the points shifted by -1, 0 and 1 and the series members bracketing it."""
+def _on_spectrum(spectrum: SpectrumDescriptor, g) -> bool:
+    """on_spectrum for a number g already in (0, 1)."""
+    if g.__class__ is not Fraction:
+        return any(phase_eq(c, g) for c in _candidates(spectrum, g))
+    members = [c for s in spectrum.series if s.computable for c in s.bracket(g)]
+    return any(phase_eq(c, g) for c in members) or g in spectrum.points
+
+
+def _unit_gamma(gamma):
+    """gamma as a number, raising DomainError unless it lies in (0, 1)."""
     g = as_number(gamma)
-    if not 0 < g < 1:
+    if not (0 < g.numerator < g.denominator if g.__class__ is Fraction else 0 < g < 1):
         raise DomainError("gamma must lie strictly between 0 and 1")
+    return g
+
+
+def _candidates(spectrum: SpectrumDescriptor, g) -> list:
+    """The spectrum phases ``gamma_pm`` picks from for a g in (0, 1): the
+    points shifted by -1, 0 and 1 and the series members bracketing g."""
     candidates = [q + k for q in spectrum.points for k in (-1, 0, 1)]
     for series in spectrum.series:
         if series.computable:
             candidates += [c for c in series.bracket(g) if c is not None]
-    return g, candidates
+    return candidates
 
 
 # ---------------------------------------------------------------------------
@@ -113,22 +145,31 @@ def boundary_at(p: int, gamma, d: int) -> WallDecision:
     where twisting by degree-zero line bundles escapes any wall; above 1/2
     the roles are mirrored with Deg(p + 1, 1 - gamma) and the escape at
     p = d - 1.
+
+    An exact gamma n/m is placed on its integers: 2n against m, and
+    1 - gamma = (m - n)/m. Its spectrum test is exact (``on_spectrum``); a
+    float gamma is tested within TOL, and one within TOL of 1/2 counts as
+    1/2. The boundary label is built from the gamma just checked.
     """
     _check_range(p, d)
-    g = as_number(gamma)
-    if not 0 < g < 1:
-        raise DomainError("gamma must lie strictly between 0 and 1")
-    if num_eq(g, HALF):
+    g = _unit_gamma(gamma)
+    exact = g.__class__ is Fraction
+    if exact:
+        n, m = g.numerator, g.denominator
+        half, below = 2 * n == m, 2 * n < m
+    else:
+        half, below = num_eq(g, HALF), g < 0.5
+    if half:
         raise DomainError("gamma = 1/2 sits on the shifted-bundle phase")
-    if on_spectrum(StdLabel(p), g, d):
+    if _on_spectrum(_std_spectrum(p, d), g):
         raise DomainError(f"gamma = {gamma} is a stable phase of Std({p})")
-    if g < HALF:
+    if below:
         if p == 0:
             return WallDecision(None, TWIST_ESCAPE)
-        return WallDecision(DegLabel(p, g))
+        return WallDecision(_deg_label(p, g))
     if p == d - 1:
         return WallDecision(None, TWIST_ESCAPE)
-    return WallDecision(DegLabel(p + 1, 1 - g))
+    return WallDecision(_deg_label(p + 1, Fraction(m - n, m) if exact else 1 - g))
 
 
 # ---------------------------------------------------------------------------

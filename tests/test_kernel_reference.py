@@ -244,6 +244,12 @@ phases = st.one_of(
     st.integers(-3, 3),
     st.fractions(min_value=-4, max_value=4, max_denominator=12),
     st.floats(-4, 4),
+    # one ulp either side of the integers and half-integers, where the split
+    # of phi and the axis directions change
+    st.sampled_from(
+        [math.nextafter(k / 2, side) for k in range(-8, 9) for side in (-math.inf, math.inf)]
+    ),
+    st.integers(-4, 3).map(lambda n: n + HALF),
 )
 
 

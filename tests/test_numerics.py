@@ -88,6 +88,18 @@ def test_phase_mod1_window():
     assert abs(float(phase_mod1(1, -1)) - 0.75) < 1e-12
 
 
+def test_phase_mod1_folds_by_the_exact_half_plane():
+    # atan2 rounds these directions to 0.0; strictly above the real axis the
+    # phase is a tiny positive number, strictly below it rounds to 1
+    re = Fraction(9.093807656517069e+234) + Fraction(2.189350706356498)
+    tiny = Fraction(3.266917555911708e-155)
+    assert 0 < phase_mod1(re, tiny) < 1e-300
+    assert phase_mod1(re, -tiny) == 1
+    assert 0 < phase_mod1(1e300, 1e-300) < 1e-300
+    assert phase_mod1(1e300, -1e-300) == 1
+    assert phase_mod1(1, 0) == 1 and phase_mod1(-1, 0) == 1
+
+
 def test_matrix_basics():
     m = Matrix2(1, 2, 3, 4)
     assert m.det() == -2

@@ -17,7 +17,7 @@ from stabtorus.errors import (
     OnSpectrum,
     ZeroCharge,
 )
-from stabtorus.exactnum import phase_mod1
+from stabtorus.exactnum import as_number, num_eq, phase_eq, phase_mod1
 from stabtorus.sheaves import (
     enumerate_objects,
     formal_object,
@@ -139,6 +139,75 @@ def test_on_spectrum_depends_on_the_label():
     assert on_spectrum(StdLabel(0), Fraction(1, 4), 5)
     assert not on_spectrum(StdLabel(1), Fraction(1, 4), 5)
     assert on_spectrum(StdLabel(1), Fraction(1, 2), 5)
+
+
+# the candidate scan that decides every gamma: the points shifted by -1, 0
+# and 1 plus the bracketing series members, each compared through phase_eq
+
+
+def ref_on_spectrum(label, gamma, d):
+    spectrum = spectrum_of(label, d)
+    g = as_number(gamma)
+    if not 0 < g < 1:
+        raise DomainError("gamma must lie strictly between 0 and 1")
+    candidates = [q + k for q in spectrum.points for k in (-1, 0, 1)]
+    for series in spectrum.series:
+        if series.computable:
+            candidates += [c for c in series.bracket(g) if c is not None]
+    return any(phase_eq(c, g) for c in candidates)
+
+
+def ref_boundary_at(p, gamma, d):
+    g = as_number(gamma)
+    if not 0 < g < 1:
+        raise DomainError("gamma must lie strictly between 0 and 1")
+    if num_eq(g, Fraction(1, 2)):
+        raise DomainError("gamma = 1/2 sits on the shifted-bundle phase")
+    if ref_on_spectrum(StdLabel(p), g, d):
+        raise DomainError(f"gamma = {gamma} is a stable phase of Std({p})")
+    escape = walls.WallDecision(None, TWIST_ESCAPE)
+    if g < Fraction(1, 2):
+        return escape if p == 0 else walls.WallDecision(DegLabel(p, g))
+    return escape if p == d - 1 else walls.WallDecision(DegLabel(p + 1, 1 - g))
+
+
+def outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_exact_gamma_wall_decisions_match_the_candidate_scan():
+    # every n/m with m <= 48, at every standard label of d = 3..6: the exact
+    # decision on integers must agree with the full scan, errors included
+    gammas = [Fraction(n, m) for m in range(2, 49) for n in range(1, m)]
+    seen = set()
+    for d in range(3, 7):
+        for p in range(d):
+            for g in gammas:
+                on = outcome(on_spectrum, StdLabel(p), g, d)
+                assert on == outcome(ref_on_spectrum, StdLabel(p), g, d), (p, g, d)
+                seen.add(on)
+                wall = outcome(boundary_at, p, g, d)
+                assert wall == outcome(ref_boundary_at, p, g, d), (p, g, d)
+    assert seen == {"True", "False"}
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [0.25, 0.5 - 1e-13, 0.5 + 1e-13, 1e-300, 1 - 2**-53, Fraction(1, 4), Fraction(1, 2),
+     Fraction(1, 10**20), Fraction(3, 7), 0, 1, Fraction(-1, 3), 1.5],
+)
+def test_float_gammas_and_boundary_spectra_keep_the_candidate_scan(gamma):
+    for d in range(3, 7):
+        labels = [StdLabel(p) for p in range(d)]
+        labels += [DegLabel(p, Fraction(1, 3)) for p in range(1, d)]
+        for label in labels:
+            on = outcome(on_spectrum, label, gamma, d)
+            assert on == outcome(ref_on_spectrum, label, gamma, d)
+        for p in range(d):
+            assert outcome(boundary_at, p, gamma, d) == outcome(ref_boundary_at, p, gamma, d)
 
 
 # ------------------------------------------------------------- wall decisions
@@ -323,6 +392,14 @@ def test_twist_escape_errors():
         twist_escape(KClass(1, -1), KClass(1, 0), Fraction(3, 5), std_charge(0))
     with pytest.raises(ZeroCharge):
         twist_escape(KClass(0, 0), KClass(1, 0), Fraction(2, 5), std_charge(0))
+
+
+def test_twist_escape_reads_a_tiny_upper_phase_at_the_bottom_of_the_window():
+    # the twist charge lies just above the positive real axis, with a phase
+    # near 1e-390 that atan2 rounds to 0.0; it sits below the record phase
+    Z = CentralCharge(-9.093807656517069e+234, 2.189350706356498, 0.0, 3.266917555911708e-155)
+    with pytest.raises(NeverEscapes):
+        twist_escape(KClass(1, -1), KClass(1, 1), Fraction(1, 5), Z)
 
 
 def test_twist_escape_minimality():
