@@ -12,7 +12,8 @@ integer vectors and the sign of their cross product (``_turns``), so no
 float angle, rounding or tolerance enters the group law. Floats enter only
 values, never windings, and through one float image of T per ``lift_eval``:
 its entries correctly rounded once, the base direction and the image of
-(cos pi*r, sin pi*r) both taken from them by atan2. Integer and half-integer
+(cos pi*r, sin pi*r) both read from them (``exactnum.rounded_direction``),
+and lifted by ``exactnum.lift_near``. Integer and half-integer
 phases never form it: their directions are those of exact vectors, integer
 numerators over one denominator, as in ``Matrix2``.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 from .charges import CentralCharge, _charge
 from .errors import DomainError
-from .exactnum import _MIN_NORMAL, HALF, as_number, direction_angle, is_exact, lift_near, to_float
+from .exactnum import as_number, direction_angle, lift_near, rounded_direction, to_float
 from .linalg import Matrix2
 
 
@@ -88,9 +89,11 @@ def lift_eval(G: LiftedAuto, phi):
     f_T(0) is the base, the direction of T(1, 0); at r = 1/2 (exact) f_T is
     the direction of the exact vector T(0, 1), and at any other r that of the
     float image of T applied to (cos pi*r, sin pi*r), lifted into (base,
-    base + 1). Exact at integer phi and wherever the image direction hits an
-    axis; float (atan2 quality) elsewhere, including an exact phi whose
-    offset from the integer below underflows the float range.
+    base + 1): a wrong lift lies 1 away, so the lift nearest base + 1/2,
+    which is base + 0.5 exactly, as an exact base is an axis value. Exact at
+    integer phi and wherever the image direction hits an axis; float (atan2
+    quality) elsewhere, including an exact phi whose offset from the integer
+    below underflows the float range.
     """
     if phi.__class__ is not int:
         phi = as_number(phi)
@@ -105,33 +108,23 @@ def lift_eval(G: LiftedAuto, phi):
             return _shifted(canonical_base_value(T), n + 2 * G.winding)
         if 2 * rem == den:
             _, b, _, d = T.num
-            value = _above(direction_angle(b, d, T.den), canonical_base_value(T))
+            value = lift_near(direction_angle(b, d, T.den), canonical_base_value(T) + 0.5)
             return _shifted(value, n + 2 * G.winding)
-        r = rem / den
+        r = to_float(rem, den)
         if not r:  # just above the axis: base plus a float-invisible offset
             return _shifted(to_float(canonical_base_value(T)), n + 2 * G.winding)
     if not r:
         return _shifted(canonical_base_value(T), n + 2 * G.winding)
     fa, fb, fc, fd = T.float_image()
-    # the base from the same image, unless an axis or a subnormal entry asks
-    # direction_angle for an exact or rescaled answer
-    if abs(fa) >= _MIN_NORMAL and abs(fc) >= _MIN_NORMAL:
-        base = math.atan2(fc, fa) / math.pi
-    else:
+    base = rounded_direction(fa, fc)
+    if base is None:  # an axis or a subnormal entry: the exact or rescaled base
         base = canonical_base_value(T)
     x, y = math.cos(math.pi * r), math.sin(math.pi * r)
     u, v = fa * x + fb * y, fc * x + fd * y
-    theta = math.atan2(v, u) / math.pi if u and v else direction_angle(u, v)
-    return _shifted(_above(theta, base), n + 2 * G.winding)
-
-
-def _above(theta, base):
-    """The lift theta + 2k in (base, base + 1): the value above the axis of
-    a canonical lift with f(0) = base, 1 away from a wrong lift, so the
-    representative nearest base + 1/2."""
-    if theta.__class__ is float:  # an exact base is an axis value: base + 0.5 is exact
-        return theta + 2 * round((to_float(base) + 0.5 - theta) / 2)
-    return lift_near(theta, base + HALF if is_exact(base) else base + 0.5)
+    theta = rounded_direction(u, v)
+    if theta is None:
+        theta = direction_angle(u, v)
+    return _shifted(lift_near(theta, base + 0.5), n + 2 * G.winding)
 
 
 def _shifted(value, shift: int):

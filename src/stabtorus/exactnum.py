@@ -132,9 +132,22 @@ def direction_angle(x, y, den: int = 1):
     if x == 0:
         return HALF if y > 0 else _MINUS_HALF
     fy, fx = to_float(y, den), to_float(x, den)
-    if (abs(fy) < _MIN_NORMAL or abs(fx) < _MIN_NORMAL) and is_exact(x) and is_exact(y):
+    theta = rounded_direction(fx, fy)
+    if theta is not None:
+        return theta
+    if is_exact(x) and is_exact(y):
         fy, fx = _rescaled(Fraction(y, den), Fraction(x, den))
     return math.atan2(fy, fx) / math.pi
+
+
+def rounded_direction(fx: float, fy: float):
+    """``direction_angle`` of a vector read from its correctly rounded
+    coordinates fx and fy when both are normal floats, the atan2 of them;
+    None when one is zero or subnormal, where ``direction_angle`` needs the
+    vector itself for its exact or rescaled answer."""
+    if abs(fx) >= _MIN_NORMAL and abs(fy) >= _MIN_NORMAL:
+        return math.atan2(fy, fx) / math.pi
+    return None
 
 
 _MIN_NORMAL = sys.float_info.min

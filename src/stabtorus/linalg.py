@@ -103,14 +103,10 @@ class Matrix2:
         return _reduced(k * d, -k * b, -k * c, k * a, det)
 
     def float_image(self) -> tuple:
-        """(a, b, c, d) as floats, each correctly rounded (int / int true
-        division is), as ``to_float`` gives them."""
+        """(a, b, c, d) as floats, each correctly rounded by ``to_float``."""
         a, b, c, d = self.num
         k = self.den
-        try:
-            return (a / k, b / k, c / k, d / k)
-        except OverflowError:  # to_float raises the DomainError for it
-            return tuple(to_float(x, k) for x in self.num)
+        return (to_float(a, k), to_float(b, k), to_float(c, k), to_float(d, k))
 
     def apply(self, x, y):
         """Matrix times column vector; mixed exact/float input allowed."""

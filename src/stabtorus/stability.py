@@ -128,26 +128,10 @@ class StabPoint:
         return lift_eval(self._g_inverse(), base)
 
 
-def _std_label(p: int) -> StdLabel:
-    """StdLabel(p) for a heart index p already checked."""
-    label = object.__new__(StdLabel)
-    object.__setattr__(label, "p", p)
-    return label
-
-
-def _deg_label(p: int, gamma) -> DegLabel:
-    """DegLabel(p, gamma) for a boundary index p and a number gamma in
-    (0, 1/2), both already checked."""
-    label = object.__new__(DegLabel)
-    object.__setattr__(label, "p", p)
-    object.__setattr__(label, "gamma", gamma)
-    return label
-
-
 def make_std(p: int, d: int) -> StabPoint:
     """Base point of the standard orbit with heart index p, 0 <= p <= d-1."""
     _check_range(p, d)
-    return StabPoint(_std_label(p), identity_auto())
+    return StabPoint(StdLabel(p), identity_auto())
 
 
 def make_deg(p: int, gamma, d: int) -> StabPoint:
@@ -438,9 +422,6 @@ def is_stable_in_model(E: FormalObject, p: int, d: int) -> bool:
 # ---------------------------------------------------------------------------
 # classification of normalized point data
 
-# PHASE_TOL as the exact ratio of integers that the float is
-_TOL_NUM, _TOL_DEN = PHASE_TOL.as_integer_ratio()
-
 
 def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
     """Rebuild the unique point of the simply connected part with the given
@@ -477,27 +458,16 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
             f"phi_sky = {phi} is not a lift of the skyscraper direction {theta}"
         )
     j += n
-    # p_hat = floor(phi - psi) and the window p_hat - (phi - psi) in (-1, 0],
-    # read at its ends: exact for exact phases, on the integer numerators of
-    # phi - psi; otherwise a float meets the other phase through to_float
-    if phi.__class__ is Fraction and psi.__class__ is Fraction:
-        num = phi_num * psi.denominator - psi.numerator * phi_den
-        den = phi_den * psi.denominator
-        p_hat, rem = divmod(num, den)  # the window is -rem/den
-        at_top = rem * _TOL_DEN <= _TOL_NUM * den
-        at_bottom = (den - rem) * _TOL_DEN <= _TOL_NUM * den
-    else:
-        delta = phi - psi if type(phi) is type(psi) else to_float(phi) - to_float(psi)
-        p_hat = floor_near(delta)
-        window = p_hat - delta
-        at_top = abs(window) <= PHASE_TOL
-        at_bottom = abs(window + 1) <= PHASE_TOL
+    # exact for exact phases; a float and an exact one meet through to_float
+    delta = phi - psi if type(phi) is type(psi) else to_float(phi) - to_float(psi)
+    p_hat = floor_near(delta)
+    window = p_hat - delta
     F = Z.frame()
     degenerate, indices, gamma = _orbits_over(F, d)
     if degenerate:
-        if at_bottom:
+        if abs(window + 1) <= PHASE_TOL:
             p_hat += 1
-        elif not at_top:  # interior data cannot carry a degenerate charge
+        elif abs(window) > PHASE_TOL:  # interior data cannot carry a degenerate charge
             raise NotInU("degenerate charge with interior phase data")
         if not 1 <= p_hat <= d - 1:
             raise NotInU(f"boundary index {p_hat} outside 1..{d - 1}")
@@ -508,7 +478,7 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
         # T0 sends (alpha, beta) to (1, 0) exactly and has determinant one
         T0 = Matrix2(alpha / norm, beta / norm, -beta, alpha)
         return StabPoint(DegLabel(p_hat, gamma()), _lifted(T0, _winding(T0, F, j)))
-    if at_top:
+    if abs(window) <= PHASE_TOL:
         raise NotNumericallyConsistent(
             "nondegenerate charge with boundary phase data"
         )
@@ -526,15 +496,11 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
     _, b, _, e = F.num
     k = (1 - p_hat) // 2 - _turns(M, b, e) - G.winding
     rank_dir = direction_angle(b, e, max(abs(b), abs(e)))
-    if psi.__class__ is Fraction:  # psi - 2k on the integers of psi
-        shifted = to_float(psi.numerator - 2 * k * psi.denominator, psi.denominator)
-    else:
-        shifted = psi - 2 * k
-    if abs(shifted - to_float(rank_dir)) > 2 * PHASE_TOL:
+    if abs(to_float(psi - 2 * k) - to_float(rank_dir)) > 2 * PHASE_TOL:
         raise NotNumericallyConsistent(
             f"psi_line = {psi} disagrees with the rank-ray phase {rank_dir} + {2 * k}"
         )
-    return StabPoint(_std_label(p_hat), G)
+    return StabPoint(StdLabel(p_hat), G)
 
 
 _FLIP = Matrix2(1, 0, 0, -1)

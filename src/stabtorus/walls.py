@@ -31,7 +31,6 @@ from .stability import (
     DegLabel,
     SpectrumDescriptor,
     StdLabel,
-    _deg_label,
     _std_spectrum,
     spectrum_of,
 )
@@ -101,7 +100,7 @@ def _on_spectrum(spectrum: SpectrumDescriptor, g) -> bool:
 def _unit_gamma(gamma):
     """gamma as a number, raising DomainError unless it lies in (0, 1)."""
     g = as_number(gamma)
-    if not (0 < g.numerator < g.denominator if g.__class__ is Fraction else 0 < g < 1):
+    if not 0 < g < 1:
         raise DomainError("gamma must lie strictly between 0 and 1")
     return g
 
@@ -146,30 +145,22 @@ def boundary_at(p: int, gamma, d: int) -> WallDecision:
     the roles are mirrored with Deg(p + 1, 1 - gamma) and the escape at
     p = d - 1.
 
-    An exact gamma n/m is placed on its integers: 2n against m, and
-    1 - gamma = (m - n)/m. Its spectrum test is exact (``on_spectrum``); a
-    float gamma is tested within TOL, and one within TOL of 1/2 counts as
-    1/2. The boundary label is built from the gamma just checked.
+    Its spectrum test is exact for an exact gamma (``on_spectrum``); a float
+    gamma is tested within TOL, and one within TOL of 1/2 counts as 1/2.
     """
     _check_range(p, d)
     g = _unit_gamma(gamma)
-    exact = g.__class__ is Fraction
-    if exact:
-        n, m = g.numerator, g.denominator
-        half, below = 2 * n == m, 2 * n < m
-    else:
-        half, below = num_eq(g, HALF), g < 0.5
-    if half:
+    if num_eq(g, HALF):
         raise DomainError("gamma = 1/2 sits on the shifted-bundle phase")
     if _on_spectrum(_std_spectrum(p, d), g):
         raise DomainError(f"gamma = {gamma} is a stable phase of Std({p})")
-    if below:
+    if g < HALF:
         if p == 0:
             return WallDecision(None, TWIST_ESCAPE)
-        return WallDecision(_deg_label(p, g))
+        return WallDecision(DegLabel(p, g))
     if p == d - 1:
         return WallDecision(None, TWIST_ESCAPE)
-    return WallDecision(_deg_label(p + 1, Fraction(m - n, m) if exact else 1 - g))
+    return WallDecision(DegLabel(p + 1, 1 - g))
 
 
 # ---------------------------------------------------------------------------
