@@ -11,17 +11,17 @@ so the skyscraper class (0, 1) goes to -a - i*c. The standard charges are
 ``std_charge`` (one per heart index, period two) and the degenerate boundary
 charges ``deg_charge`` whose image is a ray plus its negative.
 
-A charge is stored as one ``linalg.Matrix2``: four integer numerators over
-one positive denominator. A float entry is the dyadic rational it equals, so
-a float charge is its exact twin. Values, determinant signs, the stability
-test and the cover action are integer arithmetic on it, and Fractions appear
-only when a, b, c or e is read.
+A charge is a ``linalg.Matrix2`` with entries named a, b, c, e: four integer
+numerators over one positive denominator. A float entry is the dyadic
+rational it equals, so a float charge is its exact twin. Values, determinant
+signs, the stability test and the cover action are integer arithmetic on it,
+and Fractions appear only when an entry is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NoPhaseInWindow, UnsupportedSpectrum, ZeroCharge
@@ -32,9 +32,8 @@ from .exactnum import (
     direction_angle,
     gamma_from_cot,
     lift_near,
-    to_float,
 )
-from .linalg import Matrix2
+from .linalg import Matrix2, _reduced
 
 
 @dataclass(frozen=True)
@@ -83,73 +82,35 @@ def _entry_value(name: str, x):
     return v
 
 
-def _charge_entry(i: int) -> property:
-    return property(lambda self: Fraction(self._frame.num[i], self._frame.den))
-
-
-def _charge(frame: Matrix2) -> CentralCharge:
-    Z = object.__new__(CentralCharge)
-    object.__setattr__(Z, "_frame", frame)
-    return Z
-
-
-class CentralCharge:
+class CentralCharge(Matrix2):
     """Frame (a, b; c, e) on the column (-chd, rk); entries exact or finite
     floats.
 
-    The frame is one ``Matrix2`` ((a, b), (c, e)): integer numerators over
-    one positive denominator in lowest terms. A float entry is converted
-    exactly, ``frame()`` returns the matrix as it is, and a, b, c, e come out
-    as Fractions on read. Equality, hashing and the repr are those of a
-    frozen dataclass with the fields a, b, c, e, so a charge equals and
-    hashes like any other with the same values, however they were given.
+    A charge is a ``Matrix2`` with entries named a, b, c, e: integer
+    numerators over one positive denominator in lowest terms, a float entry
+    converted exactly. Equality, hashing and the repr are those of a frozen
+    dataclass with the fields a, b, c, e, so a charge equals and hashes like
+    any other with the same values, however they were given, and never
+    equals a plain matrix; ``frame()`` is the same values as a ``Matrix2``.
     """
 
-    __slots__ = ("_frame",)
+    __slots__ = ()
     __match_args__ = ("a", "b", "c", "e")
 
     def __new__(cls, a, b, c, e):
-        entries = (a, b, c, e)
         if not (type(a) in _EXACT and type(b) in _EXACT and type(c) in _EXACT
                 and type(e) in _EXACT):
-            entries = tuple(map(_entry_value, "abce", entries))
-        return _charge(Matrix2(*entries))
+            a, b, c, e = map(_entry_value, "abce", (a, b, c, e))
+        return super().__new__(cls, a, b, c, e)
 
-    a, b, c, e = map(_charge_entry, range(4))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _entries(self) -> tuple:
-        F = self._frame
-        return tuple(Fraction(n, F.den) for n in F.num)
-
-    def __eq__(self, other):
-        if other.__class__ is not CentralCharge:
-            return NotImplemented
-        return self._frame == other._frame
-
-    def __hash__(self):
-        return hash(self._frame)
-
-    def __repr__(self):
-        return "CentralCharge(a={!r}, b={!r}, c={!r}, e={!r})".format(*self._entries())
-
-    def __reduce__(self):
-        return (CentralCharge, self._entries())
+    e = Matrix2.d
 
     def frame(self) -> Matrix2:
-        """The frame as its exact matrix."""
-        return self._frame
-
-    def det(self) -> Fraction:
-        return self._frame.det()
+        """The frame as a plain matrix."""
+        return _reduced(*self.num, self.den)
 
     def is_degenerate(self) -> bool:
-        return self._frame.det_sign() == 0
+        return self.det_sign() == 0
 
 
 _STD_CHARGES = (CentralCharge(1, 0, 0, 1), CentralCharge(1, 0, 0, -1))
@@ -157,8 +118,7 @@ _STD_CHARGES = (CentralCharge(1, 0, 0, 1), CentralCharge(1, 0, 0, -1))
 
 def charge_eval(Z: CentralCharge, v: KClass):
     """Value of Z on v as the exact pair (re, im)."""
-    re, im, den = _charge_num(Z, v)
-    return (Fraction(re, den), Fraction(im, den))
+    return Z.apply(-v.chd, v.rk)
 
 
 def _charge_num(Z: CentralCharge, v: KClass):
@@ -166,9 +126,8 @@ def _charge_num(Z: CentralCharge, v: KClass):
     the denominator of Z's frame, the form ``direction_angle`` takes."""
     x = -v.chd
     y = v.rk
-    F = Z._frame
-    a, b, c, e = F.num
-    return (a * x + b * y, c * x + e * y, F.den)
+    a, b, c, e = Z.num
+    return (a * x + b * y, c * x + e * y, Z.den)
 
 
 def std_charge(p: int, d: int | None = None) -> CentralCharge:
@@ -263,7 +222,7 @@ def is_stability_function(Z: CentralCharge, p: int, d: int | None = None):
     check_index(p, "heart index must be a nonnegative integer, got {p!r}")
     if d is not None:
         _check_range(p, d)
-    a, b, c, e = Z._frame.num
+    a, b, c, e = Z.num
     if p == 0:
         # torsion classes (0, t): need c == 0 and then Re = -a*t < 0
         if c != 0:
@@ -317,7 +276,7 @@ def charge_norm(U: CentralCharge, label, d: int) -> float:
         raise UnsupportedSpectrum(
             f"spectrum of the standard point p={p} is not completely known for d={d}"
         )
-    a, b, c, e = (to_float(x) for x in (U.a, U.b, U.c, U.e))
+    a, b, c, e = U.float_image()
     return max(math.hypot(a, c), math.hypot(b, e))
 
 

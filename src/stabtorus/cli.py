@@ -31,6 +31,7 @@ from .stability import (
     DegLabel,
     StdLabel,
     act,
+    check_label,
     classify,
     hn_filtration,
     spectrum_of,
@@ -162,6 +163,7 @@ def _cmd_classify(args):
 def _cmd_act(args):
     sigma = jsonio.decode_point(_load_json("--point", args.point))
     G = jsonio.decode_auto(_load_json("--auto", args.auto))
+    check_label(sigma.label, args.d)
     moved = act(G, sigma)
     return jsonio.encode_point(moved), _point_text(moved)
 
@@ -312,8 +314,11 @@ def _cmd_twist_escape(args):
 def _cmd_helix_svg(args):
     doc = helix_svg(args.d, labels=not args.no_labels)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+        except OSError as exc:
+            raise UsageError(f"--out: {exc}") from None
         return {"written": args.out}, f"wrote {args.out}"
     return {"svg": doc}, doc
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .charges import CentralCharge, _charge
+from .charges import CentralCharge
 from .errors import DomainError
 from .exactnum import as_number, direction_angle, lift_near, rounded_direction, to_float
 from .linalg import Matrix2
@@ -35,7 +35,7 @@ class LiftedAuto:
     winding: int
 
     def __post_init__(self):
-        if not isinstance(self.T, Matrix2):
+        if self.T.__class__ is not Matrix2:
             rows = tuple(tuple(r) for r in self.T)
             object.__setattr__(self, "T", Matrix2(rows[0][0], rows[0][1], rows[1][0], rows[1][1]))
         if isinstance(self.winding, bool) or not isinstance(self.winding, int):
@@ -175,14 +175,10 @@ def gl_equal(g1: LiftedAuto, g2: LiftedAuto) -> bool:
 
 
 def act_on_charge(G: LiftedAuto, Z: CentralCharge) -> CentralCharge:
-    """Right action on charges: the frame of the result is T^{-1} * frame(Z).
+    """Right action on charges: the charge T^{-1} * Z, by integer products
+    (a matrix times a charge is a charge).
 
     The left action of a cover element on a charge is act_on_charge applied
     to its gl_inverse.
     """
-    return _pull_back(G.T.inverse(), Z)
-
-
-def _pull_back(Ti: Matrix2, Z: CentralCharge) -> CentralCharge:
-    """The charge with frame Ti * frame(Z), by integer products."""
-    return _charge(Ti @ Z.frame())
+    return G.T.inverse() @ Z

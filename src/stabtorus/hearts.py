@@ -133,11 +133,9 @@ def _hn_pieces(E: FormalObject, p: int, steps: bool) -> list:
     1/2. At p = 0 a torsion-free sheaf contributes its declared steps, each
     with ``step`` = (class, stable flag) and no sheaf of its own; when
     ``steps`` is false it stays whole at phase 1/2, the top of its phases.
-    Raises NotInHeart when E does not have the heart-p shape and MissingHNData
-    when declared steps are needed but absent.
+    E must have the heart-p shape. Raises MissingHNData when declared steps
+    are needed but absent.
     """
-    if not _in_heart_shape(E, p):
-        raise NotInHeart(f"object has no place in heart {p}")
     pieces = []
     if p == 0:
         S = E.component(0)
@@ -167,7 +165,10 @@ def split_at_phase(E: FormalObject, p: int, cut):
     ``above`` sums the HN pieces of phase greater than cut, ``below`` the
     rest; a side that receives every piece is E itself and the other side is
     the zero object. At p = 0 declared steps are read only when cut < 1/2.
+    Raises NotInHeart when E does not have the heart-p shape.
     """
+    if not _in_heart_shape(E, p):
+        raise NotInHeart(f"object has no place in heart {p}")
     pieces = _hn_pieces(E, p, cut < HALF)
     k = 0
     while k < len(pieces) and pieces[k][0] > cut:
@@ -440,10 +441,9 @@ def _phase_cut(name: str, p: int, cut) -> TorsionPairSpec:
     steps = cut < HALF
 
     def within(E, above: bool) -> bool:
-        try:
-            pieces = _hn_pieces(E, p, steps)
-        except NotInHeart:
+        if not _in_heart_shape(E, p):
             return False
+        pieces = _hn_pieces(E, p, steps)
         # pieces come top phase first, so the last or the first one decides
         return not pieces or (pieces[-1][0] > cut if above else pieces[0][0] <= cut)
 

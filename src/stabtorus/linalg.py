@@ -32,18 +32,25 @@ def _entry(i: int) -> property:
 
 
 class Matrix2:
-    """Row-major exact 2x2 matrix ((a, b), (c, d))."""
+    """Row-major exact 2x2 matrix ((a, b), (c, d)).
+
+    Equality, hashing, the repr and pickling are those of a frozen dataclass
+    whose fields are the entry names in ``__match_args__``, so a subclass
+    that renames an entry shares them; two values are equal only within one
+    class.
+    """
 
     __slots__ = ("num", "den")
+    __match_args__ = ("a", "b", "c", "d")
 
     def __new__(cls, a, b, c, d):
         if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
-            return _reduced(a, b, c, d, 1)
+            return _reduced(a, b, c, d, 1, cls)
         (na, ka), (nb, kb), (nc, kc), (nd, kd) = map(_ratio, (a, b, c, d))
         den = math.lcm(ka, kb, kc, kd)
         # over the lcm of reduced denominators the numerators share no factor with it
         return _reduced(na * (den // ka), nb * (den // kb), nc * (den // kc), nd * (den // kd),
-                        den)
+                        den, cls)
 
     a, b, c, d = map(_entry, range(4))
 
@@ -53,19 +60,24 @@ class Matrix2:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def _entries(self) -> tuple:
+        k = self.den
+        return tuple(Fraction(n, k) for n in self.num)
+
     def __eq__(self, other):
-        if other.__class__ is not Matrix2:
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        return hash(self._entries())
 
     def __repr__(self):
-        return f"Matrix2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
+        fields = ", ".join(map("{}={!r}".format, self.__match_args__, self._entries()))
+        return f"{self.__class__.__name__}({fields})"
 
     def __reduce__(self):
-        return (Matrix2, (self.a, self.b, self.c, self.d))
+        return (self.__class__, self._entries())
 
     @staticmethod
     def identity() -> "Matrix2":
@@ -86,10 +98,12 @@ class Matrix2:
         return (det > 0) - (det < 0)
 
     def mul(self, other: "Matrix2") -> "Matrix2":
+        """self * other, of other's class: a matrix times the frame of a
+        charge is a charge."""
         a, b, c, d = self.num
         e, f, g, h = other.num
         return _reduced(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h,
-                        self.den * other.den)
+                        self.den * other.den, other.__class__)
 
     __matmul__ = mul
 
@@ -129,15 +143,15 @@ def mixed_dot(s, x, t, y):
     return sx + ty if is_exact(sx) and is_exact(ty) else to_float(sx) + to_float(ty)
 
 
-def _reduced(a: int, b: int, c: int, d: int, den: int) -> Matrix2:
-    """The matrix (a, b, c, d) / den, den != 0, in lowest terms."""
+def _reduced(a: int, b: int, c: int, d: int, den: int, cls=Matrix2) -> Matrix2:
+    """The matrix (a, b, c, d) / den, den != 0, in lowest terms, of class cls."""
     if den != 1:  # gcd(..., 1) = 1
         g = math.gcd(a, b, c, d, den)
         if den < 0:
             g = -g
         if g != 1:
             a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
-    m = object.__new__(Matrix2)
+    m = object.__new__(cls)
     _set_num(m, (a, b, c, d))
     _set_den(m, den)
     return m

@@ -33,7 +33,6 @@ from .charges import (
 from .cover import (
     LiftedAuto,
     _lifted,
-    _pull_back,
     _turns,
     gl_compose,
     gl_inverse,
@@ -115,7 +114,7 @@ class StabPoint:
 
     def charge(self) -> CentralCharge:
         """act_on_charge(g, base charge), through the shared inverse."""
-        return _pull_back(self._g_inverse().T, self.base_charge())
+        return self._g_inverse().T @ self.base_charge()
 
     def phi_sky(self):
         """Lifted skyscraper phase at this point."""
@@ -231,13 +230,21 @@ class SpectrumDescriptor:
     complete: bool
 
 
-def spectrum_of(label, d: int) -> SpectrumDescriptor:
-    """Spectrum descriptor of a labeled base point in the window (0, 1]."""
+def check_label(label, d: int) -> None:
+    """Raise DomainError unless d is a torus dimension and label names an
+    orbit on it: a heart index in 0..d-1 or a boundary index in 1..d-1."""
     check_dimension(d)
     if isinstance(label, DegLabel):
         _check_range(label.p, d, 1, "boundary")
+    else:
+        _check_range(label.p, d)
+
+
+def spectrum_of(label, d: int) -> SpectrumDescriptor:
+    """Spectrum descriptor of a labeled base point in the window (0, 1]."""
+    check_label(label, d)
+    if isinstance(label, DegLabel):
         return _DEG_SPECTRUM
-    _check_range(label.p, d)
     return _std_spectrum(label.p, d)
 
 
@@ -339,20 +346,17 @@ def hn_filtration(sigma: StabPoint, E: FormalObject, d: int):
     need no declaration. On a boundary family every heart object is
     semistable of phase 1.
     """
-    check_dimension(d)
     label = sigma.label
+    check_label(label, d)
+    p = label.p
     gi = sigma._g_inverse()
     if isinstance(label, DegLabel):
-        p = label.p
-        _check_range(p, d, 1, "boundary")
         if not heart_membership(E, p, d):
             raise NotInHeart(f"object is not in the boundary heart at index {p}")
         if E.is_zero():
             return ()
         return (HNFactor(class_of(E), lift_eval(gi, 1), E),)
 
-    p = label.p
-    _check_range(p, d)
     if not heart_membership(E, p, d):
         raise NotInHeart(f"object is not in the standard heart {p}")
     factors = []
@@ -462,8 +466,7 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
     delta = phi - psi if type(phi) is type(psi) else to_float(phi) - to_float(psi)
     p_hat = floor_near(delta)
     window = p_hat - delta
-    F = Z.frame()
-    degenerate, indices, gamma = _orbits_over(F, d)
+    degenerate, indices, gamma = _orbits_over(Z, d)
     if degenerate:
         if abs(window + 1) <= PHASE_TOL:
             p_hat += 1
@@ -473,11 +476,11 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
             raise NotInU(f"boundary index {p_hat} outside 1..{d - 1}")
         if p_hat not in indices:
             raise NotInU("boundary parameter would leave (0, 1/2)")
-        alpha, beta = F.column0()
+        alpha, beta = Z.column0()
         norm = alpha * alpha + beta * beta
         # T0 sends (alpha, beta) to (1, 0) exactly and has determinant one
         T0 = Matrix2(alpha / norm, beta / norm, -beta, alpha)
-        return StabPoint(DegLabel(p_hat, gamma()), _lifted(T0, _winding(T0, F, j)))
+        return StabPoint(DegLabel(p_hat, gamma()), _lifted(T0, _winding(T0, Z, j)))
     if abs(window) <= PHASE_TOL:
         raise NotNumericallyConsistent(
             "nondegenerate charge with boundary phase data"
@@ -488,12 +491,12 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
         raise NotNumericallyConsistent(
             "charge orientation contradicts the inferred heart index"
         )
-    # M = diag(1, (-1)**p_hat) F^-1, det M > 0 as p_hat is one of the indices
-    M = F.inverse() if p_hat % 2 == 0 else _FLIP @ F.inverse()
-    G = _lifted(M, _winding(M, F, j))
-    # M sends Z(rank) = F(0, 1) to (0, (-1)**p_hat), whose base phase is
+    # M = diag(1, (-1)**p_hat) Z^-1, det M > 0 as p_hat is one of the indices
+    M = Z.inverse() if p_hat % 2 == 0 else _FLIP @ Z.inverse()
+    G = _lifted(M, _winding(M, Z, j))
+    # M sends Z(rank) = Z(0, 1) to (0, (-1)**p_hat), whose base phase is
     # 1/2 - p_hat: G carries dir Z(rank) + 2k there, and psi must be that lift
-    _, b, _, e = F.num
+    _, b, _, e = Z.num
     k = (1 - p_hat) // 2 - _turns(M, b, e) - G.winding
     rank_dir = direction_angle(b, e, max(abs(b), abs(e)))
     if abs(to_float(psi - 2 * k) - to_float(rank_dir)) > 2 * PHASE_TOL:

@@ -417,7 +417,7 @@ def fiber_types(Z: CentralCharge, d: int):
     check_dimension(d)
     if Z.a == 0 and Z.b == 0 and Z.c == 0 and Z.e == 0:
         raise ZeroCharge("the zero charge is hit nowhere")
-    degenerate, indices, gamma = _orbits_over(Z.frame(), d)
+    degenerate, indices, gamma = _orbits_over(Z, d)
     if degenerate:
         return [FiberFamily(DegLabel(p, gamma()), "positive-dimensional",
                             "stabilizer quotient over the boundary family") for p in indices]

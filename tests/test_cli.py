@@ -210,6 +210,22 @@ def test_act_malformed_number_exit_2(capsys, entry):
     assert json.loads(err)["error"]["name"] == "DomainError"
 
 
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ('{"kind": "std", "p": 4}', "heart index must lie in 0..3, got 4"),
+        ('{"kind": "deg", "p": 4, "gamma": "1/3"}', "boundary index must lie in 1..3, got 4"),
+    ],
+    ids=["std", "deg"],
+)
+def test_act_label_outside_the_dimension_exit_2(capsys, label, message):
+    point = '{"label": %s, "g": {"T": [[1, 0], [0, 1]], "winding": 0}}' % label
+    auto = '{"T": [[1, 0], [0, 1]], "winding": 0}'
+    code, out, err = run(capsys, ["act", "--d", "4", "--point", point, "--auto", auto])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"name": "DomainError", "message": message}
+
+
 BIG = "1" + "0" * 400
 
 
@@ -540,6 +556,13 @@ def test_helix_svg_out_file(capsys, tmp_path):
     assert out == f"wrote {target}\n"
     body = target.read_text()
     assert body.count("<ellipse") == 6 and body.count("<path") == 4
+
+
+def test_helix_svg_unwritable_out_exits_1(capsys, tmp_path):
+    for target in (str(tmp_path), str(tmp_path / "missing" / "x.svg")):
+        code, out, err = run(capsys, ["helix-svg", "--d", "3", "--out", target])
+        assert code == 1 and out == ""
+        assert err.startswith("stabtorus: error: --out: ") and err.count("\n") == 1
 
 
 def test_helix_svg_low_dimension_exit_2(capsys):

@@ -165,6 +165,12 @@ def test_orientation_reversing_matrix_is_rejected():
         LiftedAuto(Matrix2(1, 1, 1, 1), 0)
 
 
+def test_a_charge_is_not_a_group_matrix():
+    # a charge is a Matrix2 by class, but T takes a plain matrix or its rows
+    with pytest.raises(TypeError):
+        LiftedAuto(CentralCharge(1, 0, 0, 1), 0)
+
+
 def test_lift_just_above_an_integer_is_a_float():
     # the offset 10^-400 underflows to 0.0, but the phase is not on the axis
     tiny = Fraction(1, 10**400)

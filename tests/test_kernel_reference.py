@@ -273,6 +273,13 @@ def test_matrix_matches_the_fraction_reference(m_in, n_in, x, y):
     assert M == Matrix2(*m) and hash(M) == hash(m)
     assert (M == N) == (m == n)
     assert (M == m) is False and M != m
+    for name in ("num", "den"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(M, name, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(M, name)
+    back = pickle.loads(pickle.dumps(M))
+    assert type(back) is Matrix2 and back == M
 
 
 @settings(max_examples=300, deadline=None)
@@ -389,6 +396,8 @@ def test_exact_charges_equal_and_hash_like_their_float_twins(quad, as_float):
     assert exact == twin and twin == exact and hash(exact) == hash(twin)
     assert repr(twin) == repr(exact)
     assert exact.frame() == twin.frame()
+    assert exact != exact.frame() and exact.frame() != exact
+    assert type(exact.frame()) is Matrix2
     other = CentralCharge(quad[0] + Fraction(1, 3), *quad[1:])
     assert exact != other and twin != other
     assert (exact == quad) is False and exact != RefCharge(*quad)
