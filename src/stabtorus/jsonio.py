@@ -4,6 +4,9 @@ Conventions: exact rationals encode as ints when integral and as "n/d"
 strings otherwise; floats are wrapped as {"approx": x} so exactness survives
 a round trip. Top-level CLI payloads carry a "schema" version key and are
 emitted with sorted keys, making output byte-stable for fixed input.
+
+Every value is written by one encoder, ``_encode_report``, with the "kind"
+tags of the label and sheaf classes in ``_KINDS``.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from .charges import CentralCharge, KClass
@@ -76,7 +79,7 @@ def decode_number(v):
 
 
 def encode_kclass(v: KClass) -> dict:
-    return {"rk": v.rk, "chd": v.chd}
+    return _encode_report(v)
 
 
 def decode_kclass(obj) -> KClass:
@@ -86,25 +89,18 @@ def decode_kclass(obj) -> KClass:
 
 
 def encode_charge(Z: CentralCharge) -> dict:
-    return {
-        "a": encode_number(Z.a),
-        "b": encode_number(Z.b),
-        "c": encode_number(Z.c),
-        "e": encode_number(Z.e),
-    }
+    return {k: encode_number(getattr(Z, k)) for k in CentralCharge.__match_args__}
 
 
 def decode_charge(obj) -> CentralCharge:
-    if not isinstance(obj, dict) or set(obj) != {"a", "b", "c", "e"}:
+    keys = CentralCharge.__match_args__
+    if not isinstance(obj, dict) or set(obj) != set(keys):
         raise DomainError(f"not a charge payload: {obj!r}")
-    return CentralCharge(*(decode_number(obj[k]) for k in ("a", "b", "c", "e")))
+    return CentralCharge(*(decode_number(obj[k]) for k in keys))
 
 
 def encode_auto(G: LiftedAuto) -> dict:
-    return {
-        "T": [[encode_number(x) for x in row] for row in G.T.rows()],
-        "winding": G.winding,
-    }
+    return {"T": _encode_report(G.T.rows()), "winding": G.winding}
 
 
 def decode_auto(obj) -> LiftedAuto:
@@ -122,11 +118,7 @@ def decode_auto(obj) -> LiftedAuto:
 
 
 def encode_label(label) -> dict:
-    if isinstance(label, StdLabel):
-        return {"kind": "std", "p": label.p}
-    if isinstance(label, DegLabel):
-        return {"kind": "deg", "p": label.p, "gamma": encode_number(label.gamma)}
-    raise DomainError(f"cannot encode label {label!r}")
+    return _encode_report(label)
 
 
 def decode_label(obj):
@@ -143,7 +135,7 @@ def decode_label(obj):
 
 
 def encode_point(sigma: StabPoint) -> dict:
-    return {"label": encode_label(sigma.label), "g": encode_auto(sigma.g)}
+    return _encode_report(sigma)
 
 
 def decode_point(obj) -> StabPoint:
@@ -157,24 +149,7 @@ def decode_point(obj) -> StabPoint:
 
 
 def encode_sheaf(S) -> dict:
-    if isinstance(S, Torsion):
-        return {"kind": "torsion", "points": [[pid, n] for pid, n in S.points]}
-    if isinstance(S, LocallyFree):
-        return {"kind": "locally_free", "rank": S.rank}
-    if isinstance(S, TorsionFree):
-        out = {"kind": "torsion_free", "rank": S.rank, "colength": S.colength}
-        if S.hn is not None:
-            out["hn"] = [
-                [encode_kclass(cls), stable] for cls, stable in S.hn
-            ]
-        return out
-    if isinstance(S, Mixed):
-        return {
-            "kind": "mixed",
-            "torsion": encode_sheaf(S.torsion),
-            "free": encode_sheaf(S.free),
-        }
-    raise DomainError(f"cannot encode sheaf {S!r}")
+    return _encode_report(S)
 
 
 def decode_sheaf(obj):
@@ -199,10 +174,8 @@ def decode_sheaf(obj):
 
 
 def encode_object(E: FormalObject) -> dict:
-    return {
-        "graded": {str(i): encode_sheaf(S) for i, S in E.graded},
-        "flags": [[i, j] for i, j in E.nonsplit],
-    }
+    graded = {str(i): _encode_report(S) for i, S in E.graded}
+    return {"graded": graded, "flags": _encode_report(E.nonsplit)}
 
 
 def decode_object(obj) -> FormalObject:
@@ -220,30 +193,46 @@ def decode_object(obj) -> FormalObject:
 
 
 # ---------------------------------------------------------------------------
-# assembled reports
+# the one encoder and the assembled reports
+
+
+# the "kind" tag of each variant of a label or a sheaf
+_KINDS = {
+    StdLabel: "std",
+    DegLabel: "deg",
+    Torsion: "torsion",
+    LocallyFree: "locally_free",
+    TorsionFree: "torsion_free",
+    Mixed: "mixed",
+}
 
 
 def _encode_report(x):
-    """A report value as JSON: a dataclass field by field, with ``kclass``
-    written as "class", and a tuple as a list. Numbers, classes, labels and
-    objects go through their codecs; None, bools and strings stay as they are.
+    """A value as JSON: a dataclass field by field, led by its "kind" tag
+    when ``_KINDS`` has one, with ``kclass`` written as "class" and an ``hn``
+    of None left out; a tuple as a list. Numbers, automorphisms and objects
+    go through their codecs; None, bools and strings stay as they are. Any
+    other value raises DomainError.
     """
     if x is None or isinstance(x, (bool, str)):
         return x
     if isinstance(x, (int, Fraction, float)):
         return encode_number(x)
-    if isinstance(x, KClass):
-        return encode_kclass(x)
-    if isinstance(x, (StdLabel, DegLabel)):
-        return encode_label(x)
-    if isinstance(x, FormalObject):
-        return encode_object(x)
     if isinstance(x, tuple):
         return [_encode_report(v) for v in x]
-    return {
-        "class" if f.name == "kclass" else f.name: _encode_report(getattr(x, f.name))
-        for f in fields(x)
-    }
+    if isinstance(x, LiftedAuto):
+        return encode_auto(x)
+    if isinstance(x, FormalObject):
+        return encode_object(x)
+    if not is_dataclass(x) or isinstance(x, type):
+        raise DomainError(f"cannot encode {x!r}")
+    kind = _KINDS.get(x.__class__)
+    out = {} if kind is None else {"kind": kind}
+    for f in fields(x):
+        v = getattr(x, f.name)
+        if v is not None or f.name != "hn":
+            out["class" if f.name == "kclass" else f.name] = _encode_report(v)
+    return out
 
 
 def encode_hn_factor(f) -> dict:

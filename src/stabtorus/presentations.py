@@ -4,7 +4,8 @@ The complex is a bipartite graph of spaces: cell nodes are contractible,
 wall nodes are circles. The loop of a wall climbs one full turn of the
 ambient helix, so the disk filling it has to pass through both neighbouring
 cells; a wall keeps its infinite cyclic group until at least two cell edges
-are glued to it. Graph loops (edges beyond a spanning tree) contribute free
+are glued to it. Graph loops, the edges left out of the spanning tree that
+one walk per component grows from its smallest node, contribute free
 generators on top.
 
 The resulting presentations only ever carry relations that kill a single
@@ -14,6 +15,7 @@ classification is by rank.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import Disconnected, DomainError
@@ -76,59 +78,41 @@ def _classify_free(rank: int) -> str:
     return f"free-of-rank-{rank}"
 
 
-def _components(cx: OrbitComplex):
-    names = [nd.name for nd in cx.nodes]
-    adjacency = {n: set() for n in names}
+def _forest(cx: OrbitComplex):
+    """The components of cx, ordered by smallest node name, each as (its
+    node names, the indices in cx.edges of its tree edges). A scan of the
+    edges, in order, takes every edge that reaches one new node into the
+    tree; the scans repeat until one takes none."""
+    names = {nd.name for nd in cx.nodes}
     for w, c in cx.edges:
-        if w not in adjacency or c not in adjacency:
+        if w not in names or c not in names:
             raise DomainError(f"edge ({w!r}, {c!r}) mentions a missing node")
-        adjacency[w].add(c)
-        adjacency[c].add(w)
-    seen = set()
-    comps = []
+    forest = []
+    reached = set()
     for start in sorted(names):
-        if start in seen:
+        if start in reached:
             continue
-        comp = []
-        queue = [start]
-        seen.add(start)
-        while queue:
-            n = queue.pop(0)
-            comp.append(n)
-            for m in sorted(adjacency[n]):
-                if m not in seen:
-                    seen.add(m)
-                    queue.append(m)
-        comps.append(sorted(comp))
-    return comps
+        comp, tree = {start}, set()
+        grew = True
+        while grew:
+            grew = False
+            for k, (w, c) in enumerate(cx.edges):
+                if (w in comp) != (c in comp):
+                    tree.add(k)
+                    comp.update((w, c))
+                    grew = True
+        reached |= comp
+        forest.append((comp, tree))
+    return forest
 
 
-def _pi1_connected(cx: OrbitComplex, node_names) -> PresentedGroup:
-    in_comp = set(node_names)
-    walls = [nd for nd in cx.nodes if nd.name in in_comp and nd.homotopy == "circle"]
-    edges = [e for e in cx.edges if e[0] in in_comp]
-    # spanning tree by breadth-first search; leftover edges are graph loops
-    tree = set()
-    reached = {min(in_comp)} if in_comp else set()
-    grew = True
-    while grew:
-        grew = False
-        for k, (w, c) in enumerate(edges):
-            if k in tree:
-                continue
-            if (w in reached) != (c in reached):
-                tree.add(k)
-                reached.update((w, c))
-                grew = True
-    chords = [k for k in range(len(edges)) if k not in tree]
-
+def _pi1_connected(cx: OrbitComplex, comp, tree) -> PresentedGroup:
+    walls = [nd for nd in cx.nodes if nd.name in comp and nd.homotopy == "circle"]
+    chords = [e for k, e in enumerate(cx.edges) if e[0] in comp and k not in tree]
     generators = tuple(f"loop-{nd.name}" for nd in walls) + tuple(
-        f"chord-{edges[k][0]}-{edges[k][1]}" for k in chords
+        f"chord-{w}-{c}" for w, c in chords
     )
-    degree = {nd.name: 0 for nd in walls}
-    for w, _ in edges:
-        if w in degree:
-            degree[w] += 1
+    degree = Counter(w for w, _ in cx.edges)
     relations = tuple(
         (f"loop-{nd.name}",) for nd in walls if degree[nd.name] >= 2
     )
@@ -151,14 +135,14 @@ def pi1(cx: OrbitComplex) -> PresentedGroup:
     """
     if not cx.nodes:
         raise Disconnected("the empty complex has no base point")
-    comps = _components(cx)
-    if len(comps) > 1:
+    forest = _forest(cx)
+    if len(forest) > 1:
         raise Disconnected(
-            f"complex has {len(comps)} components; compute them separately"
+            f"complex has {len(forest)} components; compute them separately"
         )
-    return _pi1_connected(cx, comps[0])
+    return _pi1_connected(cx, *forest[0])
 
 
 def pi1_components(cx: OrbitComplex):
     """Fundamental groups of the components, ordered by smallest node name."""
-    return tuple(_pi1_connected(cx, comp) for comp in _components(cx))
+    return tuple(_pi1_connected(cx, comp, tree) for comp, tree in _forest(cx))

@@ -201,7 +201,7 @@ class PhaseSeries:
         top = self.value(1)
         if gamma > top:
             return (top, None)
-        cot = cot_pi(gamma) if float(gamma) > 0 else math.inf
+        cot = cot_pi(gamma)
         if cot < 2**53:
             n = math.floor(cot) + 1
             if not self.value(n) < gamma:

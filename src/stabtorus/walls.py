@@ -66,7 +66,7 @@ def gamma_pm(spectrum: SpectrumDescriptor, gamma):
     def certain(lo, hi):
         for a, b in spectrum.uncertain:
             for k in (-1, 0, 1):
-                if float(a) + k < float(hi) and float(b) + k > float(lo):
+                if a + k < hi and b + k > lo:
                     return False
         return True
 
@@ -250,13 +250,15 @@ def twist_escape(ideal_class: KClass, twist_class: KClass, gamma_minus, Z: Centr
     ze0, ze1, _ = _charge_num(Z, twist_class)
     if ze0 == 0 and ze1 == 0:
         raise ZeroCharge("the charge kills the twisting class")
-    top = float(phase_mod1(ze0, ze1, den))
+    top = phase_mod1(ze0, ze1, den)
     record = to_float(gm)
-    if not top > record:
+    if not top > gm:
         raise NeverEscapes(
             "the twisting class sits at or below the record phase; iterates "
             "cannot cross it"
         )
+    if not to_float(top) > record:
+        raise DomainError("the phase comparison lost the crossing to float rounding")
 
     def crosses(n):
         re = zi0 + n * ze0

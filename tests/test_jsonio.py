@@ -11,6 +11,7 @@ from stabtorus.cover import LiftedAuto
 from stabtorus.errors import DomainError
 from stabtorus.jsonio import (
     SCHEMA,
+    _encode_report,
     decode_auto,
     decode_charge,
     decode_kclass,
@@ -36,12 +37,16 @@ from stabtorus.jsonio import (
 from stabtorus.linalg import Matrix2
 from stabtorus.presentations import pi1
 from stabtorus.sheaves import (
+    LocallyFree,
+    Mixed,
+    Torsion,
+    TorsionFree,
     enumerate_objects,
     make_torsion_free,
     object_is_legal,
     sheaf_at,
 )
-from stabtorus.stability import DegLabel, StdLabel, make_std, spectrum_of
+from stabtorus.stability import DegLabel, StdLabel, act, make_deg, make_std, spectrum_of
 from stabtorus.walls import boundary_at, orbit_complex, wall_only_complex
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "objects.jsonl")
@@ -203,3 +208,99 @@ def test_sheaf_decode_rejects_unknown_kind():
         decode_sheaf({"kind": "torsion"})
     with pytest.raises(DomainError):
         decode_object({"graded": []})
+
+
+# ---------------------------------------------------------------------------
+# one encoder: the hand-written encoders it replaced, as a byte reference
+
+
+def _ref_kclass(v):
+    return {"rk": v.rk, "chd": v.chd}
+
+
+def _ref_charge(Z):
+    return {
+        "a": encode_number(Z.a),
+        "b": encode_number(Z.b),
+        "c": encode_number(Z.c),
+        "e": encode_number(Z.e),
+    }
+
+
+def _ref_auto(G):
+    return {
+        "T": [[encode_number(x) for x in row] for row in G.T.rows()],
+        "winding": G.winding,
+    }
+
+
+def _ref_label(label):
+    if isinstance(label, StdLabel):
+        return {"kind": "std", "p": label.p}
+    return {"kind": "deg", "p": label.p, "gamma": encode_number(label.gamma)}
+
+
+def _ref_point(sigma):
+    return {"label": _ref_label(sigma.label), "g": _ref_auto(sigma.g)}
+
+
+def _ref_sheaf(S):
+    if isinstance(S, Torsion):
+        return {"kind": "torsion", "points": [[pid, n] for pid, n in S.points]}
+    if isinstance(S, LocallyFree):
+        return {"kind": "locally_free", "rank": S.rank}
+    if isinstance(S, TorsionFree):
+        out = {"kind": "torsion_free", "rank": S.rank, "colength": S.colength}
+        if S.hn is not None:
+            out["hn"] = [[_ref_kclass(cls), stable] for cls, stable in S.hn]
+        return out
+    assert isinstance(S, Mixed)
+    return {"kind": "mixed", "torsion": _ref_sheaf(S.torsion), "free": _ref_sheaf(S.free)}
+
+
+def _ref_object(E):
+    return {
+        "graded": {str(i): _ref_sheaf(S) for i, S in E.graded},
+        "flags": [[i, j] for i, j in E.nonsplit],
+    }
+
+
+def _same_bytes(ours, ref):
+    assert json.dumps(ours, sort_keys=True) == json.dumps(ref, sort_keys=True)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_one_encoder_matches_the_hand_written_object_codecs(d):
+    for E in enumerate_objects(4, range(-1, 2), d):
+        _same_bytes(encode_object(E), _ref_object(E))
+        for _, S in E.graded:
+            _same_bytes(encode_sheaf(S), _ref_sheaf(S))
+
+
+def test_one_encoder_matches_the_hand_written_codecs_on_declared_filtrations():
+    with open(DATA) as fh:
+        objects = [decode_object(json.loads(line)) for line in fh if line.strip()]
+    declared = [S for E in objects for _, S in E.graded if getattr(S, "hn", None)]
+    assert declared
+    for S in declared:
+        _same_bytes(encode_sheaf(S), _ref_sheaf(S))
+        for cls, _ in S.hn:
+            _same_bytes(encode_kclass(cls), _ref_kclass(cls))
+
+
+@pytest.mark.parametrize("gamma", [0.3, 1e-30, Fraction(1, 10**30), Fraction(2, 5)], ids=repr)
+def test_one_encoder_matches_the_hand_written_point_codecs(gamma):
+    G = LiftedAuto(Matrix2(2, 1, 1, 1), -2)
+    for sigma in (make_deg(2, gamma, 5), act(G, make_deg(1, gamma, 5)), act(G, make_std(3, 5))):
+        _same_bytes(encode_point(sigma), _ref_point(sigma))
+        _same_bytes(encode_label(sigma.label), _ref_label(sigma.label))
+        _same_bytes(encode_auto(sigma.g), _ref_auto(sigma.g))
+    Z = CentralCharge(gamma, Fraction(-1, 3), 0, 2)
+    _same_bytes(encode_charge(Z), _ref_charge(Z))
+
+
+@pytest.mark.parametrize("value", [object(), [1, 2], {"rk": 1}, CentralCharge(1, 0, 0, 1), StdLabel],
+                         ids=["object", "list", "dict", "charge", "class"])
+def test_the_encoder_refuses_a_value_it_has_no_rule_for(value):
+    with pytest.raises(DomainError, match="cannot encode"):
+        _encode_report(value)

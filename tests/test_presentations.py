@@ -8,7 +8,13 @@ from stabtorus.presentations import (
     pi1_components,
     tietze_simplify,
 )
-from stabtorus.walls import orbit_complex, remove_node, wall_only_complex
+from stabtorus.walls import (
+    ComplexNode,
+    OrbitComplex,
+    orbit_complex,
+    remove_node,
+    wall_only_complex,
+)
 
 
 @pytest.mark.parametrize("d", range(3, 8))
@@ -86,3 +92,27 @@ def test_presented_group_reports_its_rank():
     assert g.free_rank == 0
     survivors, _ = tietze_simplify(g.generators, g.relations)
     assert survivors == ()
+
+
+def test_pi1_components_names_every_chord():
+    # two walls glue the cells a-0 and a-1 into a cycle; b-0 and v-1 form a
+    # second component. The tree grows from a-0 over the edges in order, so
+    # (w-2, a-1), the one edge joining two reached nodes, is the chord.
+    def node(name):
+        if name[0] in "vw":
+            return ComplexNode(name, "wall", 1, "circle")
+        return ComplexNode(name, "cell", 0, "contractible")
+
+    names = ("w-2", "a-1", "v-1", "a-0", "b-0", "w-1")
+    edges = (("w-1", "a-0"), ("v-1", "b-0"), ("w-1", "a-1"), ("w-2", "a-0"), ("w-2", "a-1"))
+    cx = OrbitComplex(tuple(map(node, names)), edges)
+    with pytest.raises(Disconnected):
+        pi1(cx)
+    first, second = pi1_components(cx)
+    assert first.generators == ("loop-w-2", "loop-w-1", "chord-w-2-a-1")
+    assert first.relations == (("loop-w-2",), ("loop-w-1",))
+    assert first.free_generators == ("chord-w-2-a-1",)
+    assert first.name == "infinite-cyclic"
+    assert second.generators == ("loop-v-1",)
+    assert second.relations == ()
+    assert second.free_generators == ("loop-v-1",)

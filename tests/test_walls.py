@@ -135,6 +135,19 @@ def test_gamma_pm_below_the_float_range_of_the_series(gamma):
         assert gamma_pm(spectrum_of(StdLabel(1), 4), gamma)[:2] == (0, Fraction(1, 2))
 
 
+@pytest.mark.parametrize(
+    "gamma",
+    [Fraction(1, 2) + Fraction(1, 10**30), 1 - Fraction(1, 10**30)],
+    ids=["just-above-half", "just-below-one"],
+)
+def test_gamma_pm_decides_the_certainty_flags_of_an_exact_gamma_exactly(gamma):
+    # at d = 4 the top heart Std(3) leaves (1/2, 1) uncertain, so both gaps
+    # around a gamma inside it meet that interval, however near an end it is
+    lo, hi, lo_ok, hi_ok = gamma_pm(spectrum_of(StdLabel(3), 4), gamma)
+    assert (lo, hi) == (Fraction(1, 2), 1)
+    assert (lo_ok, hi_ok) == (False, False)
+
+
 def test_on_spectrum_depends_on_the_label():
     assert on_spectrum(StdLabel(0), Fraction(1, 4), 5)
     assert not on_spectrum(StdLabel(1), Fraction(1, 4), 5)
@@ -392,6 +405,14 @@ def test_twist_escape_errors():
         twist_escape(KClass(1, -1), KClass(1, 0), Fraction(3, 5), std_charge(0))
     with pytest.raises(ZeroCharge):
         twist_escape(KClass(0, 0), KClass(1, 0), Fraction(2, 5), std_charge(0))
+
+
+def test_twist_escape_claims_no_proof_from_a_float_rounding():
+    # the twist phase 1/2 lies above the record phase, so the iterates do
+    # cross it, but only near n = 3.2e29, where the float phases cannot tell
+    gm = Fraction(1, 2) - Fraction(1, 10**30)
+    with pytest.raises(DomainError, match="lost the crossing to float rounding"):
+        twist_escape(KClass(1, -1), KClass(1, 0), gm, std_charge(0))
 
 
 def test_twist_escape_reads_a_tiny_upper_phase_at_the_bottom_of_the_window():
