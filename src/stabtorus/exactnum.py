@@ -119,11 +119,12 @@ def direction_angle(x, y, den: int = 1):
 
     den is a positive int scaling an integer vector, 1 otherwise. Axis
     directions come back exact (0, 1, 1/2, -1/2); everything else is a float
-    from atan2 of the correctly rounded coordinates. An exact vector with a
-    coordinate that rounds below the smallest normal float is first scaled
-    by a power of two that brings the larger one near 1, so a rounded-off or
-    subnormal coordinate does not bend the direction; with both coordinates
-    normal the result is unchanged. Raises ZeroCharge on the zero vector.
+    from atan2 of the correctly rounded coordinates. An exact vector whose
+    coordinates are not both normal floats, one rounding below the smallest
+    or lying beyond the float range, is first scaled by a power of two that
+    brings the larger one near 1, so that neither a rounded-off coordinate
+    nor an overflow bends the direction; with both coordinates normal the
+    result is unchanged. Raises ZeroCharge on the zero vector.
     """
     if y == 0:
         if x == 0:
@@ -131,7 +132,10 @@ def direction_angle(x, y, den: int = 1):
         return _ONE if x < 0 else _ZERO
     if x == 0:
         return HALF if y > 0 else _MINUS_HALF
-    fy, fx = to_float(y, den), to_float(x, den)
+    try:
+        fy, fx = to_float(y, den), to_float(x, den)
+    except DomainError:  # an exact coordinate beyond the float range
+        fy = fx = math.inf
     theta = rounded_direction(fx, fy)
     if theta is not None:
         return theta
@@ -143,14 +147,14 @@ def direction_angle(x, y, den: int = 1):
 def rounded_direction(fx: float, fy: float):
     """``direction_angle`` of a vector read from its correctly rounded
     coordinates fx and fy when both are normal floats, the atan2 of them;
-    None when one is zero or subnormal, where ``direction_angle`` needs the
-    vector itself for its exact or rescaled answer."""
-    if abs(fx) >= _MIN_NORMAL and abs(fy) >= _MIN_NORMAL:
+    None when one is zero, subnormal or infinite, where ``direction_angle``
+    needs the vector itself for its exact or rescaled answer."""
+    if _MIN_NORMAL <= abs(fx) <= _MAX_NORMAL and _MIN_NORMAL <= abs(fy) <= _MAX_NORMAL:
         return math.atan2(fy, fx) / math.pi
     return None
 
 
-_MIN_NORMAL = sys.float_info.min
+_MIN_NORMAL, _MAX_NORMAL = sys.float_info.min, sys.float_info.max
 _ZERO, _ONE, _MINUS_HALF = Fraction(0), Fraction(1), -HALF
 
 

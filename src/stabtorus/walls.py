@@ -26,7 +26,7 @@ from .charges import (
 )
 from .errors import DomainError, NeverEscapes, OnSpectrum, ZeroCharge
 from .exactnum import HALF, as_number, num_eq, phase_eq, phase_mod1, to_float
-from .hearts import StandardHeart, TiltedHeart, TorsionPairSpec, _phase_cut, hrs_tilt
+from .hearts import StandardHeart, TiltedHeart, TorsionPairSpec, _phase_cut
 from .stability import (
     DegLabel,
     SpectrumDescriptor,
@@ -75,16 +75,15 @@ def gamma_pm(spectrum: SpectrumDescriptor, gamma):
 
 def on_spectrum(label, gamma, d: int) -> bool:
     """Is gamma in (0, 1) a stable phase of the base point of label, up to
-    integer shift? DomainError when gamma leaves (0, 1) or falls below the
-    float range of a computable series.
+    integer shift? DomainError when gamma leaves (0, 1), or when a float
+    gamma falls below the float range of a computable series.
 
-    An exact gamma is decided exactly, as ``phase_eq`` decides it: only an
-    exact phase can equal it, and the points shifted by -1 or 1 leave (0, 1).
-    The float members of a series are arctangent phases, irrational by
-    Niven's theorem, so no rational gamma is one of them. So an exact gamma
-    is on the spectrum exactly when it is one of the points or an exact
-    member of a computable series' bracket, as 1/4 is at Std(0). A float
-    gamma is compared with every candidate of ``_candidates`` within TOL.
+    An exact gamma is decided exactly, at any magnitude: the points shifted
+    by -1 or 1 leave (0, 1), and the members of a series after the top one,
+    1/4, are arctangent phases, irrational by Niven's theorem. So an exact
+    gamma is on the spectrum exactly when it is one of the points or the top
+    member of a computable series. A float gamma is compared with every
+    candidate of ``_candidates`` within TOL.
     """
     return _on_spectrum(spectrum_of(label, d), _unit_gamma(gamma))
 
@@ -93,8 +92,7 @@ def _on_spectrum(spectrum: SpectrumDescriptor, g) -> bool:
     """on_spectrum for a number g already in (0, 1)."""
     if g.__class__ is not Fraction:
         return any(phase_eq(c, g) for c in _candidates(spectrum, g))
-    members = [c for s in spectrum.series if s.computable for c in s.bracket(g)]
-    return any(phase_eq(c, g) for c in members) or g in spectrum.points
+    return g in spectrum.points or any(s.computable and s.value(1) == g for s in spectrum.series)
 
 
 def _unit_gamma(gamma):
@@ -145,8 +143,9 @@ def boundary_at(p: int, gamma, d: int) -> WallDecision:
     the roles are mirrored with Deg(p + 1, 1 - gamma) and the escape at
     p = d - 1.
 
-    Its spectrum test is exact for an exact gamma (``on_spectrum``); a float
-    gamma is tested within TOL, and one within TOL of 1/2 counts as 1/2.
+    Its spectrum test is exact for an exact gamma of any size
+    (``on_spectrum``); a float gamma is tested within TOL, and one within TOL
+    of 1/2 counts as 1/2.
     """
     _check_range(p, d)
     g = _unit_gamma(gamma)
@@ -181,37 +180,20 @@ def phase_cut_pair(p: int, gamma, d: int) -> TorsionPairSpec:
     return _phase_cut(f"phase-cut-{p}-at-{gamma}", p, as_number(gamma))
 
 
-def boundary_heart(p: int, gamma, d: int):
+def boundary_heart(p: int, gamma, d: int) -> TiltedHeart:
     """The heart carried by the boundary behind the gap at gamma: the tilt of
-    the standard heart p at the phase-cut pair. Below 1/2 the cut is trivial
-    and the heart is unchanged; above 1/2 it reproduces the next standard
-    heart.
+    the standard heart p at the phase-cut pair, after ``boundary_at``'s
+    checks. Below 1/2 the cut is trivial at p >= 1 and the heart is
+    unchanged; above 1/2 it reproduces the next standard heart.
 
-    hrs_tilt checks each pair once per process. A pair that passed is
-    remembered by (p, d, "standard") for gamma > 1/2 and (p, d, "trivial")
-    for gamma < 1/2 at p >= 1: there the cut at gamma is constant on the
-    members of StandardHeart(p, d), which are the members checked, and equal
-    to the cut of standard_pair(p, d) or to the pair with every member in the
-    torsion class, so the check cannot depend on gamma.
-    A repeat call tilts at its own pair, named for its own gamma, without the
-    check. A failed check is never stored, nor is the p = 0 cut below 1/2,
-    which splits at gamma itself.
+    It is built like the tilts of ``iterated_heart``, with no check of the
+    pair at run time. The check cannot depend on gamma: above 1/2 the cut
+    sorts the members of heart p as ``standard_pair(p, d)`` does, and below
+    it puts every enumerated member in the torsion class. The test suite
+    runs ``hrs_tilt`` on each kind of pair.
     """
     boundary_at(p, gamma, d)  # validates p, gamma and the spectrum condition
-    pair = phase_cut_pair(p, gamma, d)
-    base = StandardHeart(p, d)
-    above = as_number(gamma) > HALF
-    key = (p, d, "standard" if above else "trivial")
-    if key in _CHECKED_CUTS:
-        return TiltedHeart(base, pair)
-    heart = hrs_tilt(base, pair)
-    if above or p >= 1:
-        _CHECKED_CUTS.add(key)
-    return heart
-
-
-# boundary_heart's phase cuts that passed hrs_tilt: at most 2d keys per d
-_CHECKED_CUTS: set = set()
+    return TiltedHeart(StandardHeart(p, d), phase_cut_pair(p, gamma, d))
 
 
 # ---------------------------------------------------------------------------

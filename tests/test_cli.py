@@ -232,8 +232,10 @@ BIG = "1" + "0" * 400
 @pytest.mark.parametrize(
     "argv, name",
     [
+        # the skyscraper direction is read past the float range; psi = -1/2
+        # is no lift of the rank ray that this charge's orientation allows
         (["classify", "--d", "4", "--charge", f"{BIG},1,1,1", "--phi", "1", "--psi", "-0.5"],
-         "DomainError"),
+         "NotNumericallyConsistent"),
         # phi is read exactly: 10**400 is an even integer, no lift of direction 1
         (["classify", "--d", "4", "--charge", "1,0,0,-1", "--phi", BIG, "--psi", "-0.5"],
          "NotNumericallyConsistent"),
@@ -245,6 +247,15 @@ def test_entries_beyond_the_float_range_exit_2(capsys, argv, name):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["name"] == name
+
+
+def test_charge_entries_beyond_the_float_range_classify_exactly(capsys):
+    # the directions of Z(skyscraper) and Z(rank) are read by rescaling
+    code, out, err = run(
+        capsys, ["classify", "--d", "4", "--charge", f"{BIG},1,1,1", "--phi", "1", "--psi", "1/4"]
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["label"] == {"kind": "std", "p": 0}
 
 
 def test_auto_entries_beyond_the_float_range_act_exactly(capsys):
@@ -421,16 +432,23 @@ def test_tiny_gamma_escapes_at_level_zero(capsys, gamma):
 @pytest.mark.parametrize(
     "gamma, bounds_error",
     [("1/4", "OnSpectrum"), ("0.25", "OnSpectrum"),
-     ("1e-320", "DomainError"), ("1e-400", "DomainError")],
+     ("1e-17", "DomainError"), ("1e-320", "DomainError"), ("1e-400", "DomainError")],
 )
 def test_gamma_on_or_below_the_series_exit_2(capsys, gamma, bounds_error):
-    for argv, name in (
-        (["boundary", "--d", "4", "--p", "0", "--gamma", gamma], "DomainError"),
-        (["gamma-bounds", "--d", "4", "--label", "std:0", "--gamma", gamma], bounds_error),
-    ):
-        code, out, err = run(capsys, argv)
+    # gamma-bounds names the neighbouring phases, so it refuses a gamma on
+    # the spectrum or below the float range of the series; boundary refuses
+    # only the stable phase, and an exact gamma of any size is off it
+    argv = ["gamma-bounds", "--d", "4", "--label", "std:0", "--gamma", gamma]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["name"] == bounds_error
+    code, out, err = run(capsys, ["boundary", "--d", "4", "--p", "0", "--gamma", gamma])
+    if bounds_error == "OnSpectrum":
         assert code == 2 and out == ""
-        assert json.loads(err)["error"]["name"] == name
+        assert json.loads(err)["error"]["name"] == "DomainError"
+    else:
+        assert code == 0 and err == ""
+        assert out == '{"reason": "twist-escape", "schema": "stabtorus/1", "wall": null}\n'
 
 
 def test_boundary_on_spectrum_exit_2(capsys):

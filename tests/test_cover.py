@@ -190,7 +190,7 @@ def test_windings_beyond_the_float_range_compose_exactly():
         lift_eval(LiftedAuto(Matrix2(1, 1, 0, 1), big), Fraction(1, 3))
 
 
-def test_entries_beyond_the_float_range_raise_domain_error():
+def test_entries_beyond_the_float_range_compose_and_act_exactly():
     # the group law reads windings from integer signs, so it answers exactly
     huge = LiftedAuto(Matrix2(10**400, 1, 1, 1), 0)
     assert gl_compose(identity_auto(), huge) == huge

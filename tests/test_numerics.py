@@ -166,3 +166,34 @@ def test_tiny_exact_directions_match_the_normalized_reference(x, y):
     # subnormal, which atan2 alone would turn into the wrong direction
     got = direction_angle(x, y)
     assert math.isclose(got, r_direction_normalized(x, y), rel_tol=1e-14, abs_tol=1e-300)
+
+
+def test_huge_exact_vectors_keep_their_direction():
+    huge = 10**400
+    assert direction_angle(huge, 1) == 0.0
+    assert direction_angle(1, huge) == 0.5
+    assert direction_angle(huge, huge) == 0.25
+    assert direction_angle(-huge, huge, 7) == 0.75
+    assert direction_angle(3, 4, 10**400) == math.atan2(4, 3) / math.pi
+    assert phase_mod1(huge, 1) == 5e-324
+
+
+coordinates = st.builds(
+    lambda sign, mantissa, k: sign * Fraction(mantissa) * Fraction(10) ** k,
+    st.sampled_from([1, -1]),
+    st.integers(1, 10**6),
+    st.integers(-406, 400),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordinates, coordinates)
+def test_exact_directions_of_any_magnitude_match_the_normalized_reference(x, y):
+    # magnitudes 1e-406..1e406, as a Fraction vector and as an integer
+    # vector over one denominator: a coordinate may overflow, or round to
+    # zero or to a subnormal, and none of these may bend the direction
+    ref = r_direction_normalized(x, y)
+    assert math.isclose(direction_angle(x, y), ref, rel_tol=1e-14, abs_tol=1e-300)
+    den = math.lcm(x.denominator, y.denominator)
+    got = direction_angle(int(x * den), int(y * den), den)
+    assert math.isclose(got, ref, rel_tol=1e-14, abs_tol=1e-300)

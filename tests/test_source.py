@@ -149,3 +149,73 @@ def test_traced_names_resolve():
             if not ok:
                 missing.append(f"{layer}.{entry}")
     assert traced and missing == []
+
+
+MUTATORS = {
+    "add", "append", "appendleft", "clear", "discard", "extend", "insert", "pop",
+    "popitem", "remove", "reverse", "setdefault", "sort", "update",
+    "__setitem__", "__delitem__",
+}
+
+
+def module_state_mutations(tree: ast.Module) -> list:
+    """Lines where a function changes a name bound at module level: a mutator
+    call on it, an item or attribute store or del through it, or ``global``."""
+    module_names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            module_names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        local = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+        local |= {n.id for n in ast.walk(func)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        shared = module_names - local
+
+        def is_shared(node):
+            return isinstance(node, ast.Name) and node.id in shared
+
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                found.append(node.lineno)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in MUTATORS and is_shared(node.func.value):
+                    found.append(node.lineno)
+            elif isinstance(node, (ast.Subscript, ast.Attribute)):
+                if isinstance(node.ctx, (ast.Store, ast.Del)) and is_shared(node.value):
+                    found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_no_function_mutates_module_state():
+    # answers depend on arguments only: module-level tables are built at
+    # import and never changed by a call (caches go through functools)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}" for line in module_state_mutations(tree)]
+    assert found == []
+
+
+def test_the_module_state_scan_sees_each_kind_of_change():
+    source = """
+TABLE = {}
+SEEN = set()
+LOG: list = []
+def f(x):
+    TABLE[x] = 1
+    SEEN.add(x)
+    del TABLE[x]
+    LOG.append(x)
+def g(x):
+    global SEEN
+    SEEN = set()
+def h(TABLE):
+    TABLE.clear()
+    seen = set()
+    seen.add(1)
+"""
+    assert module_state_mutations(ast.parse(source)) == [6, 7, 8, 9, 11]

@@ -319,7 +319,7 @@ def test_classify_reads_the_slope_from_a_row_that_sees_the_skyscraper():
         classify(CentralCharge(0, 0, 1, 0), Fraction(-1, 2), Fraction(-3, 2), 4)
 
 
-def test_classify_refuses_a_frame_within_tolerance_of_the_rank_functional():
+def test_classify_refuses_boundary_data_for_a_frame_near_the_rank_functional():
     # the skyscraper column (-6e5, 1e-37) is tiny against e = -9e33, but the
     # exact determinant is positive: a Std charge, which boundary phase data
     # cannot carry
