@@ -124,7 +124,8 @@ def direction_angle(x, y, den: int = 1):
     or lying beyond the float range, is first scaled by a power of two that
     brings the larger one near 1, so that neither a rounded-off coordinate
     nor an overflow bends the direction; with both coordinates normal the
-    result is unchanged. Raises ZeroCharge on the zero vector.
+    result is unchanged. An atan2 that rounds a y < 0 onto -1 answers the
+    float just above -1. Raises ZeroCharge on the zero vector.
     """
     if y == 0:
         if x == 0:
@@ -141,7 +142,7 @@ def direction_angle(x, y, den: int = 1):
         return theta
     if is_exact(x) and is_exact(y):
         fy, fx = _rescaled(Fraction(y, den), Fraction(x, den))
-    return math.atan2(fy, fx) / math.pi
+    return _atan2_pi(fy, fx)
 
 
 def rounded_direction(fx: float, fy: float):
@@ -150,8 +151,13 @@ def rounded_direction(fx: float, fy: float):
     None when one is zero, subnormal or infinite, where ``direction_angle``
     needs the vector itself for its exact or rescaled answer."""
     if _MIN_NORMAL <= abs(fx) <= _MAX_NORMAL and _MIN_NORMAL <= abs(fy) <= _MAX_NORMAL:
-        return math.atan2(fy, fx) / math.pi
+        return _atan2_pi(fy, fx)
     return None
+
+
+def _atan2_pi(fy: float, fx: float) -> float:
+    theta = math.atan2(fy, fx) / math.pi
+    return theta if theta != -1.0 else math.nextafter(-1.0, 0.0)  # -1.0 only from y < 0
 
 
 _MIN_NORMAL, _MAX_NORMAL = sys.float_info.min, sys.float_info.max
@@ -204,16 +210,17 @@ def phase_mod1(re, im, den: int = 1):
     """Phase of the nonzero value (re + i*im) / den folded into (0, 1]; den
     as in ``direction_angle``.
 
-    The fold follows the exact half-plane: a value strictly above the real
-    axis whose angle atan2 rounds to 0.0 has a phase in (0, 5e-324), so it
-    folds to the bottom of the window, the smallest positive float, not to 1.
+    The fold follows the exact half-plane. A value below the real axis is
+    read as its negative, of the same phase, so that a phase near 0 keeps
+    the precision atan2 has near 0; a value above it whose angle atan2
+    rounds to 0.0 folds to the smallest positive float, not to 1.
     """
+    if im < 0:
+        re, im = -re, -im
     theta = direction_angle(re, im, den)
     if theta > 0:
         return theta
-    if theta == 0 and im > 0:
-        return _SMALLEST
-    return theta + 1
+    return _SMALLEST if im > 0 else theta + 1
 
 
 _SMALLEST = math.ulp(0.0)

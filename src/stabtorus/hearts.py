@@ -235,7 +235,6 @@ class StandardHeart:
         self.p = p
         self.d = d
         self.level = p
-        self._memo = None  # last (object, cohomology) pair; see TiltedHeart
 
     def __repr__(self):
         return f"StandardHeart(p={self.p}, d={self.d})"
@@ -245,26 +244,17 @@ class StandardHeart:
 
     def cohomology(self, E: FormalObject) -> dict:
         """Degree -> heart member, flag-blind, additive over atoms."""
-        memo = self._memo
-        if memo is not None and memo[0] == E:
-            return memo[1]
         out: dict = {}
         for i, S in E.graded:
             for n, piece in _atom_cohomology(S, self.p).items():
                 _merge_coh(out, n + i, piece)
-        self._memo = (E, out)
         return out
 
     def sample_members(self, max_mass: int):
-        """Iterator over the members of mass up to max_mass, enumerated once
-        per (p, d, max_mass) and shared by every heart with that key."""
-        return iter(_standard_members(self.p, self.d, max_mass))
-
-
-@cache
-def _standard_members(p: int, d: int, max_mass: int) -> tuple:
-    degrees = (0,) if p == 0 else (-p, 0)
-    return tuple(E for E in enumerate_objects(max_mass, degrees, d) if heart_membership(E, p, d))
+        degrees = (0,) if self.p == 0 else (-self.p, 0)
+        for E in enumerate_objects(max_mass, degrees, self.d):
+            if self.contains(E):
+                yield E
 
 
 @dataclass
@@ -290,28 +280,29 @@ class TiltedHeart:
         self.pair = pair
         self.d = base.d
         self.level = base.level + 1
-        # Single-slot memo for the last cohomology query.  Membership sweeps
-        # tend to probe the same object at every level of a tilt chain, and
-        # the chain recursion makes cohomology quadratic without it.
+        # the last (object, base cohomology) read: a sweep asks every level of
+        # a tilt chain about one object, so each level computes its own once
         self._memo = None
 
     def __repr__(self):
         return f"TiltedHeart({self.base!r}, pair={self.pair.name})"
 
+    def _base_cohomology(self, E: FormalObject) -> dict:
+        memo = self._memo
+        if memo is None or memo[0] != E:
+            memo = self._memo = (E, self.base.cohomology(E))
+        return memo[1]
+
     def contains(self, E: FormalObject) -> bool:
         pair = self.pair
-        for n, piece in self.base.cohomology(E).items():
+        for n, piece in self._base_cohomology(E).items():
             if not (pair.in_torsion(piece) if n == 0 else n == -1 and pair.in_free(piece)):
                 return False
         return True
 
     def cohomology(self, E: FormalObject) -> dict:
-        memo = self._memo
-        if memo is not None and memo[0] == E:
-            return memo[1]
-        base_coh = self.base.cohomology(E)
         out: dict = {}
-        for n, piece in base_coh.items():
+        for n, piece in self._base_cohomology(E).items():
             t_part, f_part = self.pair.decompose(piece)
             if not t_part.is_zero():
                 _merge_coh(out, n, t_part)
@@ -319,7 +310,6 @@ class TiltedHeart:
                 # the free part shows up one degree later, shifted into the
                 # new heart's window
                 _merge_coh(out, n + 1, object_shift(f_part, 1))
-        self._memo = (E, out)
         return out
 
     def sample_members(self, max_mass: int):
@@ -472,7 +462,8 @@ def iterated_heart(p: int, d: int):
     fixed standard pairs, exercised by the test suite instead.
 
     Returned hearts are cached per (p, d) so that chains share their tails;
-    the hearts are immutable apart from an internal memo, so reuse is safe.
+    each tilt changes only its memo of the last base cohomology it read,
+    which no answer depends on, so reuse is safe.
     """
     _check_range(p, d)
     return _iterated_heart(p, d)

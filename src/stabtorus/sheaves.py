@@ -158,31 +158,6 @@ def make_mixed(torsion: Torsion | None, free) -> object:
     return Mixed(torsion, free)
 
 
-def sheaf_class(S) -> KClass:
-    if isinstance(S, Torsion):
-        return KClass(0, S.total_length())
-    if isinstance(S, LocallyFree):
-        return KClass(S.rank, 0)
-    if isinstance(S, TorsionFree):
-        return KClass(S.rank, -S.colength)
-    if isinstance(S, Mixed):
-        return sheaf_class(S.torsion) + sheaf_class(S.free)
-    raise DomainError(f"not a sheaf: {S!r}")
-
-
-def sheaf_mass(S) -> int:
-    """Rank plus colength plus torsion length; the enumeration weight."""
-    if isinstance(S, Torsion):
-        return S.total_length()
-    if isinstance(S, LocallyFree):
-        return S.rank
-    if isinstance(S, TorsionFree):
-        return S.rank + S.colength
-    if isinstance(S, Mixed):
-        return sheaf_mass(S.torsion) + sheaf_mass(S.free)
-    raise DomainError(f"not a sheaf: {S!r}")
-
-
 def torsion_part(S) -> Torsion | None:
     if isinstance(S, Torsion):
         return S
@@ -210,6 +185,22 @@ def hull_defect_length(S) -> int:
     if isinstance(F, TorsionFree):
         return F.colength
     return 0
+
+
+def _torsion_length(S) -> int:
+    if not isinstance(S, _SHEAF_KINDS):
+        raise DomainError(f"not a sheaf: {S!r}")
+    t = torsion_part(S)
+    return 0 if t is None else t.total_length()
+
+
+def sheaf_class(S) -> KClass:
+    return KClass(hull_rank(S), _torsion_length(S) - hull_defect_length(S))
+
+
+def sheaf_mass(S) -> int:
+    """Rank plus colength plus torsion length; the enumeration weight."""
+    return _torsion_length(S) + hull_rank(S) + hull_defect_length(S)
 
 
 def sheaf_sum(S1, S2):

@@ -51,14 +51,14 @@ def gamma_pm(spectrum: SpectrumDescriptor, gamma):
     Returns (below, above, below_exact, above_exact) where the flags say
     whether the corresponding gap is certified free of further stable
     phases (no uncertain interval of the spectrum meets it, modulo integer
-    shift). Raises OnSpectrum when gamma is a known stable phase and
-    DomainError when gamma leaves (0, 1) or falls below the float range of
-    a computable series.
+    shift). Raises OnSpectrum when gamma is a stable phase by the rule of
+    ``on_spectrum``, and DomainError when gamma leaves (0, 1) or falls below
+    the float range of a computable series.
     """
     g = _unit_gamma(gamma)
-    candidates = _candidates(spectrum, g)
-    if any(phase_eq(c, g) for c in candidates):
+    if _on_spectrum(spectrum, g):
         raise OnSpectrum(f"gamma = {gamma} is a stable phase")
+    candidates = _candidates(spectrum, g)
     below = max(c for c in candidates if c < g)
     # >= keeps a float member equal in value to an exact gamma, as bracket does
     above = min(c for c in candidates if c >= g)
@@ -138,10 +138,11 @@ def boundary_at(p: int, gamma, d: int) -> WallDecision:
     """Decide the boundary behind the phase gap at gamma seen from Std(p).
 
     gamma must lie in (0, 1), off 1/2 and off the known stable phases. Below
-    1/2 the wall carries the boundary family Deg(p, gamma) except at p = 0,
-    where twisting by degree-zero line bundles escapes any wall; above 1/2
-    the roles are mirrored with Deg(p + 1, 1 - gamma) and the escape at
-    p = d - 1.
+    1/2 the wall carries the boundary family Deg(p, gamma), above 1/2
+    Deg(p + 1, 1 - gamma), unless a series of the spectrum of Std(p)
+    accumulates on gamma's side of 1/2: twisting by degree-zero line bundles
+    then escapes any wall. That is the ideal sheaves below 1/2 at p = 0 and
+    the unclassified tail above 1/2 at p = d - 1.
 
     Its spectrum test is exact for an exact gamma of any size
     (``on_spectrum``); a float gamma is tested within TOL, and one within TOL
@@ -151,15 +152,13 @@ def boundary_at(p: int, gamma, d: int) -> WallDecision:
     g = _unit_gamma(gamma)
     if num_eq(g, HALF):
         raise DomainError("gamma = 1/2 sits on the shifted-bundle phase")
-    if _on_spectrum(_std_spectrum(p, d), g):
+    spectrum = _std_spectrum(p, d)
+    if _on_spectrum(spectrum, g):
         raise DomainError(f"gamma = {gamma} is a stable phase of Std({p})")
-    if g < HALF:
-        if p == 0:
-            return WallDecision(None, TWIST_ESCAPE)
-        return WallDecision(DegLabel(p, g))
-    if p == d - 1:
+    below = g < HALF
+    if any((s.limit < HALF) == below for s in spectrum.series):
         return WallDecision(None, TWIST_ESCAPE)
-    return WallDecision(DegLabel(p + 1, 1 - g))
+    return WallDecision(DegLabel(p, g) if below else DegLabel(p + 1, 1 - g))
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,13 @@ def test_phase_in_strip_examples():
     assert phase_in_strip(Z0, KClass(-1, 0), 1) == Fraction(3, 2)
 
 
+def test_phase_in_strip_reads_a_direction_just_above_minus_one():
+    # Z(0, -1) = (-10**20, -1): a hair below the negative real axis, so its
+    # direction lies in (-1, 0], the window over the anchor -1
+    ph = phase_in_strip(CentralCharge(-10**20, 0, -1, 1), KClass(0, -1), -1)
+    assert -1 < ph <= 0
+
+
 def test_phase_in_strip_zero_charge():
     with pytest.raises(ZeroCharge):
         phase_in_strip(std_charge(0), ZERO_CLASS, 0)

@@ -1,5 +1,6 @@
 """Heart membership, decomposition, tilting, and finite-length behavior."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -340,6 +341,31 @@ def test_pairs_may_separate_sheaves_whose_declared_steps_differ():
     pair = _pair_of_chosen_atoms((A,))
     tilted = hrs_tilt(_OwnHeart(A, B), pair, max_check_mass=3)
     assert tilted.pair is pair
+
+
+def _declared(*steps):
+    """The degree-0 torsion-free sheaf with these declared (rank, chd) steps."""
+    classes = [KClass(*step) for step in steps]
+    cls = sum(classes, KClass(0, 0))
+    return sheaf_at(0, make_torsion_free(cls.rk, -cls.chd, hn=[(c, True) for c in classes]))
+
+
+@pytest.mark.parametrize("gamma", [Fraction(1, 20), Fraction(1, 5), Fraction(3, 10)])
+def test_level_zero_cuts_pass_the_tilt_check_on_declared_filtrations(gamma):
+    # the enumerated members carry no declared steps, so hrs_tilt sees the
+    # split of the p = 0 cut below 1/2 only on a caller's members: the steps
+    # of phase 1/2, 1/4 and arctan(1/3)/pi fall on both sides of 1/5 and 3/10
+    F3 = _declared((1, 0), (1, -1), (1, -3))
+    members = (F3, _declared((1, 0), (1, -3)), _declared((1, -1), (1, -2)),
+               sheaf_at(0, make_locally_free(2)), SKY_Y)
+    pair = phase_cut_pair(0, gamma, 3)
+    assert hrs_tilt(_OwnHeart(*members), pair, max_check_mass=3).pair is pair
+    # the cut keeps the steps of phase above gamma on top, the rest below
+    above, below = pair.decompose(F3)
+    for part, keep in ((above, True), (below, False)):
+        classes = [c for c, _ in F3.component(0).hn
+                   if (math.atan2(c.rk, -c.chd) / math.pi > gamma) == keep]
+        assert class_of(part) == sum(classes, KClass(0, 0))
 
 
 def _shape_predicates(level):

@@ -56,7 +56,9 @@ def r_direction(x, y):
         return Fraction(1) if x < 0 else Fraction(0)
     if x == 0:
         return HALF if y > 0 else -HALF
-    return math.atan2(float(y), float(x)) / math.pi
+    theta = math.atan2(float(y), float(x)) / math.pi
+    # the range is (-1, 1]: a y < 0 that atan2 rounds onto -pi is one ulp up
+    return theta if theta != -1.0 else math.nextafter(-1.0, 0.0)
 
 
 def r_lift_near(theta, target):

@@ -197,3 +197,32 @@ def test_exact_directions_of_any_magnitude_match_the_normalized_reference(x, y):
     den = math.lcm(x.denominator, y.denominator)
     got = direction_angle(int(x * den), int(y * den), den)
     assert math.isclose(got, ref, rel_tol=1e-14, abs_tol=1e-300)
+
+
+def test_directions_just_above_minus_one_stay_in_the_window():
+    # atan2 rounds these directions, a hair below the negative real axis,
+    # onto -pi; they lie in (-1, 0) all the same, and fold into (0, 1)
+    for x, y in ((-10**20, -1), (-1.0, -5e-324), (-1.0, -1e-300), (-10**400, -1)):
+        assert -1 < direction_angle(x, y) < 0
+        assert 0 < phase_mod1(x, y) < 1
+    # the fold reads a value below the real axis through its negative, so a
+    # phase near 0 keeps its size rather than the 1.1e-16 of -1 + one ulp
+    assert math.isclose(phase_mod1(-10**40, -1), 1 / (math.pi * 10**40), rel_tol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordinates, coordinates)
+def test_directions_and_folded_phases_stay_in_their_windows(x, y):
+    # magnitudes 1e-406..1e406, as Fractions, as integers over one
+    # denominator and, where they are finite and nonzero, as floats
+    den = math.lcm(x.denominator, y.denominator)
+    vectors = [(x, y, 1), (int(x * den), int(y * den), den)]
+    try:
+        fx, fy = float(x), float(y)
+    except OverflowError:
+        fx = fy = 0.0
+    if fx and fy:
+        vectors.append((fx, fy, 1))
+    for u, v, k in vectors:
+        assert -1 < direction_angle(u, v, k) <= 1
+        assert 0 < phase_mod1(u, v, k) <= 1

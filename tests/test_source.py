@@ -122,6 +122,58 @@ def test_boundary_parameters_are_read_in_charges():
     assert list(calls) == ["charges.py"], calls
 
 
+def _definitions(path):
+    """(qualified name, node) of each module-level function and method."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_twist_escapes_follow_the_spectrum():
+    # boundary_at reads the escapes from the series of the spectrum; it does
+    # not name the indices 0 and d - 1 where they sit
+    (func,) = [f for name, f in _definitions(PACKAGE / "walls.py") if name == "boundary_at"]
+    found = [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(func)
+        if (isinstance(node, ast.Compare) and any(
+            isinstance(c, ast.Constant) and c.value == 0 for c in [node.left, *node.comparators]))
+        or (isinstance(node, ast.BinOp) and ast.unparse(node) == "d - 1")
+    ]
+    assert found == []
+
+
+def test_only_a_tilt_keeps_a_cohomology_memo():
+    found = {
+        name.partition(".")[0]
+        for name, func in _definitions(PACKAGE / "hearts.py")
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "_memo"
+        and isinstance(node.ctx, ast.Store)
+    }
+    assert found == {"TiltedHeart"}
+
+
+def test_phase_equality_is_decided_in_one_place():
+    # walls._on_spectrum is the one spectrum membership test
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, func in _definitions(path):
+            found += [
+                f"{path.name}:{name}"
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call)
+                and (node.func.id if isinstance(node.func, ast.Name)
+                     else getattr(node.func, "attr", None)) == "phase_eq"
+            ]
+    assert sorted(set(found)) == ["walls.py:_on_spectrum"]
+
+
 def test_traced_names_resolve():
     # the benchmark tracer wraps these by name: a method through its class
     # __dict__, a bare class through its __post_init__

@@ -27,6 +27,7 @@ from stabtorus.errors import (
 )
 from stabtorus.linalg import Matrix2
 from stabtorus.sheaves import (
+    ZERO_OBJECT,
     class_of,
     formal_object,
     make_locally_free,
@@ -223,6 +224,15 @@ def test_hn_on_boundary_is_single_phase():
     E = formal_object([(0, skyscraper()), (-1, make_locally_free(1))])
     factors = hn_filtration(make_deg(1, Fraction(1, 4), d), E, d)
     assert len(factors) == 1 and factors[0].phase == 1
+
+
+def test_hn_on_boundary_of_the_zero_object_and_of_a_non_member():
+    d = 4
+    sigma = make_deg(2, Fraction(1, 4), d)
+    # the zero object has no factors; an object off the heart is refused
+    assert hn_filtration(sigma, ZERO_OBJECT, d) == ()
+    with pytest.raises(NotInHeart):
+        hn_filtration(sigma, sheaf_at(-1, make_locally_free(1)), d)
 
 
 def test_hn_level_zero_uses_declared_data():
@@ -465,6 +475,28 @@ def test_subobject_classes_match_the_two_case_rule(d):
         assert members
         for E in members:
             assert subobject_classes(E, p, d) == _subobject_reference(E, p)
+
+
+def test_the_zero_object_is_not_stable():
+    assert not is_stable_in_model(ZERO_OBJECT, 1, 4)
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [lambda value: value(7), lambda value: Fraction(value(7)),
+     lambda value: Fraction(value(7)) - Fraction(1, 10**30),
+     lambda value: Fraction(value(2)) + Fraction(1, 10**30)],
+    ids=["float-member-7", "exact-member-7", "just-below-member-7", "just-above-member-2"],
+)
+def test_bracket_corrects_the_floor_of_the_cotangent(gamma):
+    # at these gammas the float cotangent lands one member off, so bracket
+    # takes one of its two one-step corrections (up at member 7, down at 2)
+    (series,) = spectrum_of(StdLabel(0), 4).series
+    g = gamma(series.value)
+    below, above = series.bracket(g)
+    n = next(n for n in range(2, 20) if series.value(n) == below)
+    assert above == series.value(n - 1)
+    assert series.value(n) < g <= series.value(n - 1)
 
 
 def test_stable_objects_in_model():

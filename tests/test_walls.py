@@ -440,6 +440,16 @@ def test_twist_escape_reads_a_tiny_upper_phase_at_the_bottom_of_the_window():
         twist_escape(KClass(1, -1), KClass(1, 1), Fraction(1, 5), Z)
 
 
+def test_twist_escape_reads_a_twist_phase_just_above_zero():
+    # the twist charge (-10**20, -1) has phase about 3.2e-21 in (0, 1],
+    # above the record 10**-30, and the first iterate already crosses it
+    gm = Fraction(1, 10**30)
+    assert twist_escape(KClass(0, -1), KClass(-1, 10**20), gm, std_charge(0)) == 1
+    # a twist phase of about 3.2e-41 sits below the record: no escape
+    with pytest.raises(NeverEscapes):
+        twist_escape(KClass(0, -1), KClass(-1, 10**40), gm, std_charge(0))
+
+
 def test_twist_escape_minimality():
     Z = std_charge(0)
     I, E, gm = KClass(1, -1), KClass(1, 0), Fraction(2, 5)
