@@ -36,6 +36,32 @@ from .exactnum import (
 from .linalg import Matrix2, _reduced
 
 
+def is_int(v) -> bool:
+    """An integer, and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def check_index(p, message: str, lo: int | None = 0, hi: int | None = None) -> None:
+    """Raise DomainError unless p is an integer (not a bool) in lo..hi, a
+    bound of None leaving that side open.
+
+    ``message`` is formatted only on failure, with the fields ``p``, ``lo``
+    and ``hi``.
+    """
+    if not is_int(p) or (lo is not None and p < lo) or (hi is not None and p > hi):
+        raise DomainError(message.format(p=p, lo=lo, hi=hi))
+
+
+def check_dimension(d: int) -> None:
+    check_index(d, "torus dimension must be an integer >= 3, got {p!r}", lo=3)
+
+
+def _check_range(p, d: int, lo: int = 0, kind: str = "heart") -> None:
+    """Raise DomainError unless d is a torus dimension and p an integer in lo..d-1."""
+    check_dimension(d)
+    check_index(p, kind + " index must lie in {lo}..{hi}, got {p!r}", lo, d - 1)
+
+
 @dataclass(frozen=True)
 class KClass:
     """Element (rk, chd) of the numerical K-group Z^2."""
@@ -44,10 +70,8 @@ class KClass:
     chd: int
 
     def __post_init__(self):
-        for f in ("rk", "chd"):
-            v = getattr(self, f)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise DomainError(f"KClass.{f} must be an integer, got {v!r}")
+        check_index(self.rk, "KClass.rk must be an integer, got {p!r}", lo=None)
+        check_index(self.chd, "KClass.chd must be an integer, got {p!r}", lo=None)
 
     def __add__(self, other: "KClass") -> "KClass":
         return KClass(self.rk + other.rk, self.chd + other.chd)
@@ -74,12 +98,9 @@ _EXACT = (int, Fraction)
 def _entry_value(name: str, x):
     """A charge entry as a Fraction or a finite float."""
     try:
-        v = as_number(x)
+        return as_number(x)
     except TypeError:
         raise DomainError(f"CentralCharge.{name} must be a number, got {x!r}") from None
-    if isinstance(v, float) and not math.isfinite(v):
-        raise DomainError(f"CentralCharge.{name} must be finite, got {v!r}")
-    return v
 
 
 class CentralCharge(Matrix2):
@@ -180,27 +201,6 @@ def _orbits_over(F: Matrix2, d: int):
         return (True, range(0), None)
     w = Fraction(rk, sky)
     return (True, range(1 if w > 0 else 2, d, 2), lambda: gamma_from_cot(abs(w)))
-
-
-def check_index(p, message: str, lo: int = 0) -> None:
-    """Raise DomainError unless p is an integer (not a bool) at least lo.
-
-    ``message`` is formatted only on failure, with the field ``p``.
-    """
-    if isinstance(p, bool) or not isinstance(p, int) or p < lo:
-        raise DomainError(message.format(p=p))
-
-
-def check_dimension(d: int) -> None:
-    if isinstance(d, bool) or not isinstance(d, int) or d < 3:
-        raise DomainError(f"torus dimension must be an integer >= 3, got {d!r}")
-
-
-def _check_range(p, d: int, lo: int = 0, kind: str = "heart") -> None:
-    """Raise DomainError unless d is a torus dimension and p an integer in lo..d-1."""
-    check_dimension(d)
-    if isinstance(p, bool) or not isinstance(p, int) or not lo <= p < d:
-        raise DomainError(f"{kind} index must lie in {lo}..{d - 1}, got {p!r}")
 
 
 def is_stability_function(Z: CentralCharge, p: int, d: int | None = None):

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 
 from . import jsonio
 from .charges import CentralCharge, KClass
-from .errors import StabTorusError
-from .exactnum import format_number, parse_number
+from .errors import DomainError, StabTorusError
+from .exactnum import as_number, format_number
 from .hearts import (
     StandardHeart,
     hearts_agree_on,
@@ -74,53 +73,47 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# flag parsing helpers
+# flag converters: argparse reports a ValueError or ArgumentTypeError from
+# one as a usage error; a StabTorusError propagates to main
 
 
-def _parse_num(flag: str, s: str):
+def number(s: str):
     try:
-        x = parse_number(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"{flag}: cannot parse number {s!r}") from exc
-    if isinstance(x, float) and not math.isfinite(x):
-        raise UsageError(f"{flag}: expected a finite number, got {s!r}")
-    return x
+        return as_number(s)
+    except DomainError:
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {s!r}") from None
 
 
-def _parse_charge(flag: str, s: str) -> CentralCharge:
-    parts = [x.strip() for x in s.split(",")]
-    if len(parts) != 4:
-        raise UsageError(f"{flag}: expected four comma-separated numbers, got {s!r}")
-    return CentralCharge(*(_parse_num(flag, x) for x in parts))
+def charge(s: str) -> CentralCharge:
+    a, b, c, e = map(number, s.split(","))
+    return CentralCharge(a, b, c, e)
 
 
-def _parse_class(flag: str, s: str) -> KClass:
-    parts = [x.strip() for x in s.split(",")]
-    if len(parts) != 2:
-        raise UsageError(f"{flag}: expected rank,degree integers, got {s!r}")
-    try:
-        return KClass(int(parts[0]), int(parts[1]))
-    except ValueError as exc:
-        raise UsageError(f"{flag}: expected integers, got {s!r}") from exc
+def kclass(s: str) -> KClass:
+    rk, chd = s.split(",")
+    return KClass(int(rk), int(chd))
 
 
-def _parse_label(flag: str, s: str):
-    parts = s.split(":")
-    try:
-        if parts[0] == "std" and len(parts) == 2:
-            return StdLabel(int(parts[1]))
-        if parts[0] == "deg" and len(parts) == 3:
-            return DegLabel(int(parts[1]), _parse_num(flag, parts[2]))
-    except ValueError as exc:
-        raise UsageError(f"{flag}: bad label {s!r}") from exc
-    raise UsageError(f"{flag}: expected std:<p> or deg:<p>:<gamma>, got {s!r}")
+def label(s: str):
+    kind, *rest = s.split(":")
+    if kind == "std" and len(rest) == 1:
+        return StdLabel(int(rest[0]))
+    if kind == "deg" and len(rest) == 2:
+        return DegLabel(int(rest[0]), number(rest[1]))
+    raise ValueError(s)
 
 
-def _load_json(flag: str, s: str):
-    try:
-        return json.loads(s)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{flag}: invalid JSON ({exc})") from exc
+# the decoders are looked up at call time, so a rebound jsonio function is used
+def point_json(s: str):
+    return jsonio.decode_point(json.loads(s))
+
+
+def auto_json(s: str):
+    return jsonio.decode_auto(json.loads(s))
+
+
+def object_json(s: str):
+    return jsonio.decode_object(json.loads(s))
 
 
 def _num_text(x) -> str:
@@ -153,25 +146,18 @@ def _point_text(sigma) -> str:
 
 
 def _cmd_classify(args):
-    Z = _parse_charge("--charge", args.charge)
-    phi = _parse_num("--phi", args.phi)
-    psi = _parse_num("--psi", args.psi)
-    sigma = classify(Z, phi, psi, args.d)
+    sigma = classify(args.charge, args.phi, args.psi, args.d)
     return jsonio.encode_point(sigma), _point_text(sigma)
 
 
 def _cmd_act(args):
-    sigma = jsonio.decode_point(_load_json("--point", args.point))
-    G = jsonio.decode_auto(_load_json("--auto", args.auto))
-    check_label(sigma.label, args.d)
-    moved = act(G, sigma)
+    check_label(args.point.label, args.d)
+    moved = act(args.auto, args.point)
     return jsonio.encode_point(moved), _point_text(moved)
 
 
 def _cmd_hn(args):
-    sigma = jsonio.decode_point(_load_json("--point", args.point))
-    E = jsonio.decode_object(_load_json("--object", args.object))
-    factors = hn_filtration(sigma, E, args.d)
+    factors = hn_filtration(args.point, args.object, args.d)
     payload = {"factors": [jsonio.encode_hn_factor(f) for f in factors]}
     lines = []
     for f in factors:
@@ -215,20 +201,18 @@ def _cmd_spectrum(args):
     if args.point is None and args.label is None:
         raise UsageError("spectrum: one of --label or --point is required")
     if args.point is not None:
-        sigma = jsonio.decode_point(_load_json("--point", args.point))
-        descriptor, families = stable_objects(sigma, args.d)
+        descriptor, families = stable_objects(args.point, args.d)
         payload = {
             "spectrum": jsonio.encode_spectrum(descriptor),
             "families": [jsonio.encode_family(f) for f in families],
         }
-        lines = [f"label: {_label_text(sigma.label)}"]
+        lines = [f"label: {_label_text(args.point.label)}"]
         for f in families:
             lines.append(
                 f"family {f.kind}: shift {f.shift}, phase {_num_text(f.phase)}"
             )
         return payload, "\n".join(lines)
-    label = _parse_label("--label", args.label)
-    descriptor = spectrum_of(label, args.d)
+    descriptor = spectrum_of(args.label, args.d)
     payload = {"spectrum": jsonio.encode_spectrum(descriptor)}
     lines = [
         f"points: {', '.join(_num_text(q) for q in descriptor.points)}",
@@ -240,9 +224,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_gamma_bounds(args):
-    label = _parse_label("--label", args.label)
-    gamma = _parse_num("--gamma", args.gamma)
-    below, above, be, ae = gamma_pm(spectrum_of(label, args.d), gamma)
+    below, above, be, ae = gamma_pm(spectrum_of(args.label, args.d), args.gamma)
     payload = {
         "below": jsonio.encode_number(below),
         "above": jsonio.encode_number(above),
@@ -257,8 +239,7 @@ def _cmd_gamma_bounds(args):
 
 
 def _cmd_boundary(args):
-    gamma = _parse_num("--gamma", args.gamma)
-    decision = boundary_at(args.p, gamma, args.d)
+    decision = boundary_at(args.p, args.gamma, args.d)
     payload = jsonio.encode_wall_decision(decision)
     if decision.is_wall:
         text = f"wall: {_label_text(decision.target)}"
@@ -293,8 +274,7 @@ def _cmd_pi1(args):
 
 
 def _cmd_fiber(args):
-    Z = _parse_charge("--charge", args.charge)
-    families = fiber_types(Z, args.d)
+    families = fiber_types(args.charge, args.d)
     payload = {"families": [jsonio.encode_family(f) for f in families]}
     if not families:
         return payload, "empty fiber: the charge is not attained"
@@ -303,11 +283,7 @@ def _cmd_fiber(args):
 
 
 def _cmd_twist_escape(args):
-    ideal = _parse_class("--ideal", args.ideal)
-    twist = _parse_class("--twist", args.twist)
-    gm = _parse_num("--gamma-minus", args.gamma_minus)
-    Z = _parse_charge("--charge", args.charge)
-    n = twist_escape(ideal, twist, gm, Z)
+    n = twist_escape(args.ideal, args.twist, args.gamma_minus, args.charge)
     return {"n": n}, f"escapes at n = {n}"
 
 
@@ -350,17 +326,20 @@ def build_parser() -> _Parser:
         return p
 
     p = add("classify", _cmd_classify, "normal form of a point from charge and phases")
-    p.add_argument("--charge", required=True, help="a,b,c,e")
-    p.add_argument("--phi", required=True, help="lifted skyscraper phase")
-    p.add_argument("--psi", required=True, help="lifted rank-ray phase")
+    p.add_argument("--charge", type=charge, required=True, help="a,b,c,e")
+    p.add_argument("--phi", type=number, required=True, help="lifted skyscraper phase")
+    p.add_argument("--psi", type=number, required=True, help="lifted rank-ray phase")
 
     p = add("act", _cmd_act, "move a point by a lifted automorphism")
-    p.add_argument("--point", required=True, help="point JSON, as emitted by classify")
-    p.add_argument("--auto", required=True, help='automorphism JSON {"T": ..., "winding": ...}')
+    p.add_argument("--point", type=point_json, required=True,
+                   help="point JSON, as emitted by classify")
+    p.add_argument("--auto", type=auto_json, required=True,
+                   help='automorphism JSON {"T": ..., "winding": ...}')
 
     p = add("hn", _cmd_hn, "Harder-Narasimhan factors of an object at a point")
-    p.add_argument("--point", required=True, help="point JSON, as emitted by classify")
-    p.add_argument("--object", required=True, help="formal object JSON")
+    p.add_argument("--point", type=point_json, required=True,
+                   help="point JSON, as emitted by classify")
+    p.add_argument("--object", type=object_json, required=True, help="formal object JSON")
 
     p = add("tilt-chain", _cmd_tilt_chain, "rebuild a standard heart by iterated tilts")
     p.add_argument("--p", type=int, required=True, help="target heart index")
@@ -370,16 +349,16 @@ def build_parser() -> _Parser:
     )
 
     p = add("spectrum", _cmd_spectrum, "stable phases of a labeled orbit or a point")
-    p.add_argument("--label", help="std:<p> or deg:<p>:<gamma>")
-    p.add_argument("--point", help="point JSON; reports transported families too")
+    p.add_argument("--label", type=label, help="std:<p> or deg:<p>:<gamma>")
+    p.add_argument("--point", type=point_json, help="point JSON; reports transported families too")
 
     p = add("gamma-bounds", _cmd_gamma_bounds, "nearest stable phases around gamma")
-    p.add_argument("--label", required=True, help="std:<p> or deg:<p>:<gamma>")
-    p.add_argument("--gamma", required=True)
+    p.add_argument("--label", type=label, required=True, help="std:<p> or deg:<p>:<gamma>")
+    p.add_argument("--gamma", type=number, required=True)
 
     p = add("boundary", _cmd_boundary, "wall or escape behind the phase gap at gamma")
     p.add_argument("--p", type=int, required=True, help="standard orbit index")
-    p.add_argument("--gamma", required=True)
+    p.add_argument("--gamma", type=number, required=True)
 
     add("orbit-graph", _cmd_orbit_graph, "cells, walls and adjacencies as JSON")
 
@@ -394,13 +373,14 @@ def build_parser() -> _Parser:
     )
 
     p = add("fiber", _cmd_fiber, "orbit families over a charge")
-    p.add_argument("--charge", required=True, help="a,b,c,e")
+    p.add_argument("--charge", type=charge, required=True, help="a,b,c,e")
 
     p = add("twist-escape", _cmd_twist_escape, "least twist pushing the phase past the record")
-    p.add_argument("--ideal", required=True, help="rk,chd of the starting class")
-    p.add_argument("--twist", required=True, help="rk,chd of the twisting class")
-    p.add_argument("--gamma-minus", required=True, help="record phase below the gap")
-    p.add_argument("--charge", required=True, help="a,b,c,e")
+    p.add_argument("--ideal", type=kclass, required=True, help="rk,chd of the starting class")
+    p.add_argument("--twist", type=kclass, required=True, help="rk,chd of the twisting class")
+    p.add_argument("--gamma-minus", type=number, required=True,
+                   help="record phase below the gap")
+    p.add_argument("--charge", type=charge, required=True, help="a,b,c,e")
 
     p = add("helix-svg", _cmd_helix_svg, "schematic helix drawing", default_format="text")
     p.add_argument("--no-labels", action="store_true", help="omit all text nodes")
@@ -411,8 +391,8 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         payload, text = args.handler(args)
     except UsageError as exc:
         print(f"stabtorus: error: {exc}", file=sys.stderr)

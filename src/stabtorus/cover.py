@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .charges import CentralCharge
+from .charges import CentralCharge, check_index
 from .errors import DomainError
 from .exactnum import as_number, direction_angle, lift_near, rounded_direction, to_float
 from .linalg import Matrix2
@@ -38,8 +38,7 @@ class LiftedAuto:
         if self.T.__class__ is not Matrix2:
             rows = tuple(tuple(r) for r in self.T)
             object.__setattr__(self, "T", Matrix2(rows[0][0], rows[0][1], rows[1][0], rows[1][1]))
-        if isinstance(self.winding, bool) or not isinstance(self.winding, int):
-            raise DomainError("winding must be an integer")
+        check_index(self.winding, "winding must be an integer", lo=None)
         if self.T.det_sign() <= 0:
             raise DomainError("lifted elements need det T > 0")
 
@@ -66,8 +65,7 @@ _IDENTITY = _lifted(Matrix2.identity(), 0)
 
 def shift_auto(n: int) -> LiftedAuto:
     """The lift acting on phases by phi -> phi + n (shift by [n] downstairs)."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError("shift amount must be an integer")
+    check_index(n, "shift amount must be an integer", lo=None)
     T = Matrix2.identity() if n % 2 == 0 else Matrix2.scalar(-1)
     # floor division keeps f(0) = canonical + 2*winding equal to n for odd n < 0
     return LiftedAuto(T, n // 2)

@@ -39,15 +39,21 @@ def is_exact(x) -> bool:
 
 
 def as_number(x):
-    """Coerce to Fraction when exact, keep floats as floats."""
-    if x.__class__ is Fraction or isinstance(x, float):
+    """Coerce to Fraction when exact, keep finite floats as floats; a string
+    is read by ``parse_number``. A non-finite float, given or parsed, raises
+    DomainError."""
+    if x.__class__ is Fraction:
         return x
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return x
+        raise DomainError(f"non-finite number {x!r}")
     if isinstance(x, bool):
         raise TypeError("booleans are not numbers here")
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
-        return parse_number(x)
+        return as_number(parse_number(x))
     raise TypeError(f"not a number: {x!r}")
 
 

@@ -12,7 +12,6 @@ tags of the label and sheaf classes in ``_KINDS``.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -20,6 +19,7 @@ from fractions import Fraction
 from .charges import CentralCharge, KClass
 from .cover import LiftedAuto
 from .errors import DomainError
+from .exactnum import as_number
 from .sheaves import (
     FormalObject,
     LocallyFree,
@@ -68,9 +68,7 @@ def decode_number(v):
             raise DomainError(f"not a float literal: {v['approx']!r}") from exc
     if isinstance(v, float):
         # tolerated bare on input for convenience; emitted only in wrapped form
-        if not math.isfinite(v):
-            raise DomainError(f"non-finite number {v!r}")
-        return v
+        return as_number(v)
     raise DomainError(f"cannot decode {v!r} as a number")
 
 

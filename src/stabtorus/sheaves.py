@@ -15,13 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .charges import KClass, ZERO_CLASS, check_dimension, check_index
+from .charges import KClass, ZERO_CLASS, check_dimension, check_index, is_int
 from .errors import DomainError, InconsistentMorphism
-
-
-def _check_pos_int(v, what: str) -> None:
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise DomainError(f"{what} must be an integer >= 1, got {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +35,7 @@ class Torsion:
             pid, length = entry
             if not isinstance(pid, str) or not pid:
                 raise DomainError(f"point id must be a nonempty string, got {pid!r}")
-            _check_pos_int(length, "point length")
+            check_index(length, "point length must be an integer >= 1, got {p!r}", lo=1)
             merged[pid] = merged.get(pid, 0) + length
         if not merged:
             raise DomainError("a torsion sheaf needs at least one point")
@@ -57,7 +52,7 @@ class LocallyFree:
     rank: int
 
     def __post_init__(self):
-        _check_pos_int(self.rank, "rank")
+        check_index(self.rank, "rank must be an integer >= 1, got {p!r}", lo=1)
 
 
 @dataclass(frozen=True)
@@ -74,8 +69,8 @@ class TorsionFree:
     hn: tuple | None = None
 
     def __post_init__(self):
-        _check_pos_int(self.rank, "rank")
-        _check_pos_int(self.colength, "colength")
+        check_index(self.rank, "rank must be an integer >= 1, got {p!r}", lo=1)
+        check_index(self.colength, "colength must be an integer >= 1, got {p!r}", lo=1)
         if self.hn is not None:
             try:
                 given = iter(self.hn)
@@ -242,10 +237,6 @@ def _free_sum(f1, f2):
 _SHEAF_KINDS = (Torsion, LocallyFree, TorsionFree, Mixed)
 
 
-def _is_degree(i) -> bool:
-    return isinstance(i, int) and not isinstance(i, bool)
-
-
 @dataclass(frozen=True)
 class FormalObject:
     """Formal direct sum of sheaf atoms placed in cohomological degrees.
@@ -261,7 +252,7 @@ class FormalObject:
     def __post_init__(self):
         degrees = [i for i, _ in self.graded]
         for i in degrees:
-            if not _is_degree(i):
+            if not is_int(i):
                 raise DomainError(f"a degree must be an integer, got {i!r}")
         if len(set(degrees)) != len(degrees):
             raise DomainError("duplicate degree in graded data")
@@ -277,7 +268,7 @@ class FormalObject:
                 i, j = entry
             except (TypeError, ValueError):
                 i = j = None
-            if not (_is_degree(i) and _is_degree(j)):
+            if not (is_int(i) and is_int(j)):
                 raise DomainError(f"a flag is a pair of degrees, got {entry!r}")
             if (i, j) not in adj:
                 raise DomainError(f"flag on non-adjacent degrees ({i}, {j})")

@@ -187,7 +187,7 @@ class PhaseSeries:
         check_index(n, "series index must be an integer >= 1", lo=1)
         if n == 1:
             return Fraction(1, 4)
-        return math.atan2(1.0, float(n)) / math.pi
+        return math.atan2(1.0, to_float(n)) / math.pi
 
     def bracket(self, gamma):
         """Members (below, above) with below < gamma <= above, gamma in
@@ -233,7 +233,6 @@ class SpectrumDescriptor:
 def check_label(label, d: int) -> None:
     """Raise DomainError unless d is a torus dimension and label names an
     orbit on it: a heart index in 0..d-1 or a boundary index in 1..d-1."""
-    check_dimension(d)
     if isinstance(label, DegLabel):
         _check_range(label.p, d, 1, "boundary")
     else:

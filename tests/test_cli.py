@@ -615,6 +615,31 @@ def test_usage_errors_exit_1(capsys, argv):
     assert err != ""
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (ESCAPE[:4] + ["1,2,3"] + ESCAPE[5:] + ["--gamma-minus", "2/5", "--charge", "1,0,0,1"],
+         "--ideal"),
+        (["spectrum", "--d", "4", "--label", "std:x"], "--label"),
+        (["spectrum", "--d", "4", "--point", "{not json"], "--point"),
+    ],
+    ids=["ideal-of-three", "label-std-x", "point-not-json"],
+)
+def test_flags_that_do_not_convert_exit_1_with_the_usage_line(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: stabtorus ") and f"error: argument {flag}: " in err
+    assert "Traceback" not in err
+
+
+def test_a_point_with_a_bad_label_exits_2_while_flags_are_read(capsys):
+    point = IDENTITY_POINT.replace('"p": 1', '"p": -1')
+    code, out, err = run(capsys, ["spectrum", "--d", "4", "--point", point])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert json.loads(err)["error"] == {
+        "name": "DomainError", "message": "heart index must be a nonnegative integer, got -1"}
+
+
 def test_json_outputs_are_key_sorted(capsys):
     for argv in (
         ["pi1", "--d", "4"],

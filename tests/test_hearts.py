@@ -196,17 +196,17 @@ def test_sample_members_cache_matches_a_fresh_enumeration():
     d = 4
     for p in range(d):
         heart = StandardHeart(p, d)
-        list(heart.sample_members(3))  # warm the cache
-        cached = list(StandardHeart(p, d).sample_members(3))
+        list(heart.sample_members(3))  # a first walk must not change a second one
+        sampled = list(StandardHeart(p, d).sample_members(3))
         degrees = (0,) if p == 0 else (-p, 0)
         fresh = [E for E in enumerate_objects(3, degrees, d) if heart_membership(E, p, d)]
-        assert cached == fresh
+        assert sampled == fresh
 
 
 def test_hrs_tilt_checks_the_pair_on_every_call():
     d = 3
     std = standard_pair(0, d)
-    hrs_tilt(StandardHeart(0, d), std, max_check_mass=2)  # warms the member cache
+    hrs_tilt(StandardHeart(0, d), std, max_check_mass=2)  # a first check passes
     broken = TorsionPairSpec(
         name="broken",
         in_torsion=std.in_torsion,

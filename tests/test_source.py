@@ -271,3 +271,50 @@ def h(TABLE):
     seen.add(1)
 """
     assert module_state_mutations(ast.parse(source)) == [6, 7, 8, 9, 11]
+
+
+def _calls(func) -> set:
+    """Names called in func, as a bare name or the attribute of a dotted one."""
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+
+
+def test_cli_handlers_receive_converted_values():
+    # flags are read by the argparse converters; a handler parses nothing
+    found = []
+    for name, func in _definitions(PACKAGE / "cli.py"):
+        if name.startswith("_cmd_"):
+            found += [f"{name}: {c}" for c in _calls(func)
+                      if c in ("loads", "parse_number") or c.startswith("_parse_")]
+    assert found == []
+
+
+def test_the_int_and_not_bool_test_is_written_once():
+    # one predicate tells an integer from a bool; every index check uses it
+    found = []
+    for filename in ("charges.py", "sheaves.py", "cover.py"):
+        for name, func in _definitions(PACKAGE / filename):
+            tested = {
+                n.id
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)
+            }
+            if {"int", "bool"} <= tested:
+                found.append(f"{filename}:{name}")
+    assert found == ["charges.py:is_int"]
+
+
+def test_finiteness_is_checked_by_as_number():
+    found = [
+        f"{path.name}:{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, func in _definitions(path)
+        if name in ("_entry_value", "twist_escape", "decode_number")
+        and "isfinite" in _calls(func)
+    ]
+    assert found == []

@@ -1,6 +1,7 @@
 """Stability points, spectra, HN filtrations, and the classification map."""
 
 import dataclasses
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -497,6 +498,17 @@ def test_bracket_corrects_the_floor_of_the_cotangent(gamma):
     n = next(n for n in range(2, 20) if series.value(n) == below)
     assert above == series.value(n - 1)
     assert series.value(n) < g <= series.value(n - 1)
+
+
+def test_series_members_past_the_float_range_raise_domain_error():
+    (series,) = spectrum_of(StdLabel(0), 4).series
+    with pytest.raises(DomainError, match="beyond the float range"):
+        series.value(10**400)
+    with pytest.raises(DomainError, match="beyond the float range"):
+        ideal_family_phase(make_std(0, 4), 10**400, 4)
+    # below 2**1024 a member is read as the float of n, as before
+    n = 2**1023 + 2**970
+    assert series.value(n) == math.atan2(1.0, float(n)) / math.pi
 
 
 def test_stable_objects_in_model():

@@ -33,7 +33,7 @@ from stabtorus.hearts import (
     hrs_tilt,
     iterated_heart,
 )
-from stabtorus.stability import DegLabel, StdLabel, spectrum_of
+from stabtorus.stability import DegLabel, PhaseSeries, StdLabel, spectrum_of
 from stabtorus.walls import (
     GAMMA_MINUS_VACUOUS,
     GAMMA_PLUS_VACUOUS,
@@ -422,6 +422,28 @@ def test_twist_escape_errors():
         twist_escape(KClass(1, -1), KClass(1, 0), Fraction(3, 5), std_charge(0))
     with pytest.raises(ZeroCharge):
         twist_escape(KClass(0, 0), KClass(1, 0), Fraction(2, 5), std_charge(0))
+
+
+def test_twist_escape_refuses_a_crossing_placed_by_a_float_step():
+    # near n = 5.7e62 neighbouring iterates differ in phase by 1.7e-64, far
+    # below an ulp of 9/10, so the bisection stops on a float step about 1e47
+    # past the first crossing; the answer is refused, not given
+    Z = CentralCharge(-3, -3, 0, -551144 * 10**57)
+    with pytest.raises(DomainError, match="lost the crossing to float rounding"):
+        twist_escape(KClass(2, -3), KClass(0, 2), Fraction(9, 10), Z)
+
+
+def test_gamma_pm_brackets_a_float_gamma_once(monkeypatch):
+    calls = []
+    bracket = PhaseSeries.bracket
+
+    def counted(self, gamma):
+        calls.append(gamma)
+        return bracket(self, gamma)
+
+    monkeypatch.setattr(PhaseSeries, "bracket", counted)
+    gamma_pm(spectrum_of(StdLabel(0), 4), 0.1)
+    assert calls == [0.1]
 
 
 def test_twist_escape_claims_no_proof_from_a_float_rounding():
