@@ -32,6 +32,7 @@ from .exactnum import (
     direction_angle,
     gamma_from_cot,
     lift_near,
+    phase_above,
 )
 from .linalg import Matrix2, _reduced
 
@@ -92,17 +93,6 @@ class KClass:
 ZERO_CLASS = KClass(0, 0)
 SKYSCRAPER_CLASS = KClass(0, 1)
 
-_EXACT = (int, Fraction)
-
-
-def _entry_value(name: str, x):
-    """A charge entry as a Fraction or a finite float."""
-    try:
-        return as_number(x)
-    except TypeError:
-        raise DomainError(f"CentralCharge.{name} must be a number, got {x!r}") from None
-
-
 class CentralCharge(Matrix2):
     """Frame (a, b; c, e) on the column (-chd, rk); entries exact or finite
     floats.
@@ -119,10 +109,10 @@ class CentralCharge(Matrix2):
     __match_args__ = ("a", "b", "c", "e")
 
     def __new__(cls, a, b, c, e):
-        if not (type(a) in _EXACT and type(b) in _EXACT and type(c) in _EXACT
-                and type(e) in _EXACT):
-            a, b, c, e = map(_entry_value, "abce", (a, b, c, e))
-        return super().__new__(cls, a, b, c, e)
+        try:  # Matrix2 reads each entry by as_number
+            return super().__new__(cls, a, b, c, e)
+        except TypeError:
+            raise DomainError(f"charge entries must be numbers, got {(a, b, c, e)!r}") from None
 
     e = Matrix2.d
 
@@ -293,6 +283,8 @@ def phase_in_strip(Z: CentralCharge, v: KClass, anchor):
     theta = direction_angle(re, im, den)
     anchor = as_number(anchor)
     cand = lift_near(theta, anchor + HALF)
-    if anchor < cand <= anchor + 1:
+    h = im < 0 or (im == 0 and re > 0)  # theta is the phase in (0, 1] less h
+    u = Fraction(anchor) - round(cand - theta) + h  # cand, theta + 2k, fits exactly
+    if phase_above(re, im, u) and not phase_above(re, im, u + 1):  # when u < phase <= u + 1
         return cand
     raise NoPhaseInWindow(f"no lift of direction {theta} in ({anchor}, {anchor}+1]")

@@ -2,9 +2,10 @@
 
 Policy: values constructed from integers or rational strings stay exact
 (`fractions.Fraction`); genuinely irrational quantities (generic cotangents,
-arctangent phases) are floats compared at ``TOL``. Every branch decision that
-matters lands on a phase in (1/2)Z, where the helpers below return exact
-values, so float noise never flips a branch.
+arctangent phases) are floats compared at ``TOL``. Whether an arctangent
+phase lies above a rational is decided exactly, by ``phase_above`` on the
+brackets of ``cot_brackets``: floats with a proven error bound first, then
+integer fixed point near a tie.
 
 This module alone lifts angles and decides phase equality; windings take no
 angle (``cover._turns``). Lift rule: ``lift_near(theta, target)`` is the
@@ -58,12 +59,14 @@ def as_number(x):
 
 
 def parse_number(s: str):
-    """Parse "7", "3/10" or "0.3" exactly; fall back to float for the rest."""
+    """Parse "7", "3/10" or "0.3" exactly, the rest as a float; DomainError if neither."""
     s = s.strip()
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        return float(s)
+    for read in (Fraction, float):
+        try:
+            return read(s)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DomainError(f"not a number: {s!r}")
 
 
 def format_number(x) -> str:
@@ -180,7 +183,7 @@ def _rescaled(y: Fraction, x: Fraction):
 
 
 # Niven's points: the only rational gamma in (0, 1) with rational cot(pi*gamma)
-_NIVEN = ((Fraction(1, 4), Fraction(1)), (HALF, Fraction(0)), (Fraction(3, 4), Fraction(-1)))
+_NIVEN = {Fraction(1, 4): Fraction(1), HALF: Fraction(0), Fraction(3, 4): Fraction(-1)}
 
 
 def cot_pi(gamma):
@@ -189,10 +192,8 @@ def cot_pi(gamma):
     g = as_number(gamma)
     if not 0 < g < 1:
         raise ValueError("cot_pi needs an argument in (0, 1)")
-    if is_exact(g):
-        for q, c in _NIVEN:
-            if g == q:
-                return c
+    if is_exact(g) and g in _NIVEN:
+        return _NIVEN[g]
     gf = to_float(g)
     s = math.sin(math.pi * gf)
     return math.cos(math.pi * gf) / s if s else math.inf
@@ -203,13 +204,78 @@ def gamma_from_cot(c):
     never comes back as 1/2: a float that rounds onto it steps one ulp to
     the side of the sign of c."""
     if is_exact(c):
-        for q, k in _NIVEN:
+        for q, k in _NIVEN.items():
             if c == k:
                 return q
     g = math.atan2(1.0, to_float(c)) / math.pi
     if g == 0.5 and c != 0:
         return math.nextafter(0.5, 0.0 if c > 0 else 1.0)
     return g
+
+
+def cot_brackets(q):
+    """Brackets (lo, hi) of cot(pi*q), q rational in (0, 1), as integer
+    ratios (num, den), den > 0: one exact bracket at Niven's points, else an
+    endless run, each far tighter than the last. First the float cot(pi*p),
+    p the nearer of q and 1 - q, widened to 16 times its error bound
+    (1 + |cot|) * 2**-48 (rounding p and pi*p, a tan within 4 ulp); then
+    fixed point at 64, 128, ... bits: cos x / (x * sinc x) at x = pi*p."""
+    qf = to_float(q)
+    if 4 * qf % 1 == 0 and q in _NIVEN:  # a Niven point's float is a multiple of 1/4
+        yield (_NIVEN[q].as_integer_ratio(),) * 2
+        return
+    p, sign = (q, 1) if qf <= 0.5 else (1 - q, -1)
+    pf = qf if sign > 0 else to_float(p)
+    if pf > 1e-300:
+        c = sign / math.tan(math.pi * pf)
+        w = (1 + abs(c)) * 2**-44
+        yield (c - w).as_integer_ratio(), (c + w).as_integer_ratio()
+    a, b = p.as_integer_ratio()
+    bits = 64
+    while True:
+        one = 1 << bits
+        s5, s239 = (_alternating(one, lambda k, n=n: (2 * k - 1, 2 * k - 1, (2 * k + 1) * n * n))
+                    for n in (5, 239))
+        # pi = 16 atan(1/5) - 4 atan(1/239), atan(1/n) = s_n / n
+        pl = (3824 * s5[0] - 20 * s239[1]) // 1195
+        ph = -(-(3824 * s5[1] - 20 * s239[0]) // 1195)
+        xl, xh = pl * a // b, -(-ph * a // b)
+        x2l, x2h = xl * xl >> bits, -(-xh * xh >> bits)
+        cl, ch = _alternating(one, lambda k: (x2l, x2h, (2 * k - 1) * 2 * k << bits))
+        sl, sh = _alternating(one, lambda k: (x2l, x2h, 2 * k * (2 * k + 1) << bits))
+        # each end takes the denominator that bounds it, by its numerator's sign
+        lo = (cl * b << bits, (ph * sh if cl > 0 else pl * sl) * a)
+        hi = (ch * b << bits, (pl * sl if ch > 0 else ph * sh) * a)
+        yield (lo, hi) if sign > 0 else ((-hi[0], hi[1]), (-lo[0], lo[1]))
+        bits *= 2
+
+
+def _alternating(one: int, step):
+    """Bounds on one * sum_k (-1)**k * t_k, t_0 = 1 and t_k between t_{k-1} *
+    nl / m and t_{k-1} * nh / m for (nl, nh, m) = step(k), terms falling from
+    k = 1 on; the tail, below the last term taken, widens each end by one."""
+    lo = hi = tl = th = one
+    k = 0
+    while th > 1:
+        k += 1
+        nl, nh, m = step(k)
+        tl, th = tl * nl // m, -(-th * nh // m)
+        lo, hi = (lo - th, hi - tl) if k % 2 else (lo + tl, hi + th)
+    return lo - 1, hi + 1
+
+
+def phase_above(x: int, y: int, q) -> bool:
+    """Whether the phase of the nonzero integer vector (x, y), folded into
+    (0, 1] as by ``phase_mod1``, lies above the number q, decided exactly:
+    for y > 0 and q in (0, 1) it does when x/y < cot(pi*q)."""
+    if y < 0:
+        x, y = -x, -y
+    if y == 0 or not 0 < q < 1:
+        return q < 1  # a real vector has phase 1
+    for (ln, ld), (hn, hd) in cot_brackets(q):
+        above = x * ld < ln * y
+        if above or x * hd >= hn * y:
+            return above
 
 
 def phase_mod1(re, im, den: int = 1):

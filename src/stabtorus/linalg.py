@@ -15,16 +15,14 @@ import math
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
-from .exactnum import is_exact, to_float
+from .exactnum import as_number, is_exact, to_float
 
 
 def _ratio(x) -> tuple:
     """An entry as its (numerator, denominator) in lowest terms, exactly."""
     if type(x) is int or type(x) is Fraction:
         return x.as_integer_ratio()
-    if isinstance(x, bool):
-        raise TypeError("matrix entries must be numbers")
-    return Fraction(x).as_integer_ratio()
+    return as_number(x).as_integer_ratio()
 
 
 def _entry(i: int) -> property:

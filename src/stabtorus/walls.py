@@ -12,7 +12,6 @@ inverts the charge map over it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ from .charges import (
     check_dimension,
 )
 from .errors import DomainError, NeverEscapes, OnSpectrum, ZeroCharge
-from .exactnum import HALF, as_number, num_eq, phase_eq, phase_mod1, to_float
+from .exactnum import HALF, as_number, cot_brackets, num_eq, phase_above, phase_eq
 from .hearts import StandardHeart, TiltedHeart, TorsionPairSpec, _phase_cut
 from .stability import (
     DegLabel,
@@ -209,107 +208,42 @@ def twist_escape(ideal_class: KClass, twist_class: KClass, gamma_minus, Z: Centr
     sits above gamma_minus the iterates eventually cross. Iterates with zero
     charge (at most one) are skipped.
 
-    The search takes O(log n) phase evaluations. The iterates v_n = zi + n*ze
-    turn one way only, since cross(v_n, v_{n+1}) = cross(zi, ze), and im(v_n)
-    changes sign at most once, at n0 = -im(zi)/im(ze). So the folded phase is
-    monotone on either side of n0: where it falls only the first iterate of a
-    side can cross, and where it rises doubling and bisection find the first
-    crossing.
+    Exact, in closed form: with X_n + i*Y_n the numerators of iterate n and
+    c = cot(pi*gamma_minus), iterate n crosses when Y_n * (c*Y_n - X_n) > 0
+    or Y_n = 0 != X_n. Past iterate 1 the answer is the root n0 = -Y_0/Y_1
+    when that is an integer with a nonzero iterate, else the first integer
+    past n0 and t = -(c*Y_0 - X_0)/(c*Y_1 - X_1), from ``cot_brackets``.
 
     Raises NeverEscapes only with a proof: the twist phase is not above
     gamma_minus, or the twist charge is real and the iterates approach it
     from the side where the folded phase falls to 0. Raises ZeroCharge when
-    Z kills either class, and DomainError on non-finite input or when the
-    phase test cannot settle the crossing in floats.
+    Z kills either class, and DomainError on non-finite input.
     """
     gm = as_number(gamma_minus)
-    # iterates zi + n*ze as integer numerators over one denominator
-    zi0, zi1, den = _charge_num(Z, ideal_class)
-    if zi0 == 0 and zi1 == 0:
+    x0, y0, _ = _charge_num(Z, ideal_class)
+    if x0 == 0 and y0 == 0:
         raise ZeroCharge("the charge kills the starting class")
-    ze0, ze1, _ = _charge_num(Z, twist_class)
-    if ze0 == 0 and ze1 == 0:
+    x1, y1, _ = _charge_num(Z, twist_class)
+    if x1 == 0 and y1 == 0:
         raise ZeroCharge("the charge kills the twisting class")
-    top = phase_mod1(ze0, ze1, den)
-    record = to_float(gm)
-    if not top > gm:
-        raise NeverEscapes(
-            "the twisting class sits at or below the record phase; iterates "
-            "cannot cross it"
-        )
-    if not to_float(top) > record:
-        raise DomainError("the phase comparison lost the crossing to float rounding")
-
-    def phase(n):
-        """The float phase of iterate n, None where its charge is zero."""
-        re = zi0 + n * ze0
-        im = zi1 + n * ze1
-        return float(phase_mod1(re, im, den)) if re or im else None
-
-    def crosses(n):
-        f = phase(n)
-        return f is not None and f > record
-
-    rising = zi0 * ze1 - zi1 * ze0 > 0
-    # v_t = zi + t*ze meets the real axis only at t = n0, unless every
-    # iterate is real; then n0 is where v_t passes through 0
-    n0 = None
-    if ze1 != 0:
-        n0 = Fraction(-zi1, ze1)
-    elif zi1 == 0:
-        n0 = Fraction(-zi0, ze0)
-    # runs of n >= 1 split at n0, as (first, last or None)
-    runs = [(1, None)]
-    if n0 is not None and n0 >= 1:
-        k = math.floor(n0)
-        runs = [(1, k - 1), (k, k), (k + 1, None)] if k == n0 else [(1, k), (k + 1, None)]
-    n = _first_crossing(crosses, runs, rising)
-    if n is not None:
-        # past the start of its run the crossing is placed by float phases,
-        # which cannot tell iterates apart that differ by a rounding step
-        starts = [lo for lo, _ in runs]
-        if n not in starts and abs(phase(n) - phase(n - 1)) <= 2 * math.ulp(record):
-            raise DomainError("the phase comparison lost the crossing to float rounding")
-        return n
-    if ze1 == 0 and zi1 * ze0 > 0:
-        raise NeverEscapes(
-            "the iterates approach the real twist charge from the side where "
-            "the phase falls to 0; they never cross the record phase"
-        )
-    raise DomainError("the phase comparison lost the crossing to float rounding")
-
-
-def _first_crossing(crosses, runs, rising: bool):
-    """First n in the runs, taken in order, with crosses(n), else None.
-
-    On each run the phase is monotone: where it falls only the first n can
-    cross; where it rises crosses is monotone, so doubling and bisection
-    find the first true n. An unbounded rising run tends to the twist phase,
-    which is above the record, so it crosses.
-    """
-    for lo, hi in runs:
-        if hi is not None and lo > hi:
-            continue
-        if crosses(lo):
-            return lo
-        if not rising:
-            continue
-        if hi is None:
-            step = 1
-            while not crosses(lo + step):
-                lo += step
-                step *= 2
-            hi = lo + step
-        elif not crosses(hi):
-            continue
-        while hi - lo > 1:  # crosses(hi) and not crosses(lo)
-            mid = (lo + hi) // 2
-            if crosses(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
-    return None
+    if not phase_above(x1, y1, gm):
+        raise NeverEscapes("the twisting class sits at or below the record phase; "
+                           "iterates cannot cross it")
+    if x0 + x1 == 0 and y0 + y1 == 0:
+        return 2  # iterate 1 is zero, and iterate 2 is the twist itself
+    if phase_above(x0 + x1, y0 + y1, gm):
+        return 1
+    if y1 == 0 and y0 * x1 > 0:
+        raise NeverEscapes("the iterates approach the real twist charge from the side "
+                           "where the phase falls to 0; they never cross the record phase")
+    k, r = divmod(-y0, y1) if y1 else (0, 1)  # floor(n0), and n0 an integer when r == 0
+    if r == 0 and k > 0 and x0 + k * x1:
+        return k
+    for (ln, ld), (hn, hd) in cot_brackets(gm):
+        # t is a Moebius map of c; with its pole off the bracket it is monotone there
+        dl, dh = ln * y1 - ld * x1, hn * y1 - hd * x1
+        if dl * dh > 0 and (ld * x0 - ln * y0) // dl == (hd * x0 - hn * y0) // dh:
+            return max(k, (ld * x0 - ln * y0) // dl) + 1
 
 
 # ---------------------------------------------------------------------------

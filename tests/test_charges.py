@@ -1,11 +1,13 @@
 """K-classes, central charges, phases, stability functions, charge norms."""
 
+import functools
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stabtorus.charges import (
     SKYSCRAPER_CLASS,
@@ -97,14 +99,52 @@ def test_phase_in_strip_zero_charge():
         phase_in_strip(std_charge(0), ZERO_CLASS, 0)
 
 
-def strip_scan(theta, anchor):
-    """Every representative theta + 2k in (anchor, anchor + 1], by scanning k."""
-    k0 = math.floor((float(anchor) - float(theta)) / 2)
-    return [
-        theta + 2 * k
-        for k in range(k0 - 3, k0 + 4)
-        if anchor < theta + 2 * k <= anchor + 1
-    ]
+# a decimal reference for directions, independent of the package's kernel
+REF_DIGITS = 420
+
+
+def _atan(t):
+    """atan(t) for a Decimal t in [0, 1], in the current context: three
+    halvings of the angle, then the alternating Taylor series."""
+    for _ in range(3):
+        t /= 1 + (1 + t * t).sqrt()
+    total, term, k = t, t, 1
+    while abs(term) > Decimal(10) ** -(REF_DIGITS + 10):
+        term *= -t * t
+        total += term / (2 * k + 1)
+        k += 1
+    return 8 * total
+
+
+@functools.cache
+def _pi():
+    with localcontext() as ctx:
+        ctx.prec = REF_DIGITS + 10
+        return 4 * _atan(Decimal(1))
+
+
+def reference_direction(x, y):
+    """arg(x + i*y) / pi in (-1, 1] for exact x and y: a Fraction at the
+    multiples of 1/4, else a Decimal good to about 400 digits."""
+    ax, ay = abs(Fraction(x)), abs(Fraction(y))
+    with localcontext() as ctx:
+        ctx.prec = REF_DIGITS + 10
+        if ay == 0 or ax == 0 or ax == ay:
+            r = Fraction(0) if ay == 0 else Fraction(1, 2) if ax == 0 else Fraction(1, 4)
+        else:
+            lo, hi = sorted((ax, ay))
+            r = _atan(Decimal(lo.numerator) * hi.denominator
+                      / (Decimal(hi.numerator) * lo.denominator)) / _pi()
+            r = r if ay < ax else Decimal("0.5") - r
+        r = 1 - r if x < 0 else r
+        return -r if y < 0 else r
+
+
+def strip_scan(ref, anchor):
+    """Every k with ref + 2k in (anchor, anchor + 1], for ref from
+    ``reference_direction``, by scanning k."""
+    a = Fraction(anchor)
+    return [k for k in range(-12, 13) if a - 2 * k < ref <= a + 1 - 2 * k]
 
 
 exact_entries = st.fractions(min_value=-6, max_value=6, max_denominator=7)
@@ -129,14 +169,52 @@ def test_phase_in_strip_matches_a_scan_of_lifts(frame, cls, anchor):
         with pytest.raises(ZeroCharge):
             phase_in_strip(Z, v, anchor)
         return
-    hits = strip_scan(direction_angle(re, im), anchor)
+    # the window is decided on the exact direction; the lift returned is
+    # direction_angle's value plus 2k
+    hits = strip_scan(reference_direction(re, im), anchor)
     assert len(hits) <= 1
     if not hits:
         with pytest.raises(NoPhaseInWindow):
             phase_in_strip(Z, v, anchor)
         return
+    want = direction_angle(re, im) + 2 * hits[0]
     got = phase_in_strip(Z, v, anchor)
-    assert got == hits[0] and type(got) is type(hits[0])
+    assert got == want and type(got) is type(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(entries, entries, entries, entries),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    st.integers(-3, 3),
+    st.sampled_from([0, 1]),
+    st.integers(1, 10**10),
+    st.sampled_from([1, -1]),
+)
+def test_phase_in_strip_decides_anchors_near_the_window_ends(frame, cls, k, end, offset, side):
+    # the lift theta + 2k lies within 1e-30 of the lower end of the window
+    # (end 0) or of its upper end (end 1): inside just above the lower end
+    # and just below the upper one
+    Z, v = CentralCharge(*frame), KClass(*cls)
+    re, im = charge_eval(Z, v)
+    assume((re, im) != (0, 0))
+    anchor = Fraction(reference_direction(re, im)) + 2 * k - end + side * Fraction(offset, 10**40)
+    if (side > 0) == (end == 1):
+        assert phase_in_strip(Z, v, anchor) == direction_angle(re, im) + 2 * k
+    else:
+        with pytest.raises(NoPhaseInWindow):
+            phase_in_strip(Z, v, anchor)
+
+
+def test_phase_in_strip_decides_an_anchor_a_hair_from_the_direction():
+    # theta = arccot(1/3)/pi lies about 1.1e-17 above its float; an anchor
+    # 10**-25 below theta keeps theta in the window, and one 1 + 10**-25
+    # below puts theta above it
+    Z, v = CentralCharge(1, 0, 0, 1), KClass(3, -1)
+    theta = Fraction(reference_direction(*charge_eval(Z, v)))
+    assert phase_in_strip(Z, v, theta - Fraction(1, 10**25)) == direction_angle(1, 3)
+    with pytest.raises(NoPhaseInWindow):
+        phase_in_strip(Z, v, theta - 1 - Fraction(1, 10**25))
 
 
 def test_phase_equivariance_under_negation():

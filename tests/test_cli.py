@@ -550,6 +550,21 @@ def test_twist_escape_command(capsys):
     assert out == "escapes at n = 3\n"
 
 
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["--ideal", "3,-2", "--twist", "2,5", "--gamma-minus", "1/2",
+          "--charge", "5,7,1/15,1000000000000000000"], 3),
+        (["--ideal", "0,-1", "--twist", "1,1", "--gamma-minus", "0.49999999999999999999",
+          "--charge", "1,0,0,1"], 1),
+    ],
+    ids=["twist-a-hair-above-the-record", "iterate-at-one-half"],
+)
+def test_twist_escape_command_decides_the_crossing_exactly(capsys, argv, n):
+    code, out, _ = run(capsys, ["twist-escape", "--d", "4"] + argv)
+    assert (code, out) == (0, f'{{"n": {n}, "schema": "stabtorus/1"}}\n')
+
+
 def test_helix_svg_defaults_to_text(capsys):
     code, out, _ = run(capsys, ["helix-svg", "--d", "3"])
     assert code == 0

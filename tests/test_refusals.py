@@ -34,6 +34,7 @@ from stabtorus.sheaves import (
     torsion_kernel_cokernel,
 )
 from stabtorus.stability import (
+    DegLabel,
     StdLabel,
     classify,
     ideal_family_phase,
@@ -44,7 +45,7 @@ from stabtorus.stability import (
 from stabtorus.walls import (
     ComplexNode,
     OrbitComplex,
-    _first_crossing,
+    boundary_at,
     phase_cut_pair,
     twist_escape,
 )
@@ -149,6 +150,21 @@ def test_a_phase_cut_holds_no_object_off_the_heart_shape():
     assert pair.in_torsion(E) is False and pair.in_free(E) is False
 
 
-def test_a_bounded_rising_run_without_a_crossing_is_passed_over():
-    # the first run (1..5) crosses nowhere; the unbounded one crosses at 10
-    assert _first_crossing(lambda n: n >= 10, [(1, 5), (6, None)], True) == 10
+NOT_A_NUMBER = {
+    "as-number": lambda: as_number("abc"),
+    "central-charge": lambda: CentralCharge("abc", 0, 0, 1),
+    "deg-label": lambda: DegLabel(1, "abc"),
+    "boundary-at": lambda: boundary_at(0, "abc", 4),
+}
+
+
+@pytest.mark.parametrize("call", list(NOT_A_NUMBER))
+def test_a_string_that_is_no_number_raises_domain_error(call):
+    with pytest.raises(DomainError, match="not a number"):
+        NOT_A_NUMBER[call]()
+
+
+@pytest.mark.parametrize("entry", [math.inf, math.nan, "inf"], ids=["inf", "nan", "inf-string"])
+def test_a_non_finite_matrix_entry_raises_domain_error(entry):
+    with pytest.raises(DomainError, match="non-finite number"):
+        LiftedAuto(Matrix2(entry, 0, 0, 1), 0)

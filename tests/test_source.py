@@ -309,12 +309,22 @@ def test_the_int_and_not_bool_test_is_written_once():
     assert found == ["charges.py:is_int"]
 
 
+def test_twist_escape_compares_phases_only_through_exactnum():
+    # whether a phase lies above the record is decided by exactnum's exact
+    # kernel; twist_escape itself reads no float phase and rounds nothing
+    (func,) = [f for name, f in _definitions(PACKAGE / "walls.py") if name == "twist_escape"]
+    names = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
+    names |= {f"{n.value.id}.{n.attr}" for n in ast.walk(func)
+              if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)}
+    assert names.isdisjoint({"phase_mod1", "to_float", "float", "math.ulp"})
+
+
 def test_finiteness_is_checked_by_as_number():
     found = [
         f"{path.name}:{name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for name, func in _definitions(path)
-        if name in ("_entry_value", "twist_escape", "decode_number")
+        if name in ("CentralCharge.__new__", "twist_escape", "decode_number")
         and "isfinite" in _calls(func)
     ]
     assert found == []

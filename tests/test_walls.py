@@ -3,6 +3,7 @@ twist escape, the orbit complex, and charge fibers."""
 
 import math
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -424,13 +425,19 @@ def test_twist_escape_errors():
         twist_escape(KClass(0, 0), KClass(1, 0), Fraction(2, 5), std_charge(0))
 
 
-def test_twist_escape_refuses_a_crossing_placed_by_a_float_step():
+def test_twist_escape_places_a_crossing_finer_than_the_float_phases():
     # near n = 5.7e62 neighbouring iterates differ in phase by 1.7e-64, far
-    # below an ulp of 9/10, so the bisection stops on a float step about 1e47
-    # past the first crossing; the answer is refused, not given
+    # below an ulp of 9/10. Iterate n has charge (6n - 15, -Y), Y = 1102288 *
+    # 10**57, and lies above 9/10 exactly when 6n - 15 > Y * cot(pi/10), where
+    # cot(pi/10) = sqrt(5 + 2 sqrt(5)); a 120-digit bound puts the first
+    # crossing at n
     Z = CentralCharge(-3, -3, 0, -551144 * 10**57)
-    with pytest.raises(DomainError, match="lost the crossing to float rounding"):
-        twist_escape(KClass(2, -3), KClass(0, 2), Fraction(9, 10), Z)
+    n = twist_escape(KClass(2, -3), KClass(0, 2), Fraction(9, 10), Z)
+    assert n == 565415605137639287102066743079762209347449948732664356469356247
+    with localcontext() as ctx:
+        ctx.prec = 120
+        root = (15 + 1102288 * 10**57 * (5 + 2 * Decimal(5).sqrt()).sqrt()) / 6
+    assert n - 1 < root < n
 
 
 def test_gamma_pm_brackets_a_float_gamma_once(monkeypatch):
@@ -446,12 +453,32 @@ def test_gamma_pm_brackets_a_float_gamma_once(monkeypatch):
     assert calls == [0.1]
 
 
-def test_twist_escape_claims_no_proof_from_a_float_rounding():
-    # the twist phase 1/2 lies above the record phase, so the iterates do
-    # cross it, but only near n = 3.2e29, where the float phases cannot tell
-    gm = Fraction(1, 2) - Fraction(1, 10**30)
-    with pytest.raises(DomainError, match="lost the crossing to float rounding"):
-        twist_escape(KClass(1, -1), KClass(1, 0), gm, std_charge(0))
+def test_twist_escape_crosses_a_record_a_hair_below_one_half():
+    # the twist phase 1/2 lies above the record 1/2 - eps, eps = 10**-30, so
+    # the iterates 1 + (n + 1)i cross it, once (n + 1) * tan(pi*eps) > 1, near
+    # n = 3.2e29, where the float phases cannot tell them apart. With pi to 50
+    # digits, pi*eps < tan(pi*eps) < pi*eps * (1 + (pi*eps)**2) places n
+    eps = Fraction(1, 10**30)
+    n = twist_escape(KClass(1, -1), KClass(1, 0), Fraction(1, 2) - eps, std_charge(0))
+    assert n == 318309886183790671537767526745
+    pi_lo = Fraction("3.14159265358979323846264338327950288419716939937510")
+    pi_hi = pi_lo + Fraction(1, 10**50)
+    assert n * pi_hi * eps * (1 + (pi_hi * eps) ** 2) < 1 < (n + 1) * pi_lo * eps
+
+
+def test_twist_escape_decides_a_twist_just_above_a_rational_record():
+    # the twist charge (-11, 2 * 10**18 - 1/3) lies above phase 1/2 by about
+    # 1.7e-18, which a float phase rounds onto 1/2. Iterate n has charge
+    # (31 - 11n, y) with y > 0, above 1/2 exactly when 31 - 11n < 0
+    Z = CentralCharge(5, 7, Fraction(1, 15), 10**18)
+    assert twist_escape(KClass(3, -2), KClass(2, 5), Fraction(1, 2), Z) == 3
+
+
+def test_twist_escape_counts_an_iterate_at_phase_one_half():
+    # iterate 1 has class (1, 0) and charge i, at phase exactly 1/2, above
+    # the record 1/2 - 10**-20
+    gm = Fraction(1, 2) - Fraction(1, 10**20)
+    assert twist_escape(KClass(0, -1), KClass(1, 1), gm, std_charge(0)) == 1
 
 
 def test_twist_escape_reads_a_tiny_upper_phase_at_the_bottom_of_the_window():
@@ -587,12 +614,19 @@ def test_twist_escape_proves_the_wrong_side():
     "bad", [float("nan"), float("inf"), float("-inf"), Fraction(10**400), Fraction(-(10**400))]
 )
 def test_twist_escape_rejects_non_finite_input(bad):
-    with pytest.raises(DomainError):
-        twist_escape(KClass(1, -1), KClass(1, 0), bad, std_charge(0))
     if isinstance(bad, float):
+        with pytest.raises(DomainError):
+            twist_escape(KClass(1, -1), KClass(1, 0), bad, std_charge(0))
         with pytest.raises(DomainError):
             twist_escape(KClass(1, -1), KClass(1, 0), Fraction(2, 5), CentralCharge(1, 0, bad, 1))
     else:
+        # an exact record past the float range is finite: no phase in (0, 1]
+        # lies above 10**400, and every phase lies above -10**400
+        if bad > 0:
+            with pytest.raises(NeverEscapes):
+                twist_escape(KClass(1, -1), KClass(1, 0), bad, std_charge(0))
+        else:
+            assert twist_escape(KClass(1, -1), KClass(1, 0), bad, std_charge(0)) == 1
         # an exact entry past the float range is finite: the first iterate's
         # charge lies past the float range too, with phase near 1/2
         Z = CentralCharge(1, 0, bad, 1)
