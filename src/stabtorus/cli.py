@@ -5,6 +5,10 @@ Subcommands expose the main library operations with JSON output by default
 --format text. Numeric flags accept integers, rationals "n/d" and decimals.
 Exit status: 0 on success, 1 on usage errors, 2 on domain errors, which are
 reported as {"error": {"name": ..., "message": ...}} on stderr.
+
+The layers are called through their modules, looked up at call time: the
+package loads a layer on first use, so a subcommand runs only the layers it
+touches, and a function rebound on its module is the one called.
 """
 
 from __future__ import annotations
@@ -14,38 +18,10 @@ import json
 import re
 import sys
 
-from . import jsonio
+from . import hearts, jsonio, presentations, sheaves, stability, svg, walls
 from .charges import CentralCharge, KClass
 from .errors import DomainError, StabTorusError
 from .exactnum import as_number, format_number
-from .hearts import (
-    StandardHeart,
-    hearts_agree_on,
-    iterated_heart,
-    standard_pair,
-)
-from .presentations import pi1
-from .sheaves import enumerate_objects
-from .stability import (
-    DegLabel,
-    StdLabel,
-    act,
-    check_label,
-    classify,
-    hn_filtration,
-    spectrum_of,
-    stable_objects,
-)
-from .svg import helix_svg
-from .walls import (
-    boundary_at,
-    fiber_types,
-    gamma_pm,
-    orbit_complex,
-    remove_node,
-    twist_escape,
-    wall_only_complex,
-)
 
 
 class UsageError(Exception):
@@ -97,13 +73,12 @@ def kclass(s: str) -> KClass:
 def label(s: str):
     kind, *rest = s.split(":")
     if kind == "std" and len(rest) == 1:
-        return StdLabel(int(rest[0]))
+        return stability.StdLabel(int(rest[0]))
     if kind == "deg" and len(rest) == 2:
-        return DegLabel(int(rest[0]), number(rest[1]))
+        return stability.DegLabel(int(rest[0]), number(rest[1]))
     raise ValueError(s)
 
 
-# the decoders are looked up at call time, so a rebound jsonio function is used
 def point_json(s: str):
     return jsonio.decode_point(json.loads(s))
 
@@ -126,7 +101,7 @@ def _matrix_text(G) -> str:
 
 
 def _label_text(label) -> str:
-    if isinstance(label, DegLabel):
+    if isinstance(label, stability.DegLabel):
         return f"deg p={label.p} gamma={_num_text(label.gamma)}"
     return f"std p={label.p}"
 
@@ -146,18 +121,18 @@ def _point_text(sigma) -> str:
 
 
 def _cmd_classify(args):
-    sigma = classify(args.charge, args.phi, args.psi, args.d)
+    sigma = stability.classify(args.charge, args.phi, args.psi, args.d)
     return jsonio.encode_point(sigma), _point_text(sigma)
 
 
 def _cmd_act(args):
-    check_label(args.point.label, args.d)
-    moved = act(args.auto, args.point)
+    stability.check_label(args.point.label, args.d)
+    moved = stability.act(args.auto, args.point)
     return jsonio.encode_point(moved), _point_text(moved)
 
 
 def _cmd_hn(args):
-    factors = hn_filtration(args.point, args.object, args.d)
+    factors = stability.hn_filtration(args.point, args.object, args.d)
     payload = {"factors": [jsonio.encode_hn_factor(f) for f in factors]}
     lines = []
     for f in factors:
@@ -172,14 +147,14 @@ def _cmd_hn(args):
 def _cmd_tilt_chain(args):
     if args.check_mass < 1:
         raise UsageError(f"--check-mass: must be at least 1, got {args.check_mass}")
-    heart = iterated_heart(args.p, args.d)
+    heart = hearts.iterated_heart(args.p, args.d)
     levels = [
-        {"level": k, "pair": standard_pair(k, args.d).name} for k in range(args.p)
+        {"level": k, "pair": hearts.standard_pair(k, args.d).name} for k in range(args.p)
     ]
-    mismatch = hearts_agree_on(
+    mismatch = hearts.hearts_agree_on(
         heart,
-        StandardHeart(args.p, args.d),
-        enumerate_objects(args.check_mass, range(-args.p, 1), args.d),
+        hearts.StandardHeart(args.p, args.d),
+        sheaves.enumerate_objects(args.check_mass, range(-args.p, 1), args.d),
     )
     payload = {
         "target_level": args.p,
@@ -201,7 +176,7 @@ def _cmd_spectrum(args):
     if args.point is None and args.label is None:
         raise UsageError("spectrum: one of --label or --point is required")
     if args.point is not None:
-        descriptor, families = stable_objects(args.point, args.d)
+        descriptor, families = stability.stable_objects(args.point, args.d)
         payload = {
             "spectrum": jsonio.encode_spectrum(descriptor),
             "families": [jsonio.encode_family(f) for f in families],
@@ -212,7 +187,7 @@ def _cmd_spectrum(args):
                 f"family {f.kind}: shift {f.shift}, phase {_num_text(f.phase)}"
             )
         return payload, "\n".join(lines)
-    descriptor = spectrum_of(args.label, args.d)
+    descriptor = stability.spectrum_of(args.label, args.d)
     payload = {"spectrum": jsonio.encode_spectrum(descriptor)}
     lines = [
         f"points: {', '.join(_num_text(q) for q in descriptor.points)}",
@@ -224,7 +199,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_gamma_bounds(args):
-    below, above, be, ae = gamma_pm(spectrum_of(args.label, args.d), args.gamma)
+    below, above, be, ae = walls.gamma_pm(stability.spectrum_of(args.label, args.d), args.gamma)
     payload = {
         "below": jsonio.encode_number(below),
         "above": jsonio.encode_number(above),
@@ -239,7 +214,7 @@ def _cmd_gamma_bounds(args):
 
 
 def _cmd_boundary(args):
-    decision = boundary_at(args.p, args.gamma, args.d)
+    decision = walls.boundary_at(args.p, args.gamma, args.d)
     payload = jsonio.encode_wall_decision(decision)
     if decision.is_wall:
         text = f"wall: {_label_text(decision.target)}"
@@ -249,7 +224,7 @@ def _cmd_boundary(args):
 
 
 def _cmd_orbit_graph(args):
-    cx = orbit_complex(args.d)
+    cx = walls.orbit_complex(args.d)
     payload = jsonio.encode_complex(cx)
     lines = [f"{nd.name}: {nd.kind}, {nd.homotopy}" for nd in cx.nodes]
     lines += [f"edge {w} - {c}" for w, c in cx.edges]
@@ -258,12 +233,12 @@ def _cmd_orbit_graph(args):
 
 def _cmd_pi1(args):
     if args.wall_only:
-        cx = wall_only_complex()
+        cx = walls.wall_only_complex()
     else:
-        cx = orbit_complex(args.d)
+        cx = walls.orbit_complex(args.d)
     for name in args.drop or ():
-        cx = remove_node(cx, name)
-    group = pi1(cx)
+        cx = walls.remove_node(cx, name)
+    group = presentations.pi1(cx)
     payload = jsonio.encode_group(group)
     text = (
         f"group: {group.name}\n"
@@ -274,7 +249,7 @@ def _cmd_pi1(args):
 
 
 def _cmd_fiber(args):
-    families = fiber_types(args.charge, args.d)
+    families = walls.fiber_types(args.charge, args.d)
     payload = {"families": [jsonio.encode_family(f) for f in families]}
     if not families:
         return payload, "empty fiber: the charge is not attained"
@@ -283,12 +258,12 @@ def _cmd_fiber(args):
 
 
 def _cmd_twist_escape(args):
-    n = twist_escape(args.ideal, args.twist, args.gamma_minus, args.charge)
+    n = walls.twist_escape(args.ideal, args.twist, args.gamma_minus, args.charge)
     return {"n": n}, f"escapes at n = {n}"
 
 
 def _cmd_helix_svg(args):
-    doc = helix_svg(args.d, labels=not args.no_labels)
+    doc = svg.helix_svg(args.d, labels=not args.no_labels)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

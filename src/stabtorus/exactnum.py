@@ -188,13 +188,17 @@ _NIVEN = {Fraction(1, 4): Fraction(1), HALF: Fraction(0), Fraction(3, 4): Fracti
 
 def cot_pi(gamma):
     """cot(pi*gamma) for gamma in (0, 1), exact at the rational points;
-    inf where pi*gamma underflows to 0."""
+    inf where pi*gamma underflows to 0. Above 1/2 it is -cot(pi*(1 - gamma)),
+    as in ``cot_brackets``: 1 - gamma is exact, for a float as for a
+    rational, while the float of gamma loses it near 1."""
     g = as_number(gamma)
     if not 0 < g < 1:
         raise ValueError("cot_pi needs an argument in (0, 1)")
     if is_exact(g) and g in _NIVEN:
         return _NIVEN[g]
     gf = to_float(g)
+    if gf > 0.5 or gf == 0.5 and g > HALF:
+        return -cot_pi(1 - g)
     s = math.sin(math.pi * gf)
     return math.cos(math.pi * gf) / s if s else math.inf
 

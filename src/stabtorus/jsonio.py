@@ -6,7 +6,9 @@ a round trip. Top-level CLI payloads carry a "schema" version key and are
 emitted with sorted keys, making output byte-stable for fixed input.
 
 Every value is written by one encoder, ``_encode_report``, with the "kind"
-tags of the label and sheaf classes in ``_KINDS``.
+tag that a label or sheaf class carries as ``json_kind``. The sheaf and
+label layers are reached through their modules, so encoding a point runs no
+``sheaves`` code.
 """
 
 from __future__ import annotations
@@ -16,19 +18,11 @@ import re
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
+from . import sheaves, stability
 from .charges import CentralCharge, KClass
 from .cover import LiftedAuto
 from .errors import DomainError
 from .exactnum import as_number
-from .sheaves import (
-    FormalObject,
-    LocallyFree,
-    Mixed,
-    Torsion,
-    TorsionFree,
-    formal_object,
-)
-from .stability import DegLabel, StabPoint, StdLabel
 
 SCHEMA = "stabtorus/1"
 
@@ -124,22 +118,22 @@ def decode_label(obj):
         raise DomainError(f"not a label payload: {obj!r}")
     try:
         if obj["kind"] == "std":
-            return StdLabel(obj["p"])
+            return stability.StdLabel(obj["p"])
         if obj["kind"] == "deg":
-            return DegLabel(obj["p"], decode_number(obj["gamma"]))
+            return stability.DegLabel(obj["p"], decode_number(obj["gamma"]))
     except KeyError as exc:
         raise DomainError(f"{obj['kind']!r} label payload lacks the key {exc}") from exc
     raise DomainError(f"unknown label kind {obj['kind']!r}")
 
 
-def encode_point(sigma: StabPoint) -> dict:
+def encode_point(sigma: stability.StabPoint) -> dict:
     return _encode_report(sigma)
 
 
-def decode_point(obj) -> StabPoint:
+def decode_point(obj) -> stability.StabPoint:
     if not isinstance(obj, dict) or "label" not in obj or "g" not in obj:
         raise DomainError(f"not a point payload: {obj!r}")
-    return StabPoint(decode_label(obj["label"]), decode_auto(obj["g"]))
+    return stability.StabPoint(decode_label(obj["label"]), decode_auto(obj["g"]))
 
 
 # ---------------------------------------------------------------------------
@@ -156,27 +150,27 @@ def decode_sheaf(obj):
     kind = obj["kind"]
     try:
         if kind == "torsion":
-            return Torsion(tuple((pid, n) for pid, n in obj["points"]))
+            return sheaves.Torsion(tuple((pid, n) for pid, n in obj["points"]))
         if kind == "locally_free":
-            return LocallyFree(obj["rank"])
+            return sheaves.LocallyFree(obj["rank"])
         if kind == "torsion_free":
             hn = obj.get("hn")
             if hn is not None:
                 hn = tuple((decode_kclass(cls), stable) for cls, stable in hn)
-            return TorsionFree(obj["rank"], obj["colength"], hn)
+            return sheaves.TorsionFree(obj["rank"], obj["colength"], hn)
         if kind == "mixed":
-            return Mixed(decode_sheaf(obj["torsion"]), decode_sheaf(obj["free"]))
+            return sheaves.Mixed(decode_sheaf(obj["torsion"]), decode_sheaf(obj["free"]))
     except KeyError as exc:
         raise DomainError(f"{kind!r} sheaf payload lacks the key {exc}") from exc
     raise DomainError(f"unknown sheaf kind {kind!r}")
 
 
-def encode_object(E: FormalObject) -> dict:
+def encode_object(E: sheaves.FormalObject) -> dict:
     graded = {str(i): _encode_report(S) for i, S in E.graded}
     return {"graded": graded, "flags": _encode_report(E.nonsplit)}
 
 
-def decode_object(obj) -> FormalObject:
+def decode_object(obj) -> sheaves.FormalObject:
     if not isinstance(obj, dict) or not isinstance(obj.get("graded"), dict):
         raise DomainError(f"not an object payload: {obj!r}")
     for key in obj["graded"]:
@@ -187,30 +181,20 @@ def decode_object(obj) -> FormalObject:
         flags = tuple(obj.get("flags", ()))  # FormalObject checks each flag
     except (TypeError, ValueError) as exc:
         raise DomainError(f"malformed object payload: {exc}") from exc
-    return formal_object(graded, flags)
+    return sheaves.formal_object(graded, flags)
 
 
 # ---------------------------------------------------------------------------
 # the one encoder and the assembled reports
 
 
-# the "kind" tag of each variant of a label or a sheaf
-_KINDS = {
-    StdLabel: "std",
-    DegLabel: "deg",
-    Torsion: "torsion",
-    LocallyFree: "locally_free",
-    TorsionFree: "torsion_free",
-    Mixed: "mixed",
-}
-
-
 def _encode_report(x):
-    """A value as JSON: a dataclass field by field, led by its "kind" tag
-    when ``_KINDS`` has one, with ``kclass`` written as "class" and an ``hn``
-    of None left out; a tuple as a list. Numbers, automorphisms and objects
-    go through their codecs; None, bools and strings stay as they are. Any
-    other value raises DomainError.
+    """A value as JSON: a dataclass field by field, led by the "kind" tag
+    its class carries as ``json_kind``, if any, with ``kclass`` written as
+    "class" and an ``hn`` of None left out; a tuple as a list. Numbers,
+    automorphisms and objects (tagged "object") go through their codecs;
+    None, bools and strings stay as they are. Any other value raises
+    DomainError.
     """
     if x is None or isinstance(x, (bool, str)):
         return x
@@ -220,11 +204,11 @@ def _encode_report(x):
         return [_encode_report(v) for v in x]
     if isinstance(x, LiftedAuto):
         return encode_auto(x)
-    if isinstance(x, FormalObject):
-        return encode_object(x)
     if not is_dataclass(x) or isinstance(x, type):
         raise DomainError(f"cannot encode {x!r}")
-    kind = _KINDS.get(x.__class__)
+    kind = getattr(x, "json_kind", None)
+    if kind == "object":
+        return encode_object(x)
     out = {} if kind is None else {"kind": kind}
     for f in fields(x):
         v = getattr(x, f.name)

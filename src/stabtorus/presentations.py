@@ -19,7 +19,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import Disconnected, DomainError
-from .walls import OrbitComplex
+
+# OrbitComplex in the annotations is walls.OrbitComplex; annotations are not
+# evaluated, so computing a group needs no import of walls
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,8 @@ class Torsion:
 
     points: tuple
 
+    json_kind = "torsion"
+
     def __post_init__(self):
         merged: dict = {}
         for entry in self.points:
@@ -51,6 +53,8 @@ class LocallyFree:
 
     rank: int
 
+    json_kind = "locally_free"
+
     def __post_init__(self):
         check_index(self.rank, "rank must be an integer >= 1, got {p!r}", lo=1)
 
@@ -67,6 +71,8 @@ class TorsionFree:
     rank: int
     colength: int
     hn: tuple | None = None
+
+    json_kind = "torsion_free"
 
     def __post_init__(self):
         check_index(self.rank, "rank must be an integer >= 1, got {p!r}", lo=1)
@@ -114,6 +120,8 @@ class Mixed:
 
     torsion: Torsion
     free: object
+
+    json_kind = "mixed"
 
     def __post_init__(self):
         if not isinstance(self.torsion, Torsion):
@@ -248,6 +256,8 @@ class FormalObject:
 
     graded: tuple = ()
     nonsplit: tuple = ()
+
+    json_kind = "object"  # written by jsonio.encode_object, with no "kind" key
 
     def __post_init__(self):
         degrees = [i for i, _ in self.graded]

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import hearts, sheaves
 from .charges import (
     CentralCharge,
     KClass,
@@ -56,9 +57,7 @@ from .exactnum import (
     phase_mod1,
     to_float,
 )
-from .hearts import _hn_pieces, heart_membership
 from .linalg import Matrix2
-from .sheaves import FormalObject, class_of, hull_defect_length, sheaf_at, sheaf_class
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +71,7 @@ class StdLabel:
     p: int
 
     gamma = None
+    json_kind = "std"
 
     def __post_init__(self):
         check_index(self.p, "heart index must be a nonnegative integer, got {p!r}")
@@ -84,6 +84,8 @@ class DegLabel:
 
     p: int
     gamma: object
+
+    json_kind = "deg"
 
     def __post_init__(self):
         check_index(self.p, "boundary index must be an integer >= 1, got {p!r}", lo=1)
@@ -318,7 +320,8 @@ def ideal_family_phase(sigma: StabPoint, n: int, d: int):
 
 
 # ---------------------------------------------------------------------------
-# Harder-Narasimhan data
+# Harder-Narasimhan data; the object layer (hearts, sheaves) is reached
+# through its modules, so the point calls above never run it
 
 
 @dataclass(frozen=True)
@@ -329,11 +332,11 @@ class HNFactor:
 
     kclass: KClass
     phase: object
-    part: FormalObject | None = None
+    part: sheaves.FormalObject | None = None
     stable: bool | None = None
 
 
-def hn_filtration(sigma: StabPoint, E: FormalObject, d: int):
+def hn_filtration(sigma: StabPoint, E: sheaves.FormalObject, d: int):
     """Harder-Narasimhan factors of E at the point sigma, top phase first.
 
     E is presented relative to the base heart of sigma's label; phases are
@@ -350,21 +353,21 @@ def hn_filtration(sigma: StabPoint, E: FormalObject, d: int):
     p = label.p
     gi = sigma._g_inverse()
     if isinstance(label, DegLabel):
-        if not heart_membership(E, p, d):
+        if not hearts.heart_membership(E, p, d):
             raise NotInHeart(f"object is not in the boundary heart at index {p}")
         if E.is_zero():
             return ()
-        return (HNFactor(class_of(E), lift_eval(gi, 1), E),)
+        return (HNFactor(sheaves.class_of(E), lift_eval(gi, 1), E),)
 
-    if not heart_membership(E, p, d):
+    if not hearts.heart_membership(E, p, d):
         raise NotInHeart(f"object is not in the standard heart {p}")
     factors = []
-    for phase, i, S, step in _hn_pieces(E, p, steps=True):
+    for phase, i, S, step in hearts._hn_pieces(E, p, steps=True):
         if step is None:
             # a one-atom part, E itself when E is that atom; its class is its
             # sheaf's, signed by the degree
-            part = E if E.graded == ((i, S),) else sheaf_at(i, S)
-            v = sheaf_class(S)
+            part = E if E.graded == ((i, S),) else sheaves.sheaf_at(i, S)
+            v = sheaves.sheaf_class(S)
             factors.append(HNFactor(-v if i % 2 else v, lift_eval(gi, phase), part))
         else:
             factors.append(HNFactor(step[0], lift_eval(gi, phase), None, step[1]))
@@ -375,7 +378,7 @@ def hn_filtration(sigma: StabPoint, E: FormalObject, d: int):
 # brute-force stability on the enumerable hearts
 
 
-def subobject_classes(E: FormalObject, p: int, d: int) -> set:
+def subobject_classes(E: sheaves.FormalObject, p: int, d: int) -> set:
     """Classes of proper nonzero subobjects of E in the standard heart p >= 1.
 
     Write the shifted piece as rank r with hull defect (colength) q, the
@@ -387,12 +390,12 @@ def subobject_classes(E: FormalObject, p: int, d: int) -> set:
     pairs (sub-bundle shift, torsion subsheaf).
     """
     _check_range(p, d, 1)
-    if not heart_membership(E, p, d):
+    if not hearts.heart_membership(E, p, d):
         raise NotInHeart(f"object is not in the standard heart {p}")
     upper = E.component(-p)
     lower = E.component(0)
     r = upper.rank if upper is not None else 0
-    q = hull_defect_length(upper) if upper is not None else 0
+    q = sheaves.hull_defect_length(upper) if upper is not None else 0
     t = lower.total_length() if lower is not None else 0
     eps = (-1) ** p
     out = set()
@@ -402,7 +405,7 @@ def subobject_classes(E: FormalObject, p: int, d: int) -> set:
         else:
             lo = q if rp == r else 0
         out.update(KClass(eps * rp, m) for m in range(lo, q + t + 1))
-    out.discard(class_of(E))
+    out.discard(sheaves.class_of(E))
     return out
 
 
@@ -411,11 +414,11 @@ def heart_phase(v: KClass, p: int):
     return phase_mod1(*_charge_num(std_charge(p), v))
 
 
-def is_stable_in_model(E: FormalObject, p: int, d: int) -> bool:
+def is_stable_in_model(E: sheaves.FormalObject, p: int, d: int) -> bool:
     """Stability of a heart-p object (p >= 1) by exhaustive subobject classes."""
     if E.is_zero():
         return False
-    phi = heart_phase(class_of(E), p)
+    phi = heart_phase(sheaves.class_of(E), p)
     for v in subobject_classes(E, p, d):
         if not (heart_phase(v, p) < phi):
             return False

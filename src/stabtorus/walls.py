@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import hearts
 from .charges import (
     CentralCharge,
     KClass,
@@ -25,7 +26,6 @@ from .charges import (
 )
 from .errors import DomainError, NeverEscapes, OnSpectrum, ZeroCharge
 from .exactnum import HALF, as_number, cot_brackets, num_eq, phase_above, phase_eq
-from .hearts import StandardHeart, TiltedHeart, TorsionPairSpec, _phase_cut
 from .stability import (
     DegLabel,
     SpectrumDescriptor,
@@ -165,7 +165,7 @@ def boundary_at(p: int, gamma, d: int) -> WallDecision:
 # the tilt carried by a wall
 
 
-def phase_cut_pair(p: int, gamma, d: int) -> TorsionPairSpec:
+def phase_cut_pair(p: int, gamma, d: int) -> hearts.TorsionPairSpec:
     """Torsion pair on the standard heart p cutting its members at phase
     gamma: the torsion class keeps the members whose HN pieces all lie above
     gamma, the free class those whose pieces all lie at or below it.
@@ -176,10 +176,10 @@ def phase_cut_pair(p: int, gamma, d: int) -> TorsionPairSpec:
     filtration steps of torsion-free sheaves.
     """
     _check_range(p, d)
-    return _phase_cut(f"phase-cut-{p}-at-{gamma}", p, as_number(gamma))
+    return hearts._phase_cut(f"phase-cut-{p}-at-{gamma}", p, as_number(gamma))
 
 
-def boundary_heart(p: int, gamma, d: int) -> TiltedHeart:
+def boundary_heart(p: int, gamma, d: int) -> hearts.TiltedHeart:
     """The heart carried by the boundary behind the gap at gamma: the tilt of
     the standard heart p at the phase-cut pair, after ``boundary_at``'s
     checks. Below 1/2 the cut is trivial at p >= 1 and the heart is
@@ -192,7 +192,7 @@ def boundary_heart(p: int, gamma, d: int) -> TiltedHeart:
     runs ``hrs_tilt`` on each kind of pair.
     """
     boundary_at(p, gamma, d)  # validates p, gamma and the spectrum condition
-    return TiltedHeart(StandardHeart(p, d), phase_cut_pair(p, gamma, d))
+    return hearts.TiltedHeart(hearts.StandardHeart(p, d), phase_cut_pair(p, gamma, d))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def twist_escape(ideal_class: KClass, twist_class: KClass, gamma_minus, Z: Centr
     above gamma_minus, the record phase below the gap.
 
     Models the escape move: twisting by a degree-zero line bundle changes
-    the class by multiples of twist_class, and since the twist's own phase
+    the class by multiples of twist_class, and when the twist's own phase
     sits above gamma_minus the iterates eventually cross. Iterates with zero
     charge (at most one) are skipped.
 
@@ -214,10 +214,13 @@ def twist_escape(ideal_class: KClass, twist_class: KClass, gamma_minus, Z: Centr
     when that is an integer with a nonzero iterate, else the first integer
     past n0 and t = -(c*Y_0 - X_0)/(c*Y_1 - X_1), from ``cot_brackets``.
 
-    Raises NeverEscapes only with a proof: the twist phase is not above
-    gamma_minus, or the twist charge is real and the iterates approach it
-    from the side where the folded phase falls to 0. Raises ZeroCharge when
-    Z kills either class, and DomainError on non-finite input.
+    Raises NeverEscapes when the twist phase is not above gamma_minus, the
+    escape's premise; this compares the twist phase only, and says nothing
+    of single iterates, of which some may lie above gamma_minus. It raises
+    it too, with a proof, when the twist charge is real and the iterates
+    approach it from the side where the folded phase falls to 0. Raises
+    ZeroCharge when Z kills either class, and DomainError on non-finite
+    input.
     """
     gm = as_number(gamma_minus)
     x0, y0, _ = _charge_num(Z, ideal_class)
@@ -227,8 +230,7 @@ def twist_escape(ideal_class: KClass, twist_class: KClass, gamma_minus, Z: Centr
     if x1 == 0 and y1 == 0:
         raise ZeroCharge("the charge kills the twisting class")
     if not phase_above(x1, y1, gm):
-        raise NeverEscapes("the twisting class sits at or below the record phase; "
-                           "iterates cannot cross it")
+        raise NeverEscapes("the twisting class sits at or below the record phase")
     if x0 + x1 == 0 and y0 + y1 == 0:
         return 2  # iterate 1 is zero, and iterate 2 is the twist itself
     if phase_above(x0 + x1, y0 + y1, gm):

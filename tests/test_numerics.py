@@ -1,6 +1,7 @@
 """Exact number helpers and the 2x2 matrix kernel."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,50 @@ def test_cot_pi_special_values():
     assert cot_pi(Fraction(1, 2)) == 0
     assert abs(float(cot_pi(Fraction(1, 6))) - math.sqrt(3)) < 1e-12
     assert cot_pi(Fraction(3, 4)) == -1
+
+
+def _reference_cot_pi(g: Fraction):
+    """cot(pi*g) to about 70 digits, from Machin's pi and the Taylor series
+    of cos and sin at pi*g, independent of the package."""
+    with localcontext() as ctx:
+        ctx.prec = 90
+        eps = Decimal(10) ** -88
+
+        def atan_inv(n):  # atan(1/n)
+            total = term = Decimal(1) / n
+            k = 1
+            while abs(term) > eps:
+                term /= -n * n
+                total += term / (2 * k + 1)
+                k += 1
+            return total
+
+        x = (16 * atan_inv(5) - 4 * atan_inv(239)) * g.numerator / g.denominator
+        cos = sin = Decimal(0)
+        term, k = Decimal(1), 0
+        while k < 4 or abs(term) > eps:
+            if k % 2 == 0:
+                cos += term if k % 4 == 0 else -term
+            else:
+                sin += term if k % 4 == 1 else -term
+            k += 1
+            term = term * x / k
+        return cos / sin
+
+
+@pytest.mark.parametrize(
+    "g",
+    [1 - Fraction(1, 10**20), 1 - Fraction(1, 10**5), Fraction(3, 5), Fraction(7, 10),
+     Fraction(1, 2) + Fraction(1, 10**12), 0.6, 0.9999999999999999, 1 - 2.0**-40,
+     Fraction(1, 3), Fraction(1, 10**20), 0.1],
+)
+def test_cot_pi_matches_a_decimal_reference(g):
+    # above 1/2 cot_pi folds to -cot(pi*(1 - g)), 1 - g taken exactly: near 1
+    # the float of g would lose the distance to 1, and with it the cotangent
+    # (cot_pi(1 - 10**-20) read -8.17e15 for about -3.18e19)
+    want = _reference_cot_pi(Fraction(g))
+    got = cot_pi(g)
+    assert abs(Decimal(got) - want) <= (1 + abs(want)) * Decimal("1e-13")
 
 
 def test_gamma_from_cot_inverts_cot_pi():

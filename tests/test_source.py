@@ -2,8 +2,13 @@
 
 import ast
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stabtorus"
 
@@ -174,17 +179,22 @@ def test_phase_equality_is_decided_in_one_place():
     assert sorted(set(found)) == ["walls.py:_on_spectrum"]
 
 
-def test_traced_names_resolve():
-    # the benchmark tracer wraps these by name: a method through its class
-    # __dict__, a bare class through its __post_init__
+def _traced():
+    """perfbench/tracer.py's TRACED: layer -> the callables it wraps."""
     tracer = PACKAGE.parent.parent / "perfbench" / "tracer.py"
     tree = ast.parse(tracer.read_text(encoding="utf-8"), filename=str(tracer))
-    traced = next(
+    return next(
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
     )
+
+
+def test_traced_names_resolve():
+    # the benchmark tracer wraps these by name: a method through its class
+    # __dict__, a bare class through its __post_init__
+    traced = _traced()
     missing = []
     for layer, entries in traced.items():
         module = importlib.import_module(f"stabtorus.{layer}")
@@ -328,3 +338,83 @@ def test_finiteness_is_checked_by_as_number():
         and "isfinite" in _calls(func)
     ]
     assert found == []
+
+
+def test_no_import_runs_inside_a_function():
+    # a layer binds what it uses when it runs, once; an import statement in a
+    # function body costs its lookup on every call of a hot path
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert found == []
+
+
+# runs in a fresh interpreter: the CLI on the given argv, then the layers
+# whose files ran; a layer not yet run still sits in sys.modules, lazily
+_LAYERS_RUN = """
+import contextlib, io, json, sys, types
+import stabtorus
+argv = sys.argv[1:]
+out = io.StringIO()
+if argv:
+    from stabtorus.cli import main
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+else:
+    code = None
+layers = {name.partition(".")[2]: type(m) is types.ModuleType
+          for name, m in sys.modules.items() if name.startswith("stabtorus.")}
+print(json.dumps({"code": code, "layers": layers}))
+"""
+
+
+def _layers_run(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _LAYERS_RUN, *argv], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_registers_every_traced_layer_without_running_it():
+    # the benchmark tracer wraps only modules in sys.modules: a layer that
+    # appears there only once used would read 0 on every per-layer metric
+    report = _layers_run()
+    assert set(_traced()) <= set(report["layers"])
+    assert [name for name, ran in report["layers"].items() if ran] == []
+
+
+POINT = json.dumps({"label": {"kind": "std", "p": 1}, "g": {"T": [[1, 0], [0, 1]], "winding": 0}})
+SUBCOMMAND_CALLS = {
+    "classify": ["--d", "5", "--charge", "1,-1,-1,2", "--phi", "0.75",
+                 "--psi", "0.6475836176504333"],
+    "act": ["--d", "4", "--point", POINT, "--auto", '{"T": [[2, 1], [1, 1]], "winding": 0}'],
+    "spectrum": ["--d", "4", "--point", POINT],
+    "gamma-bounds": ["--d", "4", "--label", "std:0", "--gamma", "3/10"],
+    "boundary": ["--d", "4", "--p", "1", "--gamma", "3/10"],
+    "fiber": ["--d", "5", "--charge", "1,0,0,1"],
+    "twist-escape": ["--d", "3", "--ideal", "1,-1", "--twist", "1,0", "--gamma-minus", "2/5",
+                     "--charge", "1,0,0,1"],
+    "orbit-graph": ["--d", "3"],
+    "pi1": ["--d", "5"],
+    "helix-svg": ["--d", "4"],
+}
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_CALLS))
+def test_a_subcommand_runs_only_the_layers_it_touches(command):
+    # the object layer runs only for hn and tilt-chain, presentations only
+    # for pi1 and svg only for helix-svg
+    report = _layers_run(command, *SUBCOMMAND_CALLS[command])
+    assert report["code"] == 0
+    ran = {name for name, ran in report["layers"].items() if ran}
+    assert not ran & {"sheaves", "hearts"}
+    assert ("presentations" in ran) == (command == "pi1")
+    assert ("svg" in ran) == (command == "helix-svg")

@@ -425,6 +425,18 @@ def test_twist_escape_errors():
         twist_escape(KClass(0, 0), KClass(1, 0), Fraction(2, 5), std_charge(0))
 
 
+def test_twist_escape_refusal_claims_only_the_twist_phase():
+    # the twist phase 1/2 lies below the record 3/5, so there is no escape;
+    # yet iterate 1, of charge -1 + i, lies at phase 3/4, above the record,
+    # so the refusal may not say that no iterate crosses it
+    ideal, twist, gm, Z = KClass(0, 1), KClass(1, 0), Fraction(3, 5), std_charge(0)
+    assert charge_eval(Z, ideal + twist) == (-1, 1)
+    assert phase_mod1(-1, 1) == Fraction(3, 4) > gm
+    with pytest.raises(NeverEscapes) as info:
+        twist_escape(ideal, twist, gm, Z)
+    assert str(info.value) == "the twisting class sits at or below the record phase"
+
+
 def test_twist_escape_places_a_crossing_finer_than_the_float_phases():
     # near n = 5.7e62 neighbouring iterates differ in phase by 1.7e-64, far
     # below an ulp of 9/10. Iterate n has charge (6n - 15, -Y), Y = 1102288 *
