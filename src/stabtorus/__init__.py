@@ -7,9 +7,12 @@ escape structure at the orbit boundaries; everything is exact rational
 arithmetic except where a phase genuinely needs an arctangent.
 
 Every layer module sits in ``sys.modules`` from the start, behind
-``importlib.util.LazyLoader``: its file runs on the first attribute access,
-so a caller (and the CLI) runs only the layers it touches. The names below
-resolve on first access through the module ``__getattr__``.
+``importlib.util.LazyLoader``, and runs on its first attribute access. One
+import rule, with no exceptions: a module binds names only from ``errors``,
+``exactnum``, ``linalg`` and ``charges``, the four modules every call runs,
+and reaches every other layer through its module (``from . import cover``,
+then ``cover.lift_eval(...)``). So a caller, the CLI too, runs only the
+layers it touches. The names below resolve through the module ``__getattr__``.
 """
 
 import importlib.util

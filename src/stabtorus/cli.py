@@ -6,9 +6,8 @@ Subcommands expose the main library operations with JSON output by default
 Exit status: 0 on success, 1 on usage errors, 2 on domain errors, which are
 reported as {"error": {"name": ..., "message": ...}} on stderr.
 
-The layers are called through their modules, looked up at call time: the
-package loads a layer on first use, so a subcommand runs only the layers it
-touches, and a function rebound on its module is the one called.
+Layers are called through their modules and looked up at call time, so a
+function rebound on its module is the one called.
 """
 
 from __future__ import annotations

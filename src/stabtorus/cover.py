@@ -34,6 +34,8 @@ class LiftedAuto:
     T: Matrix2
     winding: int
 
+    json_kind = "auto"  # written by jsonio.encode_auto
+
     def __post_init__(self):
         if self.T.__class__ is not Matrix2:
             rows = tuple(tuple(r) for r in self.T)

@@ -193,7 +193,7 @@ def cot_pi(gamma):
     rational, while the float of gamma loses it near 1."""
     g = as_number(gamma)
     if not 0 < g < 1:
-        raise ValueError("cot_pi needs an argument in (0, 1)")
+        raise DomainError("cot_pi needs an argument in (0, 1)")
     if is_exact(g) and g in _NIVEN:
         return _NIVEN[g]
     gf = to_float(g)

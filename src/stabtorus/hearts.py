@@ -27,27 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+from . import sheaves
 from .charges import _check_range, check_index, phase_in_strip, std_charge
 from .errors import DomainError, InvalidTorsionPair, MissingHNData, NotInHeart
-from .exactnum import HALF
-from .sheaves import (
-    FormalObject,
-    LocallyFree,
-    Torsion,
-    TorsionFree,
-    ZERO_OBJECT,
-    class_of,
-    enumerate_objects,
-    formal_object,
-    make_torsion_free,
-    object_shift,
-    object_sum,
-    objects_isomorphic,
-    positive_rank_part,
-    sheaf_at,
-    sheaf_sum,
-    torsion_part,
-)
+from .exactnum import HALF, phase_above
 
 # synthetic point id used for hull-defect torsion
 DEFECT_POINT = "~q"
@@ -56,7 +39,7 @@ DEFECT_POINT = "~q"
 _STANDARD_CUT = Fraction(3, 4)
 
 
-def _in_heart_shape(E: FormalObject, p: int) -> bool:
+def _in_heart_shape(E: sheaves.FormalObject, p: int) -> bool:
     """Does every atom of E sit where the standard heart p allows?
 
     That is degree 0 for p = 0; for p >= 1 torsion in degree 0 and, in
@@ -65,17 +48,17 @@ def _in_heart_shape(E: FormalObject, p: int) -> bool:
     """
     if p == 0:
         return all(i == 0 for i, _ in E.graded)
-    free_kind = (LocallyFree, TorsionFree) if p == 1 else LocallyFree
+    free_kind = (sheaves.LocallyFree, sheaves.TorsionFree) if p == 1 else sheaves.LocallyFree
     for i, S in E.graded:
         if i == 0:
-            if not isinstance(S, Torsion):
+            if not isinstance(S, sheaves.Torsion):
                 return False
         elif i != -p or not isinstance(S, free_kind):
             return False
     return True
 
 
-def heart_membership(E: FormalObject, p: int, d: int) -> bool:
+def heart_membership(E: sheaves.FormalObject, p: int, d: int) -> bool:
     """Does E lie in the standard heart with index p on a d-torus?
 
     Index 0 is the sheaf category: everything concentrated in degree 0.
@@ -90,7 +73,7 @@ def heart_membership(E: FormalObject, p: int, d: int) -> bool:
     return not (2 <= p <= d - 2 and (-p, 0) in E.nonsplit)
 
 
-def canonical_decomposition(E: FormalObject, p: int, d: int):
+def canonical_decomposition(E: sheaves.FormalObject, p: int, d: int):
     """Split a member E of the standard heart p >= 1 on a d-torus into its
     two canonical pieces.
 
@@ -104,8 +87,8 @@ def canonical_decomposition(E: FormalObject, p: int, d: int):
         raise NotInHeart(f"object is not in the standard heart {p}")
     upper = E.component(-p)
     lower = E.component(0)
-    f_part = sheaf_at(-p, upper) if upper is not None else ZERO_OBJECT
-    t_part = sheaf_at(0, lower) if lower is not None else ZERO_OBJECT
+    f_part = sheaves.sheaf_at(-p, upper) if upper is not None else sheaves.ZERO_OBJECT
+    t_part = sheaves.sheaf_at(0, lower) if lower is not None else sheaves.ZERO_OBJECT
     return (f_part, t_part)
 
 
@@ -120,18 +103,19 @@ def hull_split(F):
     None when F is locally free; the hull is the locally free sheaf of F's
     rank, F itself when F is locally free. F = None gives (None, None).
     """
-    if isinstance(F, TorsionFree):
-        return (Torsion(((DEFECT_POINT, F.colength),)), LocallyFree(F.rank))
+    if isinstance(F, sheaves.TorsionFree):
+        return (sheaves.Torsion(((DEFECT_POINT, F.colength),)), sheaves.LocallyFree(F.rank))
     return (None, F)
 
 
-def _hn_pieces(E: FormalObject, p: int, steps: bool) -> list:
+def _hn_pieces(E: sheaves.FormalObject, p: int, steps: bool) -> list:
     """HN pieces of the heart-p member E at the standard point, top phase first.
 
     Each piece is (phase, degree, sheaf, step). Torsion, with the hull defect
     of the shifted piece, sits at phase 1 and the locally free hull at phase
     1/2. At p = 0 a torsion-free sheaf contributes its declared steps, each
-    with ``step`` = (class, stable flag) and no sheaf of its own; when
+    with ``step`` = (class, stable flag), no sheaf of its own and a float
+    phase that only reports it (``_above`` compares a step with a cut); when
     ``steps`` is false it stays whole at phase 1/2, the top of its phases.
     E must have the heart-p shape. Raises MissingHNData when declared steps
     are needed but absent.
@@ -139,10 +123,10 @@ def _hn_pieces(E: FormalObject, p: int, steps: bool) -> list:
     pieces = []
     if p == 0:
         S = E.component(0)
-        t, F = torsion_part(S), positive_rank_part(S)
+        t, F = sheaves.torsion_part(S), sheaves.positive_rank_part(S)
         if t is not None:
             pieces.append((1, 0, t, None))
-        if steps and isinstance(F, TorsionFree):
+        if steps and isinstance(F, sheaves.TorsionFree):
             if F.hn is None:
                 raise MissingHNData("torsion-free piece carries no declared filtration data")
             Z0 = std_charge(0)
@@ -151,7 +135,7 @@ def _hn_pieces(E: FormalObject, p: int, steps: bool) -> list:
             pieces.append((HALF, 0, F, None))
         return pieces
     defect, hull = hull_split(E.component(-p))
-    torsion = sheaf_sum(E.component(0), defect)
+    torsion = sheaves.sheaf_sum(E.component(0), defect)
     if torsion is not None:
         pieces.append((1, 0, torsion, None))
     if hull is not None:
@@ -159,7 +143,7 @@ def _hn_pieces(E: FormalObject, p: int, steps: bool) -> list:
     return pieces
 
 
-def split_at_phase(E: FormalObject, p: int, cut):
+def split_at_phase(E: sheaves.FormalObject, p: int, cut):
     """Cut the heart-p member E at phase ``cut`` into (above, below).
 
     ``above`` sums the HN pieces of phase greater than cut, ``below`` the
@@ -171,27 +155,35 @@ def split_at_phase(E: FormalObject, p: int, cut):
         raise NotInHeart(f"object has no place in heart {p}")
     pieces = _hn_pieces(E, p, cut < HALF)
     k = 0
-    while k < len(pieces) and pieces[k][0] > cut:
+    for phase, _, _, step in pieces:
+        if not (phase > cut if step is None else _above(step[0], cut)):
+            break
         k += 1
     if k == len(pieces):
-        return (E, ZERO_OBJECT)
+        return (E, sheaves.ZERO_OBJECT)
     if k == 0:
-        return (ZERO_OBJECT, E)
+        return (sheaves.ZERO_OBJECT, E)
     return (_assemble(pieces[:k]), _assemble(pieces[k:]))
 
 
-def _assemble(pieces) -> FormalObject:
+def _above(v, cut) -> bool:
+    """Whether the declared step class v, of charge -chd + i*rk at Std(0),
+    lies above the phase cut, decided exactly."""
+    return phase_above(-v.chd, v.rk, cut)
+
+
+def _assemble(pieces) -> sheaves.FormalObject:
     """Direct sum of HN pieces; declared steps join into one torsion-free sheaf."""
     graded: dict = {}
     steps = tuple(step for *_, step in pieces if step is not None)
     if steps:
         colength = -sum(cls.chd for cls, _ in steps)
         rank = sum(cls.rk for cls, _ in steps)
-        graded[0] = make_torsion_free(rank, colength, steps if colength else None)
+        graded[0] = sheaves.make_torsion_free(rank, colength, steps if colength else None)
     for _, i, S, step in pieces:
         if step is None:
-            graded[i] = sheaf_sum(graded.get(i), S)
-    return formal_object(graded)
+            graded[i] = sheaves.sheaf_sum(graded.get(i), S)
+    return sheaves.formal_object(graded)
 
 
 # ---------------------------------------------------------------------------
@@ -206,25 +198,25 @@ def _atom_cohomology(S, p: int) -> dict:
     inner degree p once p >= 2; for p = 1 it stays in one piece.
     """
     if p == 0:
-        return {0: sheaf_at(0, S)}
+        return {0: sheaves.sheaf_at(0, S)}
     out: dict = {}
-    t = torsion_part(S)
+    t = sheaves.torsion_part(S)
     if t is not None:
-        out[0] = sheaf_at(0, t)
-    F = positive_rank_part(S)
+        out[0] = sheaves.sheaf_at(0, t)
+    F = sheaves.positive_rank_part(S)
     if F is not None:
         if p == 1:
-            _merge_coh(out, 1, sheaf_at(-1, F))
+            _merge_coh(out, 1, sheaves.sheaf_at(-1, F))
         else:
             defect, hull = hull_split(F)
             if defect is not None:
-                _merge_coh(out, 1, sheaf_at(0, defect))
-            _merge_coh(out, p, sheaf_at(-p, hull))
+                _merge_coh(out, 1, sheaves.sheaf_at(0, defect))
+            _merge_coh(out, p, sheaves.sheaf_at(-p, hull))
     return out
 
 
-def _merge_coh(coh: dict, n: int, piece: FormalObject) -> None:
-    coh[n] = object_sum(coh[n], piece) if n in coh else piece
+def _merge_coh(coh: dict, n: int, piece: sheaves.FormalObject) -> None:
+    coh[n] = sheaves.object_sum(coh[n], piece) if n in coh else piece
 
 
 class StandardHeart:
@@ -239,10 +231,10 @@ class StandardHeart:
     def __repr__(self):
         return f"StandardHeart(p={self.p}, d={self.d})"
 
-    def contains(self, E: FormalObject) -> bool:
+    def contains(self, E: sheaves.FormalObject) -> bool:
         return heart_membership(E, self.p, self.d)
 
-    def cohomology(self, E: FormalObject) -> dict:
+    def cohomology(self, E: sheaves.FormalObject) -> dict:
         """Degree -> heart member, flag-blind, additive over atoms."""
         out: dict = {}
         for i, S in E.graded:
@@ -252,7 +244,7 @@ class StandardHeart:
 
     def sample_members(self, max_mass: int):
         degrees = (0,) if self.p == 0 else (-self.p, 0)
-        for E in enumerate_objects(max_mass, degrees, self.d):
+        for E in sheaves.enumerate_objects(max_mass, degrees, self.d):
             if self.contains(E):
                 yield E
 
@@ -287,20 +279,20 @@ class TiltedHeart:
     def __repr__(self):
         return f"TiltedHeart({self.base!r}, pair={self.pair.name})"
 
-    def _base_cohomology(self, E: FormalObject) -> dict:
+    def _base_cohomology(self, E: sheaves.FormalObject) -> dict:
         memo = self._memo
         if memo is None or memo[0] != E:
             memo = self._memo = (E, self.base.cohomology(E))
         return memo[1]
 
-    def contains(self, E: FormalObject) -> bool:
+    def contains(self, E: sheaves.FormalObject) -> bool:
         pair = self.pair
         for n, piece in self._base_cohomology(E).items():
             if not (pair.in_torsion(piece) if n == 0 else n == -1 and pair.in_free(piece)):
                 return False
         return True
 
-    def cohomology(self, E: FormalObject) -> dict:
+    def cohomology(self, E: sheaves.FormalObject) -> dict:
         out: dict = {}
         for n, piece in self._base_cohomology(E).items():
             t_part, f_part = self.pair.decompose(piece)
@@ -309,12 +301,12 @@ class TiltedHeart:
             if not f_part.is_zero():
                 # the free part shows up one degree later, shifted into the
                 # new heart's window
-                _merge_coh(out, n + 1, object_shift(f_part, 1))
+                _merge_coh(out, n + 1, sheaves.object_shift(f_part, 1))
         return out
 
     def sample_members(self, max_mass: int):
         degrees = range(-self.level, 1)
-        for E in enumerate_objects(max_mass, degrees, self.d):
+        for E in sheaves.enumerate_objects(max_mass, degrees, self.d):
             if self.contains(E):
                 yield E
 
@@ -333,19 +325,19 @@ def hearts_agree_on(h1, h2, objects):
 
 def _certain_hom(S1, S2) -> bool:
     """Morphisms the model is sure exist between sheaves (degree 0 to 0)."""
-    if objects_isomorphic(sheaf_at(0, S1), sheaf_at(0, S2)):
+    if sheaves.objects_isomorphic(sheaves.sheaf_at(0, S1), sheaves.sheaf_at(0, S2)):
         return True
-    t1, t2 = torsion_part(S1), torsion_part(S2)
+    t1, t2 = sheaves.torsion_part(S1), sheaves.torsion_part(S2)
     if t1 is not None and t2 is not None:
         shared = {pid for pid, _ in t1.points} & {pid for pid, _ in t2.points}
         if shared:
             return True
-    if positive_rank_part(S1) is not None and t2 is not None:
+    if sheaves.positive_rank_part(S1) is not None and t2 is not None:
         return True  # evaluation at a point
-    f1, f2 = positive_rank_part(S1), positive_rank_part(S2)
+    f1, f2 = sheaves.positive_rank_part(S1), sheaves.positive_rank_part(S2)
     if (
-        isinstance(f1, TorsionFree)
-        and isinstance(f2, LocallyFree)
+        isinstance(f1, sheaves.TorsionFree)
+        and isinstance(f2, sheaves.LocallyFree)
         and f1.rank == f2.rank
         and t1 is None
         and t2 is None
@@ -354,7 +346,7 @@ def _certain_hom(S1, S2) -> bool:
     return False
 
 
-def _atom_hom_nonzero(A: FormalObject, B: FormalObject, d: int) -> bool:
+def _atom_hom_nonzero(A: sheaves.FormalObject, B: sheaves.FormalObject, d: int) -> bool:
     """Certainly-nonzero Hom between single-atom objects in the derived model."""
     (i, SA), = A.graded
     (j, SB), = B.graded
@@ -391,7 +383,7 @@ def hrs_tilt(heart, pair: TorsionPairSpec, max_check_mass: int = 3) -> TiltedHea
             if not pair.in_free(f_part):
                 _reject(pair, f"free part of {E} is not in the free class",
                         (E, f_part, "decomposition"))
-            if class_of(t_part) + class_of(f_part) != class_of(E):
+            if sheaves.class_of(t_part) + sheaves.class_of(f_part) != sheaves.class_of(E):
                 _reject(pair, f"decomposition of {E} does not add up in K",
                         (E, (t_part, f_part), "class bookkeeping"))
         except MissingHNData:
@@ -434,8 +426,11 @@ def _phase_cut(name: str, p: int, cut) -> TorsionPairSpec:
         if not _in_heart_shape(E, p):
             return False
         pieces = _hn_pieces(E, p, steps)
+        if not pieces:
+            return True
         # pieces come top phase first, so the last or the first one decides
-        return not pieces or (pieces[-1][0] > cut if above else pieces[0][0] <= cut)
+        phase, _, _, step = pieces[-1] if above else pieces[0]
+        return (phase > cut if step is None else _above(step[0], cut)) == above
 
     return TorsionPairSpec(name, lambda E: within(E, True), lambda E: within(E, False),
                            lambda E: split_at_phase(E, p, cut))
@@ -488,6 +483,6 @@ def chain_stabilizes(chain, p: int, d: int) -> int:
         if not heart_membership(E, p, d):
             raise NotInHeart(f"chain entry not in the standard heart {p}")
     for n in range(len(chain) - 1):
-        if objects_isomorphic(chain[n], chain[n + 1]):
+        if sheaves.objects_isomorphic(chain[n], chain[n + 1]):
             return n
     raise DomainError("chain exhausted without stabilizing")

@@ -5,10 +5,10 @@ strings otherwise; floats are wrapped as {"approx": x} so exactness survives
 a round trip. Top-level CLI payloads carry a "schema" version key and are
 emitted with sorted keys, making output byte-stable for fixed input.
 
-Every value is written by one encoder, ``_encode_report``, with the "kind"
-tag that a label or sheaf class carries as ``json_kind``. The sheaf and
-label layers are reached through their modules, so encoding a point runs no
-``sheaves`` code.
+Every value is written by one encoder, ``_encode_report``, which reads the
+"kind" tag, or the codec of an automorphism or object, from the
+``json_kind`` its class carries. So encoding a value runs only the layer
+that made it: a point runs no ``sheaves`` code, and a spectrum no ``cover``.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ import re
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
-from . import sheaves, stability
+from . import cover, sheaves, stability
 from .charges import CentralCharge, KClass
-from .cover import LiftedAuto
 from .errors import DomainError
 from .exactnum import as_number
 
@@ -91,11 +90,11 @@ def decode_charge(obj) -> CentralCharge:
     return CentralCharge(*(decode_number(obj[k]) for k in keys))
 
 
-def encode_auto(G: LiftedAuto) -> dict:
+def encode_auto(G: cover.LiftedAuto) -> dict:
     return {"T": _encode_report(G.T.rows()), "winding": G.winding}
 
 
-def decode_auto(obj) -> LiftedAuto:
+def decode_auto(obj) -> cover.LiftedAuto:
     if not isinstance(obj, dict) or set(obj) != {"T", "winding"}:
         raise DomainError(f"not a lifted automorphism payload: {obj!r}")
     rows = obj["T"]
@@ -106,7 +105,7 @@ def decode_auto(obj) -> LiftedAuto:
     ):
         raise DomainError("T must be a 2x2 matrix")
     T = tuple(tuple(decode_number(x) for x in row) for row in rows)
-    return LiftedAuto(T, obj["winding"])
+    return cover.LiftedAuto(T, obj["winding"])
 
 
 def encode_label(label) -> dict:
@@ -192,9 +191,9 @@ def _encode_report(x):
     """A value as JSON: a dataclass field by field, led by the "kind" tag
     its class carries as ``json_kind``, if any, with ``kclass`` written as
     "class" and an ``hn`` of None left out; a tuple as a list. Numbers,
-    automorphisms and objects (tagged "object") go through their codecs;
-    None, bools and strings stay as they are. Any other value raises
-    DomainError.
+    automorphisms (tagged "auto") and objects (tagged "object") go through
+    their codecs; None, bools and strings stay as they are. Any other value
+    raises DomainError.
     """
     if x is None or isinstance(x, (bool, str)):
         return x
@@ -202,13 +201,13 @@ def _encode_report(x):
         return encode_number(x)
     if isinstance(x, tuple):
         return [_encode_report(v) for v in x]
-    if isinstance(x, LiftedAuto):
-        return encode_auto(x)
     if not is_dataclass(x) or isinstance(x, type):
         raise DomainError(f"cannot encode {x!r}")
     kind = getattr(x, "json_kind", None)
     if kind == "object":
         return encode_object(x)
+    if kind == "auto":
+        return encode_auto(x)
     out = {} if kind is None else {"kind": kind}
     for f in fields(x):
         v = getattr(x, f.name)

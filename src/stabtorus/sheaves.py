@@ -34,7 +34,10 @@ class Torsion:
     def __post_init__(self):
         merged: dict = {}
         for entry in self.points:
-            pid, length = entry
+            try:
+                pid, length = entry
+            except (TypeError, ValueError):
+                raise DomainError(f"a point is an (id, length) pair, got {entry!r}") from None
             if not isinstance(pid, str) or not pid:
                 raise DomainError(f"point id must be a nonempty string, got {pid!r}")
             check_index(length, "point length must be an integer >= 1, got {p!r}", lo=1)
@@ -260,7 +263,10 @@ class FormalObject:
     json_kind = "object"  # written by jsonio.encode_object, with no "kind" key
 
     def __post_init__(self):
-        degrees = [i for i, _ in self.graded]
+        try:
+            degrees = [i for i, _ in self.graded]
+        except (TypeError, ValueError):
+            raise DomainError(f"graded data is (degree, sheaf) pairs: {self.graded!r}") from None
         for i in degrees:
             if not is_int(i):
                 raise DomainError(f"a degree must be an integer, got {i!r}")
@@ -439,7 +445,11 @@ def torsion_kernel_cokernel(f: TorsionMorphism, p: int):
     tgt = dict(f.target.points)
     seen = set()
     given = {}
-    for pid, k, c in f.action:
+    for entry in f.action:
+        try:
+            pid, k, c = entry
+        except (TypeError, ValueError):
+            raise DomainError(f"not a (point, kernel, cokernel) triple: {entry!r}") from None
         if pid in seen:
             raise InconsistentMorphism(f"duplicate action entry for point {pid!r}")
         seen.add(pid)

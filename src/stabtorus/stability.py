@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import hearts, sheaves
+from . import cover, hearts, sheaves
 from .charges import (
     CentralCharge,
     KClass,
@@ -30,15 +30,6 @@ from .charges import (
     check_index,
     deg_charge,
     std_charge,
-)
-from .cover import (
-    LiftedAuto,
-    _lifted,
-    _turns,
-    gl_compose,
-    gl_inverse,
-    identity_auto,
-    lift_eval,
 )
 from .errors import (
     DomainError,
@@ -98,19 +89,19 @@ class DegLabel:
 @dataclass(frozen=True)
 class StabPoint:
     label: object
-    g: LiftedAuto
+    g: cover.LiftedAuto
 
     def base_charge(self) -> CentralCharge:
         if isinstance(self.label, StdLabel):
             return std_charge(self.label.p)
         return deg_charge(self.label.p, self.label.gamma)
 
-    def _g_inverse(self) -> LiftedAuto:
+    def _g_inverse(self) -> cover.LiftedAuto:
         """gl_inverse(g), computed once per point. It is kept in the instance
         dict, not in a field, so ==, hash and repr ignore it."""
         gi = self.__dict__.get("_gi")
         if gi is None:
-            gi = gl_inverse(self.g)
+            gi = cover.gl_inverse(self.g)
             object.__setattr__(self, "_gi", gi)
         return gi
 
@@ -120,31 +111,31 @@ class StabPoint:
 
     def phi_sky(self):
         """Lifted skyscraper phase at this point."""
-        return lift_eval(self._g_inverse(), 1)
+        return cover.lift_eval(self._g_inverse(), 1)
 
     def psi_line(self):
         """Lifted phase of the positive rank ray at this point."""
         p = self.label.p
         base = Fraction(1 - 2 * p, 2) if isinstance(self.label, StdLabel) else 1 - p
-        return lift_eval(self._g_inverse(), base)
+        return cover.lift_eval(self._g_inverse(), base)
 
 
 def make_std(p: int, d: int) -> StabPoint:
     """Base point of the standard orbit with heart index p, 0 <= p <= d-1."""
     _check_range(p, d)
-    return StabPoint(StdLabel(p), identity_auto())
+    return StabPoint(StdLabel(p), cover.identity_auto())
 
 
 def make_deg(p: int, gamma, d: int) -> StabPoint:
     """Base point of the boundary family Deg(p, gamma), 1 <= p <= d-1."""
     _check_range(p, d, 1, "boundary")
-    return StabPoint(DegLabel(p, gamma), identity_auto())
+    return StabPoint(DegLabel(p, gamma), cover.identity_auto())
 
 
-def act(G: LiftedAuto, sigma: StabPoint) -> StabPoint:
+def act(G: cover.LiftedAuto, sigma: StabPoint) -> StabPoint:
     """Right action of the cover on points: the label is fixed and the group
     part composes on the right, so acting twice composes in order."""
-    g = gl_compose(sigma.g, G)
+    g = cover.gl_compose(sigma.g, G)
     return StabPoint(sigma.label, g)
 
 
@@ -292,8 +283,8 @@ def stable_objects(sigma: StabPoint, d: int):
     p = sigma.label.p
     _check_range(p, d)
     gi = sigma._g_inverse()
-    sky_phase = lift_eval(gi, 1)
-    line_phase = lift_eval(gi, HALF)
+    sky_phase = cover.lift_eval(gi, 1)
+    line_phase = cover.lift_eval(gi, HALF)
     families = [
         StableFamily(
             "skyscraper", 0, SKYSCRAPER_CLASS, sky_phase,
@@ -316,12 +307,11 @@ def ideal_family_phase(sigma: StabPoint, n: int, d: int):
     if not isinstance(sigma.label, StdLabel) or sigma.label.p != 0:
         raise UnsupportedSpectrum("the ideal-sheaf family lives at index-0 points")
     (series,) = spectrum_of(sigma.label, d).series
-    return lift_eval(sigma._g_inverse(), series.value(n))
+    return cover.lift_eval(sigma._g_inverse(), series.value(n))
 
 
 # ---------------------------------------------------------------------------
-# Harder-Narasimhan data; the object layer (hearts, sheaves) is reached
-# through its modules, so the point calls above never run it
+# Harder-Narasimhan data
 
 
 @dataclass(frozen=True)
@@ -357,7 +347,7 @@ def hn_filtration(sigma: StabPoint, E: sheaves.FormalObject, d: int):
             raise NotInHeart(f"object is not in the boundary heart at index {p}")
         if E.is_zero():
             return ()
-        return (HNFactor(sheaves.class_of(E), lift_eval(gi, 1), E),)
+        return (HNFactor(sheaves.class_of(E), cover.lift_eval(gi, 1), E),)
 
     if not hearts.heart_membership(E, p, d):
         raise NotInHeart(f"object is not in the standard heart {p}")
@@ -368,9 +358,9 @@ def hn_filtration(sigma: StabPoint, E: sheaves.FormalObject, d: int):
             # sheaf's, signed by the degree
             part = E if E.graded == ((i, S),) else sheaves.sheaf_at(i, S)
             v = sheaves.sheaf_class(S)
-            factors.append(HNFactor(-v if i % 2 else v, lift_eval(gi, phase), part))
+            factors.append(HNFactor(-v if i % 2 else v, cover.lift_eval(gi, phase), part))
         else:
-            factors.append(HNFactor(step[0], lift_eval(gi, phase), None, step[1]))
+            factors.append(HNFactor(step[0], cover.lift_eval(gi, phase), None, step[1]))
     return tuple(factors)
 
 
@@ -482,7 +472,7 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
         norm = alpha * alpha + beta * beta
         # T0 sends (alpha, beta) to (1, 0) exactly and has determinant one
         T0 = Matrix2(alpha / norm, beta / norm, -beta, alpha)
-        return StabPoint(DegLabel(p_hat, gamma()), _lifted(T0, _winding(T0, Z, j)))
+        return StabPoint(DegLabel(p_hat, gamma()), cover._lifted(T0, _winding(T0, Z, j)))
     if abs(window) <= PHASE_TOL:
         raise NotNumericallyConsistent(
             "nondegenerate charge with boundary phase data"
@@ -495,11 +485,11 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
         )
     # M = diag(1, (-1)**p_hat) Z^-1, det M > 0 as p_hat is one of the indices
     M = Z.inverse() if p_hat % 2 == 0 else _FLIP @ Z.inverse()
-    G = _lifted(M, _winding(M, Z, j))
+    G = cover._lifted(M, _winding(M, Z, j))
     # M sends Z(rank) = Z(0, 1) to (0, (-1)**p_hat), whose base phase is
     # 1/2 - p_hat: G carries dir Z(rank) + 2k there, and psi must be that lift
     _, b, _, e = Z.num
-    k = (1 - p_hat) // 2 - _turns(M, b, e) - G.winding
+    k = (1 - p_hat) // 2 - cover._turns(M, b, e) - G.winding
     rank_dir = direction_angle(b, e, max(abs(b), abs(e)))
     if abs(to_float(psi - 2 * k) - to_float(rank_dir)) > 2 * PHASE_TOL:
         raise NotNumericallyConsistent(
@@ -516,4 +506,4 @@ def _winding(M: Matrix2, F: Matrix2, j: int) -> int:
     skyscraper phase 1, theta = dir Z(sky), Z(sky) = -F(1, 0). M sends Z(sky)
     to a positive multiple of (-1, 0), so f_M(theta) = 1 + 2 * _turns."""
     a, _, c, _ = F.num
-    return -(_turns(M, -a, -c) + j)
+    return -(cover._turns(M, -a, -c) + j)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import hearts
+from . import hearts, stability
 from .charges import (
     CentralCharge,
     KClass,
@@ -26,13 +26,6 @@ from .charges import (
 )
 from .errors import DomainError, NeverEscapes, OnSpectrum, ZeroCharge
 from .exactnum import HALF, as_number, cot_brackets, num_eq, phase_above, phase_eq
-from .stability import (
-    DegLabel,
-    SpectrumDescriptor,
-    StdLabel,
-    _std_spectrum,
-    spectrum_of,
-)
 
 # reasons a deformation direction fails to reach a wall
 GAMMA_PLUS_VACUOUS = "gamma-plus-vacuous"
@@ -44,7 +37,7 @@ TWIST_ESCAPE = "twist-escape"
 # neighbouring phases in a spectrum
 
 
-def gamma_pm(spectrum: SpectrumDescriptor, gamma):
+def gamma_pm(spectrum: stability.SpectrumDescriptor, gamma):
     """Nearest spectrum phases around gamma, with certainty flags.
 
     Returns (below, above, below_exact, above_exact) where the flags say
@@ -84,10 +77,10 @@ def on_spectrum(label, gamma, d: int) -> bool:
     member of a computable series. A float gamma is compared with every
     candidate of ``_candidates`` within TOL.
     """
-    return _on_spectrum(spectrum_of(label, d), _unit_gamma(gamma))
+    return _on_spectrum(stability.spectrum_of(label, d), _unit_gamma(gamma))
 
 
-def _on_spectrum(spectrum: SpectrumDescriptor, g, candidates=None) -> bool:
+def _on_spectrum(spectrum: stability.SpectrumDescriptor, g, candidates=None) -> bool:
     """on_spectrum for a number g already in (0, 1); a float g is compared
     with ``candidates``, built here when not given."""
     if g.__class__ is not Fraction:
@@ -103,7 +96,7 @@ def _unit_gamma(gamma):
     return g
 
 
-def _candidates(spectrum: SpectrumDescriptor, g) -> list:
+def _candidates(spectrum: stability.SpectrumDescriptor, g) -> list:
     """The spectrum phases ``gamma_pm`` picks from for a g in (0, 1): the
     points shifted by -1, 0 and 1 and the series members bracketing g."""
     candidates = [q + k for q in spectrum.points for k in (-1, 0, 1)]
@@ -126,7 +119,7 @@ class WallDecision:
     the boundary empty there.
     """
 
-    target: DegLabel | None
+    target: stability.DegLabel | None
     reason: str | None = None
 
     @property
@@ -152,13 +145,13 @@ def boundary_at(p: int, gamma, d: int) -> WallDecision:
     g = _unit_gamma(gamma)
     if num_eq(g, HALF):
         raise DomainError("gamma = 1/2 sits on the shifted-bundle phase")
-    spectrum = _std_spectrum(p, d)
+    spectrum = stability._std_spectrum(p, d)
     if _on_spectrum(spectrum, g):
         raise DomainError(f"gamma = {gamma} is a stable phase of Std({p})")
     below = g < HALF
     if any((s.limit < HALF) == below for s in spectrum.series):
         return WallDecision(None, TWIST_ESCAPE)
-    return WallDecision(DegLabel(p, g) if below else DegLabel(p + 1, 1 - g))
+    return WallDecision(stability.DegLabel(p, g) if below else stability.DegLabel(p + 1, 1 - g))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +340,7 @@ def fiber_types(Z: CentralCharge, d: int):
         raise ZeroCharge("the zero charge is hit nowhere")
     degenerate, indices, gamma = _orbits_over(Z, d)
     if degenerate:
-        return [FiberFamily(DegLabel(p, gamma()), "positive-dimensional",
+        return [FiberFamily(stability.DegLabel(p, gamma()), "positive-dimensional",
                             "stabilizer quotient over the boundary family") for p in indices]
     note = "one point in the orbit of std-%d per winding"
-    return [FiberFamily(StdLabel(p), "countable", note % p) for p in indices]
+    return [FiberFamily(stability.StdLabel(p), "countable", note % p) for p in indices]

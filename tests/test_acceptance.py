@@ -40,6 +40,7 @@ from stabtorus.sheaves import (
     sheaf_at,
 )
 from stabtorus.stability import (
+    DegLabel,
     StdLabel,
     act,
     classify,
@@ -48,7 +49,6 @@ from stabtorus.stability import (
     make_std,
 )
 from stabtorus.walls import (
-    DegLabel,
     boundary_at,
     boundary_heart,
     fiber_types,

@@ -1,9 +1,11 @@
 """Heart membership, decomposition, tilting, and finite-length behavior."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabtorus.charges import KClass
 from stabtorus.errors import DomainError, InvalidTorsionPair, MissingHNData, NotInHeart
@@ -21,6 +23,7 @@ from stabtorus.hearts import (
     standard_pair,
 )
 from stabtorus.sheaves import (
+    ZERO_OBJECT,
     LocallyFree,
     Mixed,
     Torsion,
@@ -145,6 +148,48 @@ def test_split_at_phase_cuts_declared_steps():
     assert above == sheaf_at(0, Mixed(skyscraper(), make_locally_free(1)))
     assert below == sheaf_at(0, make_torsion_free(1, 3, hn=steps[1:]))
     assert class_of(above) + class_of(below) == class_of(E)
+
+
+def test_a_declared_step_is_cut_at_its_exact_phase():
+    # the step (1, -3) has phase arccot(3)/pi = 0.10241638234956672582...,
+    # above its float and above this cut
+    E = sheaf_at(0, make_torsion_free(2, 3, ((KClass(1, 0), True), (KClass(1, -3), False))))
+    cut = Fraction(0.10241638234956672) + Fraction(1, 10**30)
+    assert split_at_phase(E, 0, cut) == (E, ZERO_OBJECT)
+    assert phase_cut_pair(0, cut, 4).in_torsion(E)
+
+
+def reference_step_phase(rk, n):
+    """arccot(n / rk) / pi for positive integers, as a Fraction good to
+    about 60 digits: atan by four halvings and the Taylor series, in decimal."""
+
+    def atan(t):
+        for _ in range(4):
+            t /= 1 + (1 + t * t).sqrt()
+        total, term, k = t, t, 1
+        while abs(term) > Decimal(10) ** -68:
+            term *= -t * t
+            total += term / (2 * k + 1)
+            k += 1
+        return 16 * total
+
+    with localcontext() as ctx:
+        ctx.prec = 70
+        return Fraction(atan(Decimal(rk) / n) / (4 * atan(Decimal(1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 30), st.integers(30, 40), st.booleans())
+def test_declared_steps_sit_on_their_exact_side_of_a_cut(rk, n, digits, above):
+    # a cut within 1e-30 of a step's phase, below it or above it
+    cut = reference_step_phase(rk, n) + (-1 if above else 1) * Fraction(1, 10**digits)
+    E = sheaf_at(0, make_torsion_free(rk, n, ((KClass(rk, -n), True),)))
+    pair = phase_cut_pair(0, cut, 4)
+    assert (pair.in_torsion(E), pair.in_free(E)) == (above, not above)
+    assert split_at_phase(E, 0, cut) == ((E, ZERO_OBJECT) if above else (ZERO_OBJECT, E))
+    F = sheaf_at(0, make_torsion_free(rk + 1, n, ((KClass(1, 0), True), (KClass(rk, -n), True))))
+    assert pair.in_torsion(F) == above and not pair.in_free(F)
+    assert (split_at_phase(F, 0, cut)[1] == ZERO_OBJECT) == above
 
 
 def test_tilt_of_sheaves_is_the_first_heart():

@@ -17,7 +17,7 @@ from stabtorus.errors import (
     UnsupportedSpectrum,
     ZeroCharge,
 )
-from stabtorus.exactnum import as_number, direction_angle
+from stabtorus.exactnum import as_number, cot_pi, direction_angle
 from stabtorus.linalg import Matrix2
 from stabtorus.presentations import pi1
 from stabtorus.sheaves import (
@@ -96,6 +96,14 @@ REFUSALS = {
     "empty-mixed": (lambda: make_mixed(None, None), DomainError),
     "class-of-a-non-sheaf": (lambda: sheaf_class("x"), DomainError),
     "object-of-a-non-sheaf": (lambda: FormalObject(((0, "x"),)), DomainError),
+    "torsion-point-of-three-entries": (lambda: Torsion((("x", 1, 2),)), DomainError),
+    "graded-entry-without-a-sheaf": (lambda: FormalObject(graded=((0,),)), DomainError),
+    "action-entry-of-two-entries": (
+        lambda: torsion_kernel_cokernel(TorsionMorphism(TORSION, TORSION, (("y", 0),)), 0),
+        DomainError,
+    ),
+    "cot-pi-at-zero": (lambda: cot_pi(0), DomainError),
+    "cot-pi-past-one": (lambda: cot_pi(Fraction(3, 2)), DomainError),
     "duplicate-action-entry": (
         lambda: torsion_kernel_cokernel(
             TorsionMorphism(TORSION, TORSION, (("y", 0, 0), ("y", 0, 0))), 1),

@@ -340,6 +340,26 @@ def test_finiteness_is_checked_by_as_number():
     assert found == []
 
 
+# the four modules every call runs
+BASE_MODULES = ("errors", "exactnum", "linalg", "charges")
+
+
+def test_names_are_bound_only_from_the_base_modules():
+    # the one import rule: a module binds names only from the base modules and
+    # reaches every other layer through its module, so a call runs only the
+    # layers it touches
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            and node.module not in (None, *BASE_MODULES)
+        ]
+    assert found == []
+
+
 def test_no_import_runs_inside_a_function():
     # a layer binds what it uses when it runs, once; an import statement in a
     # function body costs its lookup on every call of a hot path
@@ -392,29 +412,39 @@ def test_import_registers_every_traced_layer_without_running_it():
 
 
 POINT = json.dumps({"label": {"kind": "std", "p": 1}, "g": {"T": [[1, 0], [0, 1]], "winding": 0}})
+TORSION = json.dumps({"graded": {"0": {"kind": "torsion", "points": [["x", 1]]}}})
+# argv after the subcommand, and the layers the call runs besides cli and the
+# base modules: the README's cold-start table
 SUBCOMMAND_CALLS = {
-    "classify": ["--d", "5", "--charge", "1,-1,-1,2", "--phi", "0.75",
-                 "--psi", "0.6475836176504333"],
-    "act": ["--d", "4", "--point", POINT, "--auto", '{"T": [[2, 1], [1, 1]], "winding": 0}'],
-    "spectrum": ["--d", "4", "--point", POINT],
-    "gamma-bounds": ["--d", "4", "--label", "std:0", "--gamma", "3/10"],
-    "boundary": ["--d", "4", "--p", "1", "--gamma", "3/10"],
-    "fiber": ["--d", "5", "--charge", "1,0,0,1"],
-    "twist-escape": ["--d", "3", "--ideal", "1,-1", "--twist", "1,0", "--gamma-minus", "2/5",
-                     "--charge", "1,0,0,1"],
-    "orbit-graph": ["--d", "3"],
-    "pi1": ["--d", "5"],
-    "helix-svg": ["--d", "4"],
+    "classify": (["--d", "5", "--charge", "1,-1,-1,2", "--phi", "0.75",
+                  "--psi", "0.6475836176504333"], {"cover", "jsonio", "stability"}),
+    "act": (["--d", "4", "--point", POINT, "--auto", '{"T": [[2, 1], [1, 1]], "winding": 0}'],
+            {"cover", "jsonio", "stability"}),
+    "spectrum": (["--d", "4", "--point", POINT], {"cover", "jsonio", "stability"}),
+    "spectrum --label": (["--d", "4", "--label", "std:1"], {"jsonio", "stability"}),
+    "gamma-bounds": (["--d", "4", "--label", "std:0", "--gamma", "3/10"],
+                     {"jsonio", "stability", "walls"}),
+    "boundary": (["--d", "4", "--p", "1", "--gamma", "3/10"], {"jsonio", "stability", "walls"}),
+    "fiber": (["--d", "5", "--charge", "1,0,0,1"], {"jsonio", "stability", "walls"}),
+    "twist-escape": (["--d", "3", "--ideal", "1,-1", "--twist", "1,0", "--gamma-minus", "2/5",
+                      "--charge", "1,0,0,1"], {"jsonio", "walls"}),
+    "orbit-graph": (["--d", "3"], {"jsonio", "walls"}),
+    "pi1": (["--d", "5"], {"jsonio", "walls", "presentations"}),
+    "helix-svg": (["--d", "4"], {"svg"}),
+    "helix-svg --format json": (["--d", "4", "--format", "json"], {"svg", "jsonio"}),
+    "tilt-chain": (["--d", "4", "--p", "2", "--check-mass", "1"], {"jsonio", "sheaves", "hearts"}),
+    "hn": (["--d", "4", "--point", POINT, "--object", TORSION],
+           {"cover", "jsonio", "stability", "sheaves", "hearts"}),
 }
 
 
 @pytest.mark.parametrize("command", list(SUBCOMMAND_CALLS))
 def test_a_subcommand_runs_only_the_layers_it_touches(command):
-    # the object layer runs only for hn and tilt-chain, presentations only
-    # for pi1 and svg only for helix-svg
-    report = _layers_run(command, *SUBCOMMAND_CALLS[command])
+    # the object layer runs only for hn and tilt-chain, cover only where a
+    # point is read or made, stability only where a label is, presentations
+    # only for pi1 and svg only for helix-svg
+    argv, layers = SUBCOMMAND_CALLS[command]
+    report = _layers_run(command.split()[0], *argv)
     assert report["code"] == 0
     ran = {name for name, ran in report["layers"].items() if ran}
-    assert not ran & {"sheaves", "hearts"}
-    assert ("presentations" in ran) == (command == "pi1")
-    assert ("svg" in ran) == (command == "helix-svg")
+    assert ran == {"cli", *BASE_MODULES, *layers}
