@@ -6,8 +6,8 @@ automorphisms, hearts as finitely presented sheaf data, and the wall and
 escape structure at the orbit boundaries; everything is exact rational
 arithmetic except where a phase genuinely needs an arctangent.
 
-Every layer module sits in ``sys.modules`` from the start, behind
-``importlib.util.LazyLoader``, and runs on its first attribute access. One
+Every layer module sits in ``sys.modules`` from the start as a ``_Layer``,
+whose file runs on its first attribute access, once, under a lock. One
 import rule, with no exceptions: a module binds names only from ``errors``,
 ``exactnum``, ``linalg`` and ``charges``, the four modules every call runs,
 and reaches every other layer through its module (``from . import cover``,
@@ -17,6 +17,8 @@ layers it touches. The names below resolve through the module ``__getattr__``.
 
 import importlib.util
 import sys
+import threading
+import types
 
 # layer -> the names the package re-exports from it
 _EXPORTS = {
@@ -70,13 +72,31 @@ __all__ = [*_PUBLIC_LAYERS, *_LAYER_OF]
 __version__ = "0.1.0"
 
 
+# one lock for all layers, so that nested first uses cannot deadlock
+_FIRST_USE = threading.RLock()
+
+
+class _Layer(types.ModuleType):
+    """A layer whose file has not run. The first attribute read runs it under
+    ``_FIRST_USE``, letting the file's own reads through, and only then makes
+    it a plain module, whole for every thread that waited on the lock."""
+
+    def __getattribute__(self, name):
+        with _FIRST_USE:
+            spec = types.ModuleType.__getattribute__(self, "__spec__")
+            if spec.loader_state is None:
+                spec.loader_state = "running"
+                spec.loader.exec_module(self)
+                self.__class__ = types.ModuleType
+        return types.ModuleType.__getattribute__(self, name)
+
+
 def _register(layer: str):
     """Put the layer in ``sys.modules`` and on the package without running it."""
     spec = importlib.util.find_spec(f"{__name__}.{layer}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
+    module.__class__ = _Layer
     sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
     return module
 
 

@@ -1,0 +1,8 @@
+"""``python -m stabtorus``: the ``stabtorus`` command."""
+
+import sys
+
+from . import cli
+
+if __name__ == "__main__":
+    sys.exit(cli.main())

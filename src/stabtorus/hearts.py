@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import sheaves
-from .charges import _check_range, check_index, phase_in_strip, std_charge
+from .charges import _check_range, check_index
 from .errors import DomainError, InvalidTorsionPair, MissingHNData, NotInHeart
 from .exactnum import HALF, phase_above
 
@@ -114,9 +114,9 @@ def _hn_pieces(E: sheaves.FormalObject, p: int, steps: bool) -> list:
     Each piece is (phase, degree, sheaf, step). Torsion, with the hull defect
     of the shifted piece, sits at phase 1 and the locally free hull at phase
     1/2. At p = 0 a torsion-free sheaf contributes its declared steps, each
-    with ``step`` = (class, stable flag), no sheaf of its own and a float
-    phase that only reports it (``_above`` compares a step with a cut); when
-    ``steps`` is false it stays whole at phase 1/2, the top of its phases.
+    with ``step`` = (class, stable flag) and neither phase nor sheaf of its
+    own: ``_count_above`` places a step by its class, exactly; when ``steps``
+    is false it stays whole at phase 1/2, the top of its phases.
     E must have the heart-p shape. Raises MissingHNData when declared steps
     are needed but absent.
     """
@@ -129,8 +129,7 @@ def _hn_pieces(E: sheaves.FormalObject, p: int, steps: bool) -> list:
         if steps and isinstance(F, sheaves.TorsionFree):
             if F.hn is None:
                 raise MissingHNData("torsion-free piece carries no declared filtration data")
-            Z0 = std_charge(0)
-            pieces += [(phase_in_strip(Z0, step[0], 0), 0, None, step) for step in F.hn]
+            pieces += [(None, 0, None, step) for step in F.hn]
         elif F is not None:
             pieces.append((HALF, 0, F, None))
         return pieces
@@ -154,11 +153,7 @@ def split_at_phase(E: sheaves.FormalObject, p: int, cut):
     if not _in_heart_shape(E, p):
         raise NotInHeart(f"object has no place in heart {p}")
     pieces = _hn_pieces(E, p, cut < HALF)
-    k = 0
-    for phase, _, _, step in pieces:
-        if not (phase > cut if step is None else _above(step[0], cut)):
-            break
-        k += 1
+    k = _count_above(pieces, cut)
     if k == len(pieces):
         return (E, sheaves.ZERO_OBJECT)
     if k == 0:
@@ -166,10 +161,15 @@ def split_at_phase(E: sheaves.FormalObject, p: int, cut):
     return (_assemble(pieces[:k]), _assemble(pieces[k:]))
 
 
-def _above(v, cut) -> bool:
-    """Whether the declared step class v, of charge -chd + i*rk at Std(0),
-    lies above the phase cut, decided exactly."""
-    return phase_above(-v.chd, v.rk, cut)
+def _count_above(pieces, cut) -> int:
+    """How many HN pieces, top phase first, lie above the phase cut; a declared
+    step (rk, chd) by its charge -chd + i*rk at Std(0), decided exactly."""
+    k = 0
+    for phase, _, _, step in pieces:
+        if not (phase > cut if step is None else phase_above(-step[0].chd, step[0].rk, cut)):
+            break
+        k += 1
+    return k
 
 
 def _assemble(pieces) -> sheaves.FormalObject:
@@ -426,11 +426,8 @@ def _phase_cut(name: str, p: int, cut) -> TorsionPairSpec:
         if not _in_heart_shape(E, p):
             return False
         pieces = _hn_pieces(E, p, steps)
-        if not pieces:
-            return True
-        # pieces come top phase first, so the last or the first one decides
-        phase, _, _, step = pieces[-1] if above else pieces[0]
-        return (phase > cut if step is None else _above(step[0], cut)) == above
+        k = _count_above(pieces, cut)
+        return k == len(pieces) if above else k == 0
 
     return TorsionPairSpec(name, lambda E: within(E, True), lambda E: within(E, False),
                            lambda E: split_at_phase(E, p, cut))

@@ -118,10 +118,8 @@ def _pi1_connected(cx: OrbitComplex, comp, tree) -> PresentedGroup:
     relations = tuple(
         (f"loop-{nd.name}",) for nd in walls if degree[nd.name] >= 2
     )
-    free_gens, leftover = tietze_simplify(generators, relations)
-    if leftover:
-        # cannot happen with single-generator relations; guard anyway
-        raise DomainError("simplification left relations behind")
+    # every relation has one generator, so none is left over
+    free_gens, _ = tietze_simplify(generators, relations)
     rank = len(free_gens)
     return PresentedGroup(generators, relations, free_gens, _classify_free(rank), rank)
 

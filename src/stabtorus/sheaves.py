@@ -450,6 +450,10 @@ def torsion_kernel_cokernel(f: TorsionMorphism, p: int):
             pid, k, c = entry
         except (TypeError, ValueError):
             raise DomainError(f"not a (point, kernel, cokernel) triple: {entry!r}") from None
+        if not isinstance(pid, str) or not pid:
+            raise DomainError(f"point id must be a nonempty string, got {pid!r}")
+        check_index(k, "kernel length must be an integer, got {p!r}", lo=None)
+        check_index(c, "cokernel length must be an integer, got {p!r}", lo=None)
         if pid in seen:
             raise InconsistentMorphism(f"duplicate action entry for point {pid!r}")
         seen.add(pid)
@@ -517,13 +521,10 @@ def enumerate_sheaves(mass: int):
 
 
 def _compositions(total: int, parts: int):
-    """Ordered tuples of `parts` positive integers with the given sum."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for tail in _compositions(total - first, parts - 1):
-            yield (first,) + tail
+    """Ordered tuples of `parts` positive integers with the given sum, in
+    lexicographic order: the gaps between parts - 1 cuts of 0..total."""
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
 
 
 def enumerate_objects(max_mass: int, degrees, d: int):

@@ -281,7 +281,7 @@ def stable_objects(sigma: StabPoint, d: int):
     if isinstance(sigma.label, DegLabel):
         raise UnsupportedSpectrum("stable objects on boundary families are not classified")
     p = sigma.label.p
-    _check_range(p, d)
+    descriptor = spectrum_of(sigma.label, d)
     gi = sigma._g_inverse()
     sky_phase = cover.lift_eval(gi, 1)
     line_phase = cover.lift_eval(gi, HALF)
@@ -295,7 +295,6 @@ def stable_objects(sigma: StabPoint, d: int):
             "simple semihomogeneous bundles of degree zero, shifted into the heart",
         ),
     ]
-    descriptor = spectrum_of(sigma.label, d)
     families += [StableFamily(s.kind, p, None, None, _SERIES_NOTES[s.kind])
                  for s in descriptor.series]
     return (descriptor, tuple(families))
@@ -360,7 +359,8 @@ def hn_filtration(sigma: StabPoint, E: sheaves.FormalObject, d: int):
             v = sheaves.sheaf_class(S)
             factors.append(HNFactor(-v if i % 2 else v, cover.lift_eval(gi, phase), part))
         else:
-            factors.append(HNFactor(step[0], cover.lift_eval(gi, phase), None, step[1]))
+            v, stable = step
+            factors.append(HNFactor(v, cover.lift_eval(gi, heart_phase(v, 0)), None, stable))
     return tuple(factors)
 
 

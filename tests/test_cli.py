@@ -1,6 +1,10 @@
 """End-to-end command tests: exit codes, pinned payloads, error envelopes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -666,3 +670,23 @@ def test_json_outputs_are_key_sorted(capsys):
         payload = json.loads(out)
         assert list(payload) == sorted(payload)
         assert payload["schema"] == "stabtorus/1"
+
+
+def _run_module(*argv):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "stabtorus", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_command_with_an_empty_stderr(capsys):
+    done = _run_module("orbit-graph", "--d", "3")
+    code, out, _ = run(capsys, ["orbit-graph", "--d", "3"])
+    assert code == 0
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
+    failed = _run_module("orbit-graph", "--d", "2")
+    assert failed.returncode == 2 and failed.stdout == ""
+    envelope = json.loads(failed.stderr)
+    assert envelope["error"]["name"] == "DomainError"
+    assert envelope["schema"] == "stabtorus/1"

@@ -2,6 +2,11 @@
 object its layer defines."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,3 +94,50 @@ def test_dir_lists_the_public_names():
     listed = set(dir(stabtorus))
     assert {name for names in PUBLIC.values() for name in names} <= listed
     assert set(STAR_MODULES) <= listed
+
+
+# runs in a fresh interpreter: for each layer in turn, 8 threads wait at a
+# barrier and then make its first use at once, switching often; prints what
+# they got
+_FIRST_USE_RACE = """
+import json, sys, threading
+from stabtorus import cover, sheaves, svg, walls
+
+sys.setswitchinterval(1e-5)
+
+CALLS = {
+    "walls": lambda: repr(walls.orbit_complex(5)),
+    "svg": lambda: svg.helix_svg(4),
+    "sheaves": lambda: repr(sheaves.skyscraper()),
+    "cover": lambda: repr(cover.identity_auto()),
+}
+got = {}
+for layer, call in CALLS.items():
+    barrier = threading.Barrier(8)
+    answers, errors = got[layer] = [], []
+
+    def first_use(call=call, answers=answers, errors=errors, barrier=barrier):
+        barrier.wait()
+        try:
+            answers.append(call())
+        except Exception as exc:
+            errors.append(f"{type(exc).__name__}: {exc}")
+
+    threads = [threading.Thread(target=first_use) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+print(json.dumps(got))
+"""
+
+
+def test_threads_that_first_use_a_layer_at_once_all_see_it_whole():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _FIRST_USE_RACE], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    for layer, (answers, errors) in json.loads(done.stdout).items():
+        assert errors == [], layer
+        assert len(answers) == 8 and len(set(answers)) == 1, layer

@@ -132,6 +132,17 @@ def test_malformed_input_is_refused(name):
 
 
 @pytest.mark.parametrize(
+    "entry, field",
+    [(("y", "a", 0), "kernel length"), ((1, 0, 0), "point id"), (("y", 0.5, 0.5), "kernel length")],
+    ids=["string-length", "integer-point-id", "float-lengths"],
+)
+def test_an_action_entry_of_the_wrong_types_names_its_field(entry, field):
+    f = TorsionMorphism(TORSION, TORSION, (entry,))
+    with pytest.raises(DomainError, match=f"^{field} must be"):
+        torsion_kernel_cokernel(f, 0)
+
+
+@pytest.mark.parametrize(
     "decode, payload",
     [
         (jsonio.decode_number, True),

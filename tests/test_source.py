@@ -329,6 +329,26 @@ def test_twist_escape_compares_phases_only_through_exactnum():
     assert names.isdisjoint({"phase_mod1", "to_float", "float", "math.ulp"})
 
 
+def test_the_object_layer_computes_no_phase():
+    # sheaves and hearts decide every phase question exactly: a declared
+    # step is cut through exactnum.phase_above, and the one float phase the
+    # package reports for it is computed in stability
+    forbidden = {"phase_in_strip", "phase_mod1", "direction_angle", "rounded_direction",
+                 "lift_eval", "to_float", "cot_pi", "gamma_from_cot", "float"}
+    found = []
+    for filename in ("sheaves.py", "hearts.py"):
+        for name, func in _definitions(PACKAGE / filename):
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if (isinstance(f, ast.Name) and f.id in forbidden) or (
+                    isinstance(f, ast.Attribute) and (f.attr in forbidden or (
+                        isinstance(f.value, ast.Name) and f.value.id == "math"))):
+                    found.append(f"{filename}:{name}")
+    assert found == []
+
+
 def test_finiteness_is_checked_by_as_number():
     found = [
         f"{path.name}:{name}"
