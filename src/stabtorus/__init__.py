@@ -77,7 +77,7 @@ _FIRST_USE = threading.RLock()
 
 
 class _Layer(types.ModuleType):
-    """A layer whose file has not run. The first attribute read runs it under
+    """A layer whose file has not run. The first attribute access runs it under
     ``_FIRST_USE``, letting the file's own reads through, and only then makes
     it a plain module, whole for every thread that waited on the lock."""
 
@@ -89,6 +89,16 @@ class _Layer(types.ModuleType):
                 spec.loader.exec_module(self)
                 self.__class__ = types.ModuleType
         return types.ModuleType.__getattribute__(self, name)
+
+    # a write or delete first reads the module, which runs the file, so that
+    # the file's run cannot undo it
+    def __setattr__(self, name, value):
+        self.__spec__
+        types.ModuleType.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        self.__spec__
+        types.ModuleType.__delattr__(self, name)
 
 
 def _register(layer: str):

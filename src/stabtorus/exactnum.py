@@ -2,7 +2,8 @@
 
 Policy: values constructed from integers or rational strings stay exact
 (`fractions.Fraction`); genuinely irrational quantities (generic cotangents,
-arctangent phases) are floats compared at ``TOL``. Whether an arctangent
+arctangent phases) are floats compared at ``TOL``, and a phase read back from
+point data meets its lift within ``PHASE_TOL``. Whether an arctangent
 phase lies above a rational is decided exactly, by ``phase_above`` on the
 brackets of ``cot_brackets``: floats with a proven error bound first, then
 integer fixed point near a tie.

@@ -14,6 +14,7 @@ lifted phase of the rank ray, equal to 1/2 - p at Std(p) base points and to
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +45,6 @@ from .exactnum import (
     as_number,
     cot_pi,
     direction_angle,
-    floor_near,
     phase_mod1,
     to_float,
 )
@@ -96,28 +96,25 @@ class StabPoint:
             return std_charge(self.label.p)
         return deg_charge(self.label.p, self.label.gamma)
 
+    @functools.cached_property
     def _g_inverse(self) -> cover.LiftedAuto:
-        """gl_inverse(g), computed once per point. It is kept in the instance
-        dict, not in a field, so ==, hash and repr ignore it."""
-        gi = self.__dict__.get("_gi")
-        if gi is None:
-            gi = cover.gl_inverse(self.g)
-            object.__setattr__(self, "_gi", gi)
-        return gi
+        """gl_inverse(g), computed once per point. It is not a field, so ==,
+        hash and repr ignore it."""
+        return cover.gl_inverse(self.g)
 
     def charge(self) -> CentralCharge:
         """act_on_charge(g, base charge), through the shared inverse."""
-        return self._g_inverse().T @ self.base_charge()
+        return self._g_inverse.T @ self.base_charge()
 
     def phi_sky(self):
         """Lifted skyscraper phase at this point."""
-        return cover.lift_eval(self._g_inverse(), 1)
+        return cover.lift_eval(self._g_inverse, 1)
 
     def psi_line(self):
         """Lifted phase of the positive rank ray at this point."""
         p = self.label.p
         base = Fraction(1 - 2 * p, 2) if isinstance(self.label, StdLabel) else 1 - p
-        return cover.lift_eval(self._g_inverse(), base)
+        return cover.lift_eval(self._g_inverse, base)
 
 
 def make_std(p: int, d: int) -> StabPoint:
@@ -282,7 +279,7 @@ def stable_objects(sigma: StabPoint, d: int):
         raise UnsupportedSpectrum("stable objects on boundary families are not classified")
     p = sigma.label.p
     descriptor = spectrum_of(sigma.label, d)
-    gi = sigma._g_inverse()
+    gi = sigma._g_inverse
     sky_phase = cover.lift_eval(gi, 1)
     line_phase = cover.lift_eval(gi, HALF)
     families = [
@@ -306,7 +303,7 @@ def ideal_family_phase(sigma: StabPoint, n: int, d: int):
     if not isinstance(sigma.label, StdLabel) or sigma.label.p != 0:
         raise UnsupportedSpectrum("the ideal-sheaf family lives at index-0 points")
     (series,) = spectrum_of(sigma.label, d).series
-    return cover.lift_eval(sigma._g_inverse(), series.value(n))
+    return cover.lift_eval(sigma._g_inverse, series.value(n))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +337,7 @@ def hn_filtration(sigma: StabPoint, E: sheaves.FormalObject, d: int):
     label = sigma.label
     check_label(label, d)
     p = label.p
-    gi = sigma._g_inverse()
+    gi = sigma._g_inverse
     if isinstance(label, DegLabel):
         if not hearts.heart_membership(E, p, d):
             raise NotInHeart(f"object is not in the boundary heart at index {p}")
@@ -424,16 +421,18 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
     charge and normalized phases.
 
     phi_sky is the lifted skyscraper phase, psi_line the lifted phase of the
-    positive rank ray. The pair determines the heart index through
-    p = floor(phi_sky - psi_line) and the group element through the frame of
-    Z; degenerate frames land on the boundary families. The labels over Z
-    come from ``charges._orbits_over``, the one inverse of the charge map,
-    and the inferred index must be one of them. Exact phases are read
-    exactly: phi_sky is split on the even integer below it, the window comes
-    from the exact difference of the phases, and psi_line is checked against
-    the direction of Z(rank) lifted by integer turns. Raises NotInU when the
-    data names no point of the region and NotNumericallyConsistent when the
-    phases contradict the charge.
+    positive rank ray; each must lift the direction of its vector under Z,
+    dir Z(skyscraper) + 2j and dir Z(rank) + 2k. The cover acts freely on
+    each orbit, so Z and the integers j and k fix the point. On a
+    nondegenerate frame the sign of det Z gives the parity of the heart index
+    p and the frame gives the group element up to its winding; j gives the
+    winding, and k gives p, by the whole turns that carry dir Z(rank) to the
+    base rank phase 1/2 - p. No window or floor of phi_sky - psi_line is
+    read there. A degenerate frame lands on the boundary families, where
+    phi_sky - psi_line must be the boundary index p within ``PHASE_TOL``. The
+    labels over Z come from ``charges._orbits_over``, the one inverse of the
+    charge map. Raises NotInU when the data names no point of the region and
+    NotNumericallyConsistent when a phase lifts no direction of its vector.
     """
     check_dimension(d)
     phi = as_number(phi_sky)
@@ -441,61 +440,52 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
     re, im, den = _charge_num(Z, SKYSCRAPER_CLASS)
     if re == 0 and im == 0:
         raise NotInU("the skyscraper class has zero charge")
-    theta = direction_angle(re, im, den)
-    # phi must lift the actual direction of Z(skyscraper): phi = 2n + r with
-    # 0 <= r < 2, split as lift_eval splits, and r within the slack of theta
-    # or theta + 2
-    phi_num, phi_den = phi.as_integer_ratio()
-    n, r = divmod(phi_num, 2 * phi_den)
-    gap = (r / phi_den - to_float(theta)) / 2
-    j = round(gap)
-    if abs(gap - j) > PHASE_TOL:
-        raise NotNumericallyConsistent(
-            f"phi_sky = {phi} is not a lift of the skyscraper direction {theta}"
-        )
-    j += n
-    # exact for exact phases; a float and an exact one meet through to_float
-    delta = phi - psi if type(phi) is type(psi) else to_float(phi) - to_float(psi)
-    p_hat = floor_near(delta)
-    window = p_hat - delta
+    j = _lift_count(phi, direction_angle(re, im, den),
+                    "phi_sky = {} is not a lift of the skyscraper direction {}")
     degenerate, indices, gamma = _orbits_over(Z, d)
     if degenerate:
-        if abs(window + 1) <= PHASE_TOL:
-            p_hat += 1
-        elif abs(window) > PHASE_TOL:  # interior data cannot carry a degenerate charge
+        # exact for exact phases; a float and an exact one meet through to_float
+        delta = phi - psi if type(phi) is type(psi) else to_float(phi) - to_float(psi)
+        p = round(delta)
+        if abs(delta - p) > PHASE_TOL:  # interior data cannot carry a degenerate charge
             raise NotInU("degenerate charge with interior phase data")
-        if not 1 <= p_hat <= d - 1:
-            raise NotInU(f"boundary index {p_hat} outside 1..{d - 1}")
-        if p_hat not in indices:
+        if not 1 <= p <= d - 1:
+            raise NotInU(f"boundary index {p} outside 1..{d - 1}")
+        if p not in indices:
             raise NotInU("boundary parameter would leave (0, 1/2)")
         alpha, beta = Z.column0()
         norm = alpha * alpha + beta * beta
         # T0 sends (alpha, beta) to (1, 0) exactly and has determinant one
         T0 = Matrix2(alpha / norm, beta / norm, -beta, alpha)
-        return StabPoint(DegLabel(p_hat, gamma()), cover._lifted(T0, _winding(T0, Z, j)))
-    if abs(window) <= PHASE_TOL:
-        raise NotNumericallyConsistent(
-            "nondegenerate charge with boundary phase data"
-        )
-    if not 0 <= p_hat <= d - 1:
-        raise NotInU(f"heart index {p_hat} outside 0..{d - 1}")
-    if p_hat not in indices:
-        raise NotNumericallyConsistent(
-            "charge orientation contradicts the inferred heart index"
-        )
-    # M = diag(1, (-1)**p_hat) Z^-1, det M > 0 as p_hat is one of the indices
-    M = Z.inverse() if p_hat % 2 == 0 else _FLIP @ Z.inverse()
+        return StabPoint(DegLabel(p, gamma()), cover._lifted(T0, _winding(T0, Z, j)))
+    # (-1)**p is the sign of det Z, and M = diag(1, (-1)**p) Z^-1 has det M > 0
+    odd = Z.det_sign() < 0
+    M = _FLIP @ Z.inverse() if odd else Z.inverse()
     G = cover._lifted(M, _winding(M, Z, j))
-    # M sends Z(rank) = Z(0, 1) to (0, (-1)**p_hat), whose base phase is
-    # 1/2 - p_hat: G carries dir Z(rank) + 2k there, and psi must be that lift
+    # M sends Z(rank) = Z(0, 1) to (0, (-1)**p), whose base phase is 1/2 - p:
+    # G carries dir Z(rank) + 2k there, so (1 - p) // 2 = k + turns + winding
     _, b, _, e = Z.num
-    k = (1 - p_hat) // 2 - cover._turns(M, b, e) - G.winding
-    rank_dir = direction_angle(b, e, max(abs(b), abs(e)))
-    if abs(to_float(psi - 2 * k) - to_float(rank_dir)) > 2 * PHASE_TOL:
-        raise NotNumericallyConsistent(
-            f"psi_line = {psi} disagrees with the rank-ray phase {rank_dir} + {2 * k}"
-        )
-    return StabPoint(StdLabel(p_hat), G)
+    k = _lift_count(psi, direction_angle(b, e, max(abs(b), abs(e))),
+                    "psi_line = {} disagrees with the rank-ray phase {}")
+    p = odd - 2 * (k + cover._turns(M, b, e) + G.winding)
+    if not 0 <= p <= d - 1:
+        raise NotInU(f"heart index {p} outside 0..{d - 1}")
+    return StabPoint(StdLabel(p), G)
+
+
+def _lift_count(phase, theta, refusal: str) -> int:
+    """The integer k with phase = theta + 2k within the slack ``PHASE_TOL``
+    (in units of 2), for a direction theta in (-1, 1]. The phase is split
+    exactly as 2n + r with 0 <= r < 2, as lift_eval splits, so only r meets
+    the float theta; NotNumericallyConsistent, with refusal formatted by the
+    phase and theta, when no k fits."""
+    num, den = phase.as_integer_ratio()
+    n, r = divmod(num, 2 * den)
+    gap = (r / den - to_float(theta)) / 2
+    k = round(gap)
+    if abs(gap - k) > PHASE_TOL:
+        raise NotNumericallyConsistent(refusal.format(phase, theta))
+    return n + k
 
 
 _FLIP = Matrix2(1, 0, 0, -1)

@@ -358,6 +358,24 @@ def test_tilt_chain(capsys):
     assert [t["level"] for t in payload["tilts"]] == [0, 1]
 
 
+def test_tilt_chain_reports_a_mismatch(capsys, monkeypatch):
+    from stabtorus import hearts, jsonio, sheaves
+
+    witness = sheaves.formal_object([(0, sheaves.skyscraper())])
+    monkeypatch.setattr(hearts, "hearts_agree_on", lambda *args: witness)
+    code, out, _ = run(capsys, ["tilt-chain", "--d", "4", "--p", "2", "--check-mass", "1"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["agrees_with_direct"] is False
+    assert payload["mismatch"] == jsonio.encode_object(witness)
+    code, out, _ = run(
+        capsys,
+        ["tilt-chain", "--d", "4", "--p", "2", "--check-mass", "1", "--format", "text"],
+    )
+    assert code == 0
+    assert out.rstrip("\n").endswith("NO")
+
+
 def test_spectrum_by_label(capsys):
     code, out, _ = run(capsys, ["spectrum", "--d", "4", "--label", "std:1"])
     assert code == 0

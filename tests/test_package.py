@@ -141,3 +141,23 @@ def test_threads_that_first_use_a_layer_at_once_all_see_it_whole():
     for layer, (answers, errors) in json.loads(done.stdout).items():
         assert errors == [], layer
         assert len(answers) == 8 and len(set(answers)) == 1, layer
+
+
+# runs in a fresh interpreter, where no layer file has run yet: a write and
+# a delete made before the first read must outlive the file's run
+_WRITE_BEFORE_FIRST_READ = """
+import stabtorus
+stabtorus.walls.orbit_complex = lambda d: f"patched {d}"
+del stabtorus.svg.helix_svg
+print(stabtorus.walls.orbit_complex(3))
+print(hasattr(stabtorus.svg, "helix_svg"))
+"""
+
+
+def test_a_write_to_a_layer_before_its_first_read_is_kept():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _WRITE_BEFORE_FIRST_READ], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.split("\n") == ["patched 3", "False", ""]

@@ -24,6 +24,18 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_source_line_is_longer_than_100_columns():
+    # the line count of src/ is a tracked number; lines joined past the
+    # width would lower it without removing any code
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert found == []
+
+
 def test_src_imports_only_the_stdlib():
     # the package has no runtime dependencies; relative imports stay inside it
     found = []

@@ -320,9 +320,10 @@ def test_classify_tiny_exact_slope_stays_below_half():
 
 def test_classify_reads_the_slope_from_a_row_that_sees_the_skyscraper():
     # Z(skyscraper) = (0, -1); the first row (0, 1e-20) carries no skyscraper
-    # entry, but its rank entry makes the determinant -1e-20: a Std charge
+    # entry, but its rank entry makes the determinant -1e-20: a Std charge,
+    # whose rank ray (1e-20, 0) has direction 0, which psi = -3/2 does not lift
     Z = CentralCharge(0, 1e-20, 1, 0)
-    with pytest.raises(NotNumericallyConsistent, match="nondegenerate charge with boundary"):
+    with pytest.raises(NotNumericallyConsistent, match="disagrees with the rank-ray phase 0"):
         classify(Z, Fraction(-1, 2), Fraction(-3, 2), 4)
     # with that entry 0 the frame is degenerate, and the second row (1, 0)
     # has slope 0, the excluded parameter 1/2
@@ -332,11 +333,11 @@ def test_classify_reads_the_slope_from_a_row_that_sees_the_skyscraper():
 
 def test_classify_refuses_boundary_data_for_a_frame_near_the_rank_functional():
     # the skyscraper column (-6e5, 1e-37) is tiny against e = -9e33, but the
-    # exact determinant is positive: a Std charge, which boundary phase data
-    # cannot carry
+    # exact determinant is positive: a Std charge, whose rank ray points
+    # down, which the boundary value psi = phi - 1 does not lift
     Z = CentralCharge(-600000.0, -40000, Fraction(1, 10**37), -9e33)
     assert not Z.is_degenerate()
-    with pytest.raises(NotNumericallyConsistent, match="nondegenerate charge with boundary"):
+    with pytest.raises(NotNumericallyConsistent, match="disagrees with the rank-ray phase -0.5"):
         classify(Z, -2, -3, 4)
 
 
@@ -361,12 +362,15 @@ def test_classify_refuses_a_rank_phase_that_only_a_skewed_frame_hides():
 def test_classify_counts_turns_from_the_exact_skyscraper_vector():
     # Z(sky) = (-1/2, -10**-400) lies just below the cut at direction 1; the
     # float entries are exact, so the determinant -10**-400 / 4 is nonzero and
-    # boundary phase data is refused
+    # negative: phi and psi = phi - 1, a lift of the rank ray (1/4, 0), name
+    # a Std(1) point, one turn of winding per turn of phi
     Z = CentralCharge(Fraction(1, 2), 0.25, Fraction(1, 10**400), 0.0)
     assert not Z.is_degenerate()
-    for phi in (-1.0, 1.0, 3.0):
-        with pytest.raises(NotNumericallyConsistent, match="nondegenerate charge with boundary"):
-            classify(Z, phi, phi - 1, 5)
+    for phi, winding in ((-1.0, 1), (1.0, 0), (3.0, -1)):
+        sigma = classify(Z, phi, phi - 1, 5)
+        assert sigma.label == StdLabel(1) and sigma.g.winding == winding
+        assert sigma.charge() == Z
+        assert sigma.phi_sky() == phi and sigma.psi_line() == phi - 1
 
 
 @pytest.mark.parametrize("p", range(5))
@@ -402,6 +406,30 @@ def test_classify_takes_back_a_moved_point_from_a_nudged_float_phase():
             assert classify(sigma.charge(), phi, sigma.psi_line(), 5) == sigma, seed
 
 
+def test_classify_takes_back_a_point_whose_phase_difference_nears_an_integer():
+    # phi_sky - psi_line = 2.0000000004895244: the skyscraper and rank
+    # directions are close, and no window test may read them as boundary data
+    sigma = act(LiftedAuto(Matrix2(86477923, 67888966, 86477924, 67888967), 0), make_std(2, 5))
+    assert classify(sigma.charge(), sigma.phi_sky(), sigma.psi_line(), 5) == sigma
+
+
+def test_classify_takes_back_every_point_of_a_seeded_frame_probe():
+    # frames [[a, b], [a + 1, b + 1]] of determinant a - b, whose two columns
+    # grow close in direction as a and b grow: at 10**16 the phase difference
+    # lies within a float ulp of the integer heart index
+    rng = random.Random(12)
+    for k in range(2, 30):
+        for _ in range(40):
+            a, b = rng.randint(0, 10**k), rng.randint(0, 10**k)
+            if a < b:
+                a, b = b, a
+            g = LiftedAuto(Matrix2(a, b, a + 1, b + 1), 0)
+            for p in range(5):
+                sigma = act(g, make_std(p, 5))
+                back = classify(sigma.charge(), sigma.phi_sky(), sigma.psi_line(), 5)
+                assert back == sigma, (k, a, b, p)
+
+
 def test_classify_round_trip_interior():
     rng = random.Random(101)
     d = 5
@@ -420,14 +448,18 @@ def test_classify_error_paths():
     # phase not lifting the skyscraper direction
     with pytest.raises(NotNumericallyConsistent):
         classify(std_charge(0), Fraction(1, 2), 0, 4)
-    # nondegenerate charge with boundary phase data
+    # boundary phase data on a nondegenerate charge: psi lifts no rank ray
     with pytest.raises(NotNumericallyConsistent):
         classify(std_charge(0), 1, 0, 4)
     # degenerate charge with interior phase data
     with pytest.raises(NotInU):
         classify(CentralCharge(1, 1, 0, 0), 1, Fraction(1, 2), 4)
-    # heart index out of range for the dimension
+    # heart index out of range for the dimension: psi = 1/2 - 4
     with pytest.raises(NotInU):
+        classify(std_charge(0), 1, Fraction(-7, 2), 4)
+    # orientation: det Z > 0 makes p even, and psi = 7/2 = 1/2 + 3 lifts no
+    # rank ray of an even heart index
+    with pytest.raises(NotNumericallyConsistent):
         classify(std_charge(0), 1, Fraction(7, 2), 4)
     # orientation mismatch: psi above phi is impossible in the region
     with pytest.raises((NotInU, NotNumericallyConsistent)):

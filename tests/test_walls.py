@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stabtorus.charges import CentralCharge, KClass, charge_eval, std_charge
 from stabtorus.errors import (
@@ -552,6 +552,9 @@ charges = st.one_of(st.builds(CentralCharge, entries, entries, entries, entries)
 
 @settings(max_examples=300, deadline=None)
 @given(classes, classes, charges, st.integers(-50, 1050), st.integers(0, 3))
+# the integer root: Z(ideal) + n Z(twist) = (-1, n - 2) meets the real axis at
+# n0 = 2, at phase 1
+@example(KClass(-2, 1), KClass(1, 0), CentralCharge(1, 0, 0, 1), 400, 0)
 def test_twist_escape_matches_the_linear_scan(ideal, twist, Z, g, near):
     zi, ze = charge_eval(Z, ideal), charge_eval(Z, twist)
     assume(zi != (0, 0) and ze != (0, 0))
