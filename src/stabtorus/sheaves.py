@@ -252,9 +252,10 @@ _SHEAF_KINDS = (Torsion, LocallyFree, TorsionFree, Mixed)
 class FormalObject:
     """Formal direct sum of sheaf atoms placed in cohomological degrees.
 
-    ``graded`` maps degree -> sheaf (stored sorted); ``nonsplit`` lists the
-    pairs of adjacent present degrees whose extension is declared nontrivial.
-    Omitted pairs are split. The zero object is the empty graded tuple.
+    ``graded`` holds (degree, sheaf) pairs and ``nonsplit`` the adjacent degree
+    pairs whose extension is declared nontrivial, the others being split. Every
+    build is checked once and stored in normal form: tuples, degrees strictly
+    increasing, flags sorted. The zero object is the empty graded tuple.
     """
 
     graded: tuple = ()
@@ -263,34 +264,43 @@ class FormalObject:
     json_kind = "object"  # written by jsonio.encode_object, with no "kind" key
 
     def __post_init__(self):
-        try:
-            degrees = [i for i, _ in self.graded]
-        except (TypeError, ValueError):
-            raise DomainError(f"graded data is (degree, sheaf) pairs: {self.graded!r}") from None
-        for i in degrees:
-            if not is_int(i):
-                raise DomainError(f"a degree must be an integer, got {i!r}")
-        if len(set(degrees)) != len(degrees):
-            raise DomainError("duplicate degree in graded data")
-        entries = tuple(sorted((i, S) for i, S in self.graded))
-        for _, S in entries:
-            if not isinstance(S, _SHEAF_KINDS):
-                raise DomainError(f"not a sheaf: {S!r}")
-        degrees.sort()
-        adj = set(zip(degrees, degrees[1:]))
-        flags = set()
-        for entry in self.nonsplit:
+        normal, last = type(self.graded) is tuple, None  # normal form needs only this loop
+        for atom in self.graded if normal else ():
+            if not (type(atom) is tuple and len(atom) == 2 and type(atom[0]) is int
+                    and (last is None or atom[0] > last) and isinstance(atom[1], _SHEAF_KINDS)):
+                normal = False
+                break
+            last = atom[0]
+        if not normal:
             try:
-                i, j = entry
+                atoms = [(i, S) for i, S in self.graded]
             except (TypeError, ValueError):
-                i = j = None
-            if not (is_int(i) and is_int(j)):
-                raise DomainError(f"a flag is a pair of degrees, got {entry!r}")
-            if (i, j) not in adj:
-                raise DomainError(f"flag on non-adjacent degrees ({i}, {j})")
-            flags.add((i, j))
-        object.__setattr__(self, "graded", entries)
-        object.__setattr__(self, "nonsplit", tuple(sorted(flags)))
+                raise DomainError(
+                    f"graded data is (degree, sheaf) pairs: {self.graded!r}") from None
+            for i, _ in atoms:
+                if not is_int(i):
+                    raise DomainError(f"a degree must be an integer, got {i!r}")
+            if len({i for i, _ in atoms}) != len(atoms):
+                raise DomainError("duplicate degree in graded data")
+            atoms.sort(key=lambda atom: atom[0])  # sheaves have no order
+            for _, S in atoms:
+                if not isinstance(S, _SHEAF_KINDS):
+                    raise DomainError(f"not a sheaf: {S!r}")
+            object.__setattr__(self, "graded", tuple(atoms))
+        if self.nonsplit != ():
+            adj = {(a[0], b[0]) for a, b in zip(self.graded, self.graded[1:])}
+            flags = set()
+            for entry in self.nonsplit:
+                try:
+                    i, j = entry
+                except (TypeError, ValueError):
+                    i = j = None
+                if not (is_int(i) and is_int(j)):
+                    raise DomainError(f"a flag is a pair of degrees, got {entry!r}")
+                if (i, j) not in adj:
+                    raise DomainError(f"flag on non-adjacent degrees ({i}, {j})")
+                flags.add((i, j))
+            object.__setattr__(self, "nonsplit", tuple(sorted(flags)))
 
     def degrees(self) -> tuple:
         return tuple(i for i, _ in self.graded)
@@ -336,6 +346,7 @@ def object_mass(E: FormalObject) -> int:
 
 def object_shift(E: FormalObject, k: int) -> FormalObject:
     """E[k]: the atom in degree i moves to degree i - k."""
+    check_index(k, "a shift must be an integer, got {p!r}", lo=None)
     return FormalObject(
         tuple((i - k, S) for i, S in E.graded),
         tuple((i - k, j - k) for i, j in E.nonsplit),
@@ -510,6 +521,7 @@ def enumerate_positive_rank_sheaves(mass: int):
 def enumerate_sheaves(mass: int):
     """All model sheaves of the given mass, canonical point ids, no
     declared filtrations."""
+    check_index(mass, "a mass must be an integer, got {p!r}", lo=None)
     if mass < 1:
         return
     yield from enumerate_torsion_sheaves(mass)
@@ -535,6 +547,7 @@ def enumerate_objects(max_mass: int, degrees, d: int):
     Every object is built once, as the FormalObject yielded.
     """
     check_dimension(d)
+    check_index(max_mass, "a mass bound must be an integer, got {p!r}", lo=None)
     degrees = sorted(degrees)
     sheaf_pool = {m: tuple(enumerate_sheaves(m)) for m in range(1, max_mass + 1)}
     for count in range(1, len(degrees) + 1):

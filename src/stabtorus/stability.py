@@ -446,6 +446,8 @@ def classify(Z: CentralCharge, phi_sky, psi_line, d: int) -> StabPoint:
     if degenerate:
         # exact for exact phases; a float and an exact one meet through to_float
         delta = phi - psi if type(phi) is type(psi) else to_float(phi) - to_float(psi)
+        if abs(delta) == math.inf:  # finite floats whose gap lies past the float range
+            delta = Fraction(phi) - Fraction(psi)
         p = round(delta)
         if abs(delta - p) > PHASE_TOL:  # interior data cannot carry a degenerate charge
             raise NotInU("degenerate charge with interior phase data")

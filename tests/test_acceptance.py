@@ -131,6 +131,7 @@ def test_criterion_02_interior_stable_set_is_sky_and_shifted_line():
 
 
 def test_criterion_03_tilt_chains_equal_direct_hearts():
+    started = time.perf_counter()
     mismatches = 0
     total = 0
     for d in (3, 4, 5, 6):
@@ -141,7 +142,8 @@ def test_criterion_03_tilt_chains_equal_direct_hearts():
                 if chains[p].contains(E) != heart_membership(E, p, d):
                     mismatches += 1
     assert mismatches == 0
-    print(f"criterion 3: PASS ({total} objects x all hearts, 0 mismatches)")
+    elapsed = time.perf_counter() - started
+    print(f"criterion 3: PASS ({total} objects x all hearts, 0 mismatches, {elapsed:.1f}s)")
 
 
 def test_criterion_04_stability_function_gate():
@@ -182,6 +184,7 @@ def _expected_wall(p, gamma, d):
 
 
 def test_criterion_05_wall_decision_table():
+    started = time.perf_counter()
     gammas = [Fraction(s) for s in ("1/10", "3/10", "49/100", "51/100", "7/10", "9/10")]
     cells = walls = 0
     for d in range(3, 8):
@@ -205,7 +208,8 @@ def test_criterion_05_wall_decision_table():
                     enumerate_objects(check_mass, window, d),
                 )
                 assert witness is None, (d, p, gamma, witness)
-    print(f"criterion 5: PASS ({cells} table cells, {walls} wall-heart checks)")
+    elapsed = time.perf_counter() - started
+    print(f"criterion 5: PASS ({cells} table cells, {walls} wall-heart checks, {elapsed:.1f}s)")
 
 
 def test_criterion_06_trivial_fundamental_group():

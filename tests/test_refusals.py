@@ -18,6 +18,7 @@ from stabtorus.errors import (
     ZeroCharge,
 )
 from stabtorus.exactnum import as_number, cot_pi, direction_angle
+from stabtorus.hearts import StandardHeart, hrs_tilt, standard_pair
 from stabtorus.linalg import Matrix2
 from stabtorus.presentations import pi1
 from stabtorus.sheaves import (
@@ -27,7 +28,10 @@ from stabtorus.sheaves import (
     Torsion,
     TorsionFree,
     TorsionMorphism,
+    enumerate_objects,
+    enumerate_sheaves,
     make_mixed,
+    object_shift,
     sheaf_at,
     sheaf_class,
     skyscraper,
@@ -117,6 +121,23 @@ REFUSALS = {
         lambda: subobject_classes(sheaf_at(1, TORSION), 1, 4), NotInHeart),
     "classify-a-zero-skyscraper-charge": (
         lambda: classify(CentralCharge(0, 1, 0, 1), 1, Fraction(1, 2), 4), NotInU),
+    "classify-a-phase-gap-past-the-float-range": (
+        lambda: classify(CentralCharge(-1, 1, 0, 0), 1.7e308, -1.7e308, 4), NotInU),
+    "classify-an-exact-phase-gap-past-the-float-range": (
+        lambda: classify(CentralCharge(-1, 1, 0, 0), Fraction(17 * 10**307),
+                         Fraction(-17 * 10**307), 4),
+        NotInU,
+    ),
+    "enumerate-objects-mass-a-string": (lambda: list(enumerate_objects("3", [0], 4)), DomainError),
+    "enumerate-objects-mass-a-float": (lambda: list(enumerate_objects(2.5, [0], 4)), DomainError),
+    "enumerate-sheaves-mass-a-string": (lambda: list(enumerate_sheaves("2")), DomainError),
+    "sample-members-mass-a-string": (
+        lambda: list(StandardHeart(1, 4).sample_members("2")), DomainError),
+    "hrs-tilt-check-mass-a-string": (
+        lambda: hrs_tilt(StandardHeart(0, 4), standard_pair(0, 4), max_check_mass="2"),
+        DomainError,
+    ),
+    "object-shift-a-string": (lambda: object_shift(sheaf_at(0, TORSION), "1"), DomainError),
     "twist-escape-killing-the-twist": (
         lambda: twist_escape(KClass(1, -1), KClass(0, 0), Fraction(2, 5), std_charge(0)),
         ZeroCharge,
